@@ -76,19 +76,19 @@ def _shifted_square_factor(g: DiscreteGradient) -> float:
     """Full-weight integral over (k, t) of E[((I + 2 sqrt(number op)) (grad^2))^2].
 
     The operator acts on the squared gradient component as a functional of the
-    outcome; order d parts pick up a factor 1 + 2 sqrt(d).
+    outcome; order d parts pick up a factor 1 + 2 sqrt(d). All atoms t of one
+    coordinate go through one batched grade sweep; the components do not
+    depend on coordinate k, so their grids stay reduced along it.
     """
     space = g.space
     n = space.n
-    coeffs = [0.0] + [math.sqrt(d) for d in range(1, n + 1)]
+    coeffs = [1.0 + 2.0 * math.sqrt(d) for d in range(n + 1)]
     total = 0.0
     for k in range(n):
-        probs = space.probs[k]
-        for t in range(space.shape[k]):
-            sq = np.broadcast_to(g.stacks[k][t] ** 2, space.shape)
-            Y = RandomFunctional(space, sq.reshape(-1).copy())
-            Z = Y + 2.0 * hoeffding.scale_grades(Y, coeffs)
-            total += 2.0 * probs[t] * Z.moment(2)
+        Z = hoeffding.grade_sweep(space, g.stacks[k] ** 2, coeffs)
+        weights = space.joint_probs.sum(axis=k).reshape(-1)
+        second = (Z * Z).reshape(Z.shape[0], -1) @ weights
+        total += 2.0 * float(space.probs[k] @ second)
     return total
 
 

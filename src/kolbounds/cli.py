@@ -39,9 +39,9 @@ from .errors import (
     InputError,
     SpaceTooLargeError,
 )
+from .space import SIZE_CAP
 
 MIN_EMPIRICAL_SAMPLES = 100
-EXACT_SPACE_CAP = 100_000
 
 # Stream-id layout: generated sweep matrices draw from one block, sample
 # chunks for sweep row i start at i * stride. The stride bounds chunks per
@@ -219,7 +219,7 @@ def _run_qform(args: argparse.Namespace) -> int:
     if args.constant is not None:
         results["scaled_rates"] = {k: args.constant * v for k, v in rates.items()}
     sig = math.sqrt(q.sigma2)
-    if law.n_atoms**q.n <= EXACT_SPACE_CAP:
+    if law.n_atoms**q.n <= SIZE_CAP:
         Z = qform.q_functional(A, law) * (1.0 / sig)
         results["exact"] = mc.exact_kdist(Z).to_json()
     if args.samples:
@@ -310,7 +310,7 @@ def _run_ustat(args: argparse.Namespace) -> int:
     else:
         results["rate"] = None
     sig = math.sqrt(sigma2)
-    if law.n_atoms**w.n <= EXACT_SPACE_CAP:
+    if law.n_atoms**w.n <= SIZE_CAP:
         Z = ustat.ustat_functional(w, g) * (1.0 / sig)
         results["exact"] = mc.exact_kdist(Z).to_json()
     if args.samples:

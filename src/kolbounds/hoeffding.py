@@ -11,10 +11,21 @@ implemented as a subset Moebius transform over conditional-expectation grids.
 Terms are kept in reduced (keepdims) form, one axis per coordinate with
 non-member axes collapsed to length one, and are broadcast back to full
 functionals on demand.
+
+Grade-level quantities (the order-d part of X, the sum of W_J over |J| = d)
+never need the subsets. grade_sweep rewrites each coordinate axis in turn as
+its mean part (the average under that coordinate's law) and its centred
+parts, which is Yates' algorithm for factorial designs generalised to any
+finite law. In that basis every grid entry is a product of mean and centred
+factors and belongs to one order, the number of its centred axes, so a
+gradewise operator is one multiplication per entry before the axes are
+rewritten back. It costs O(n |Omega|) time and O(|Omega|) memory, where
+splitting every axis into both parts keeps 2^n branches.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -156,32 +167,71 @@ def project(X: RandomFunctional) -> HoeffdingDecomposition:
     return HoeffdingDecomposition(space, cond)
 
 
+def _slot_mean(V: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """sum over t of probs[t] * V[:, t], for V of shape (a, m, b)."""
+    total = probs[0] * V[:, 0]
+    for t in range(1, len(probs)):
+        total += probs[t] * V[:, t]
+    return total
+
+
+def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+    """Return sum over d of coeffs[d] * (order-d part of grid), axis by axis.
+
+    The last n axes of grid follow the space's coordinates; any leading axes
+    are a batch and are carried through untouched. A coordinate axis of
+    length one (a reduced grid, constant along it) is skipped.
+
+    Each remaining axis k is rewritten in place as (mean part, centred parts):
+    the slot of the most likely atom r takes the average under the law, every
+    other slot t takes value_t minus that average. The centred part at r is
+    implied, since the centred parts average to zero. After all axes an entry
+    is the coefficient of a product of mean factors and centred factors, which
+    lies in the order counted by its centred axes; it is scaled by that
+    order's coefficient and the axes are rewritten back. Time O(n |Omega|)
+    and memory O(|Omega|) per batch item; the result has the shape of grid.
+    """
+    n = space.n
+    if len(coeffs) != n + 1:
+        raise InputError(f"need {n + 1} grade coefficients, got {len(coeffs)}")
+    T = np.array(grid, dtype=float, order="C")
+    lead = T.ndim - n
+    if lead < 0:
+        raise InputError(f"grid has {T.ndim} axes, the space needs at least {n}")
+    order = np.zeros(T.shape[lead:], dtype=np.intp)
+    split = []
+    for k in range(n):
+        axis = lead + k
+        m = T.shape[axis]
+        if m == 1:
+            continue
+        probs = space.probs[k]
+        ref = int(np.argmax(probs))
+        V = T.reshape(math.prod(T.shape[:axis]), m, -1)
+        mean = _slot_mean(V, probs)
+        V -= mean[:, None]
+        V[:, ref] = mean
+        centred = np.arange(m) != ref
+        order += centred.reshape((m,) + (1,) * (n - 1 - k))
+        split.append((V, probs, ref))
+    T *= np.asarray(coeffs, dtype=float)[order]
+    for V, probs, ref in reversed(split):
+        mean = V[:, ref].copy()
+        V[:, ref] = 0.0
+        V[:, ref] = _slot_mean(V, probs) / -probs[ref]
+        V += mean[:, None]
+    return T
+
+
 def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunctional:
     """Return sum over d of coeffs[d] * (order-d part of X), in one sweep.
 
     coeffs has length n + 1, indexed by order. This is the workhorse behind
-    operator powers: it never materializes the per-subset terms, only a
-    binary split (mean part, centered part) per coordinate.
+    operator powers: it never materializes the per-subset terms, only one
+    coefficient per entry after a per-axis change of basis (see grade_sweep),
+    in O(n |Omega|) time and O(|Omega|) memory.
     """
-    space = X.space
-    n = space.n
-    if len(coeffs) != n + 1:
-        raise InputError(f"need {n + 1} grade coefficients, got {len(coeffs)}")
-    items: list[tuple[np.ndarray, int]] = [(X.grid, 0)]
-    for k in range(n):
-        nxt: list[tuple[np.ndarray, int]] = []
-        for grid, d in items:
-            m = _marginalize(space, grid, k)
-            nxt.append((m, d))
-            nxt.append((grid - m, d + 1))
-        items = nxt
-    total = np.zeros((1,) * n)
-    for grid, d in items:
-        c = coeffs[d]
-        if c != 0.0:
-            total = total + c * grid
-    full_grid = np.broadcast_to(total, space.shape)
-    return RandomFunctional(space, full_grid.reshape(-1).copy())
+    return RandomFunctional(X.space, grade_sweep(X.space, X.grid, coeffs))
 
 
 # --------------------------------------------------------------------- rates

@@ -53,6 +53,30 @@ def test_master_bound_dominates_exact_distance():
         assert mb.total == pytest.approx(sum(mb.terms().values()), rel=1e-13)
 
 
+def test_master_bound_reaches_rademacher_fourteen():
+    rng = np.random.default_rng(55)
+    space = OutcomeSpace.iid(Distribution.rademacher(), 14)
+    X = _normalized(space.functional(rng.standard_normal(space.size)))
+    mb = bounds.master_bound(X)
+    assert mc.exact_kdist(X).value <= mb.total
+
+
+def test_shifted_square_factor_matches_per_component_projection():
+    rng = np.random.default_rng(56)
+    space = OutcomeSpace([three_point(), Distribution.rademacher(), three_point(), Distribution.rademacher()])
+    X = _normalized(space.functional(rng.standard_normal(space.size)))
+    g = chaos.gradient(X)
+    want = 0.0
+    for k in range(space.n):
+        for t in range(space.shape[k]):
+            H = hoeffding.project(g.component(k, t) ** 2)
+            Z = space.constant(0.0)
+            for d in range(space.n + 1):
+                Z = Z + (1.0 + 2.0 * math.sqrt(d)) * H.grade(d)
+            want += 2.0 * space.probs[k][t] * Z.moment(2)
+    assert bounds._shifted_square_factor(g) == pytest.approx(want, rel=1e-12)
+
+
 def test_master_bound_requires_centering():
     space = OutcomeSpace.iid(three_point(), 2)
     with pytest.raises(DomainError):

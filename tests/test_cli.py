@@ -107,6 +107,17 @@ def test_samples_zero_is_analytic_only(files, capsys):
     assert "exact" in rep["results"]
 
 
+def test_exact_section_reaches_the_space_cap(capsys, tmp_path):
+    # 2^17 = 131072 outcomes: inside space.SIZE_CAP, so the report is exact.
+    n = 17
+    rows = [",".join("0" if i == j else str((-1) ** (i * j + i + j)) for j in range(n)) for i in range(n)]
+    path = tmp_path / "A17.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code, out, _ = _run(["qform", "--matrix", str(path), "--law", "rademacher", "--samples", "0"], capsys)
+    assert code == 0
+    assert "exact" in json.loads(out)["results"]
+
+
 def test_constant_is_echoed_and_scales(files, capsys):
     code, out, _ = _run(
         [

@@ -5,12 +5,30 @@ import pytest
 
 from kolbounds import hoeffding
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import DomainError
+from kolbounds.errors import DomainError, InputError
 from kolbounds.space import OutcomeSpace
+
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 
 
 def _random_functional(space, rng):
     return space.functional(rng.standard_normal(space.size))
+
+
+def _branch_scale_grades(space, grid, coeffs):
+    """Reference: split every axis into mean and centred part, keep all 2^n branches."""
+    items = [(np.asarray(grid, dtype=float), 0)]
+    for k in range(space.n):
+        nxt = []
+        for g, d in items:
+            m = np.sum(g * space.axis_probs(k), axis=k, keepdims=True)
+            nxt.append((m, d))
+            nxt.append((g - m, d + 1))
+        items = nxt
+    total = np.zeros(space.shape)
+    for g, d in items:
+        total = total + coeffs[d] * g
+    return total
 
 
 def test_reconstruction_is_exact():
@@ -76,6 +94,43 @@ def test_grades_sum_back_and_scale_grades_matches():
     for d in range(1, space.n + 1):
         want = want + float(d) * H.grade(d)
     assert np.max(np.abs(Y.values - want.values)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [(Distribution.rademacher(), 6), (three_point(), 4), (ASYM, 5)],
+    ids=["rademacher-6", "three-point-4", "asym-5"],
+)
+def test_scale_grades_matches_branch_expansion(law, n):
+    rng = np.random.default_rng(28)
+    space = OutcomeSpace.iid(law, n)
+    X = _random_functional(space, rng)
+    coeffs = rng.standard_normal(n + 1)
+    want = _branch_scale_grades(space, X.grid, coeffs)
+    got = hoeffding.scale_grades(X, coeffs)
+    assert np.max(np.abs(got.grid - want)) < 1e-12
+
+
+def test_grade_sweep_carries_a_batch_axis_and_reduced_grids():
+    rng = np.random.default_rng(29)
+    space = OutcomeSpace.iid(ASYM, 4)
+    coeffs = rng.standard_normal(space.n + 1)
+    # Three functionals constant along coordinate 2, stored reduced there.
+    batch = rng.standard_normal((3, 3, 3, 1, 3))
+    got = hoeffding.grade_sweep(space, batch, coeffs)
+    assert got.shape == batch.shape
+    for b in range(3):
+        full = np.broadcast_to(batch[b], space.shape)
+        want = _branch_scale_grades(space, full, coeffs)
+        assert np.max(np.abs(np.broadcast_to(got[b], space.shape) - want)) < 1e-12
+
+
+def test_grade_sweep_checks_its_inputs():
+    space = OutcomeSpace.iid(three_point(), 3)
+    with pytest.raises(InputError):
+        hoeffding.grade_sweep(space, np.zeros(space.shape), [1.0, 2.0])
+    with pytest.raises(InputError):
+        hoeffding.grade_sweep(space, np.zeros((3, 3)), [1.0] * 4)
 
 
 def test_grade_of_additive_sum_is_pure_order_one():
