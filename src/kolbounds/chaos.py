@@ -212,10 +212,6 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
     return ChaosDecomposition(space, mean, kernels)
 
 
-def integral_eval(f: ChaosKernel) -> RandomFunctional:
-    return f.integral()
-
-
 # ------------------------------------------------------------------ gradient
 
 

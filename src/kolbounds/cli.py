@@ -44,10 +44,13 @@ from .space import SIZE_CAP
 MIN_EMPIRICAL_SAMPLES = 100
 
 # Stream-id layout: generated sweep matrices draw from one block, sample
-# chunks for sweep row i start at i * stride. The stride bounds chunks per
-# row, which at 50k draws each is far beyond any realistic sample count.
+# chunks for sweep row i start at i * stride. A row may use at most stride
+# chunks and a qform sweep at most base / stride rows; sweeps beyond either
+# limit are refused, because their stream ids would collide.
 _MATRIX_STREAM_BASE = 500_000
 _SWEEP_STREAM_STRIDE = 10_000
+_MAX_SWEEP_SAMPLES = _SWEEP_STREAM_STRIDE * mc.DRAW_CHUNK
+_MAX_QFORM_SWEEP_SIZES = _MATRIX_STREAM_BASE // _SWEEP_STREAM_STRIDE
 
 _QFORM_FLAGS = {"chain": True, "exact": True, "r1": False, "r2": False, "spectral": False}
 _USTAT_FLAGS = {"exact": True, "rate": False, "sigma2": True}
@@ -141,6 +144,11 @@ def _sweep_samples(cfg: dict, args: argparse.Namespace) -> int:
         raise InputError("sweep field 'samples' must be an integer")
     if samples < MIN_EMPIRICAL_SAMPLES:
         raise InputError(f"sweeps need at least {MIN_EMPIRICAL_SAMPLES} samples per point")
+    if samples > _MAX_SWEEP_SAMPLES:
+        raise InputError(
+            f"sweeps take at most {_MAX_SWEEP_SAMPLES} samples per point "
+            f"({_SWEEP_STREAM_STRIDE} streams of {mc.DRAW_CHUNK} draws)"
+        )
     return samples
 
 
@@ -240,6 +248,11 @@ def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
     if not isinstance(cfg, dict):
         raise InputError("the sweep config must be a JSON object")
     sizes = _int_list(cfg.get("sizes", []), "sizes")
+    if len(sizes) > _MAX_QFORM_SWEEP_SIZES:
+        raise InputError(
+            f"qform sweeps take at most {_MAX_QFORM_SWEEP_SIZES} sizes; "
+            "more would reuse the matrix streams"
+        )
     samples = _sweep_samples(cfg, args)
     delta = _sweep_delta(cfg, args)
     m = law.moments()

@@ -352,10 +352,6 @@ def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
     return SubsetRateReport(value, fam_diag, fam_cross, fam_low, normalized)
 
 
-def rate_thmS(H: HoeffdingDecomposition) -> float:
-    return subset_rate_report(H).value
-
-
 def rate_degenerate(H: HoeffdingDecomposition) -> tuple[float, float]:
     """Conditional-moment ingredients of the degenerate-projection bound.
 

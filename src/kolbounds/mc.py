@@ -26,6 +26,8 @@ WORKERS_ENV = "KOLBOUNDS_WORKERS"
 
 NORMAL_CDF_MAX_ABS_ERROR = 1e-12  # documented budget; actual error is ~1e-16
 
+DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
+
 _erfc_vec = np.frompyfunc(math.erfc, 1, 1)
 
 
@@ -61,7 +63,7 @@ def chunked_draws(
     total: int,
     seed: int,
     first_stream: int = 0,
-    chunk: int = 50_000,
+    chunk: int = DRAW_CHUNK,
 ) -> np.ndarray:
     """Fill a length-total vector by calling draw(rng, size) chunk by chunk.
 

@@ -7,7 +7,9 @@ quadratic form is
 
 Its variance and fourth moment admit closed forms in the matrix and the law's
 moments; every distinct-index sum below is reduced to matrix products so the
-whole analysis costs O(n^3). Brute-force twins of each sub-sum live in the
+whole analysis costs O(n^3). The spectral radius |lambda_1| comes from LAPACK
+(numpy.linalg.eigvalsh), and Monte Carlo draws of Q are evaluated as
+row-blocked matrix products. Brute-force twins of each sub-sum live in the
 test suite.
 """
 
@@ -23,7 +25,10 @@ from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
 _SYM_TOL = 1e-12
-_JACOBI_CAP = 512
+# Rows per matmul block in q_samples: temporaries stay at _Q_BLOCK * n
+# floats whatever the batch, and the blocking never depends on the worker
+# count, so the draws and their sums are reproducible.
+_Q_BLOCK = 4096
 
 
 # ----------------------------------------------------------------- matrices
@@ -60,73 +65,10 @@ def load_matrix_csv(path: str) -> np.ndarray:
     return symmetrize(np.asarray(rows, dtype=float))
 
 
-def jacobi_eigenvalues(A: np.ndarray, tol: float = 1e-14, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate away every off-diagonal pair until the off-diagonal
-    Frobenius mass falls below tol times the matrix norm. Machine precision
-    for the desk sizes this package handles (n <= 512).
-    """
-    M = symmetrize(A).copy()
-    n = M.shape[0]
-    if n == 1:
-        return M.diagonal().copy()
-    norm = float(np.linalg.norm(M))
-    if norm == 0.0:
-        return np.zeros(n)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(float(np.sum(M * M) - np.sum(M.diagonal() ** 2)), 0.0))
-        if off <= tol * norm:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if abs(apq) <= 1e-20 * norm:
-                    continue
-                app, aqq = M[p, p], M[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = M[p, :].copy()
-                rq = M[q, :].copy()
-                M[p, :] = c * rp - s * rq
-                M[q, :] = s * rp + c * rq
-                cp = M[:, p].copy()
-                cq = M[:, q].copy()
-                M[:, p] = c * cp - s * cq
-                M[:, q] = s * cp + c * cq
-                M[p, p] = app - t * apq
-                M[q, q] = aqq + t * apq
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-    return np.sort(M.diagonal())
-
-
 def largest_abs_eigenvalue(A: np.ndarray) -> float:
-    """|lambda_1|: Jacobi up to n = 512, power iteration on A^2 beyond."""
-    M = symmetrize(A)
-    n = M.shape[0]
-    if n <= _JACOBI_CAP:
-        vals = jacobi_eigenvalues(M)
-        return float(np.max(np.abs(vals))) if vals.size else 0.0
-    B = M @ M
-    v = np.ones(n) / math.sqrt(n)
-    v[0] += 1e-3  # fixed deterministic kick off any symmetric fixed point
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10_000):
-        w = B @ v
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        w /= nw
-        lam_new = float(w @ B @ w)
-        if abs(lam_new - lam) <= 1e-14 * max(1.0, abs(lam_new)):
-            lam = lam_new
-            break
-        lam, v = lam_new, w
-    return math.sqrt(max(lam, 0.0))
+    """|lambda_1| = max(|lambda_min|, |lambda_max|) from LAPACK eigvalsh; 0 for 0x0."""
+    vals = np.linalg.eigvalsh(symmetrize(A))
+    return max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
 
 
 # --------------------------------------------------- distinct-index sub-sums
@@ -493,7 +435,11 @@ def q_samples(
     size: int,
     batch: int = 50_000,
 ) -> np.ndarray:
-    """Monte Carlo draws of Q (unnormalized), batched for memory."""
+    """Monte Carlo draws of Q (unnormalized), batched for memory.
+
+    Each batch of b draws is evaluated _Q_BLOCK rows at a time as
+    sum_j (X M)_ij X_ij, one BLAS matrix product per block.
+    """
     M = symmetrize(A)
     n = M.shape[0]
     mu2 = law.moments().mu[2]
@@ -503,6 +449,10 @@ def q_samples(
     while done < size:
         b = min(batch, size - done)
         X = law.sample(rng, b * n).reshape(b, n)
-        out[done : done + b] = np.einsum("bi,ij,bj->b", X, M, X) - shift
+        for lo in range(0, b, _Q_BLOCK):
+            Xb = X[lo : lo + _Q_BLOCK]
+            Y = Xb @ M
+            Y *= Xb
+            out[done + lo : done + lo + Xb.shape[0]] = Y.sum(axis=1) - shift
         done += b
     return out

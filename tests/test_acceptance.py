@@ -26,7 +26,6 @@ import pytest
 from kolbounds import bounds, cli, graphweigh, mc, qform
 from kolbounds.chaos import (
     covariance_identity_check,
-    integral_eval,
     multiply,
     random_kernel,
 )
@@ -97,7 +96,7 @@ def test_criterion_03_chaos_identities():
     rng = np.random.default_rng(3)
     space = OutcomeSpace.iid(three_point(), 4)
     kernels = [random_kernel(space, 1 + i % 3, rng) for i in range(50)]
-    ints = [integral_eval(f) for f in kernels]
+    ints = [f.integral() for f in kernels]
     worst_iso = 0.0
     worst_mul = 0.0
     for i, f in enumerate(kernels):
@@ -134,7 +133,7 @@ def test_criterion_04_explicit_constant_bounds_hold():
         space = OutcomeSpace.iid(law, n)
         if checked % 2 == 1:
             d = 1 + checked % 3
-            X = integral_eval(random_kernel(space, d, rng))
+            X = random_kernel(space, d, rng).integral()
         else:
             d = None
             X = space.functional(rng.standard_normal(space.shape)).centered()

@@ -267,6 +267,39 @@ def test_graph_sweep_csv_and_empty_grid(files, capsys, tmp_path):
     assert open(out2 + ".csv").read() == "n,p,rg_rate,dk_emp,dkw\n"
 
 
+def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):
+    # Row 50 of a qform sweep would start at the matrix stream block, and a
+    # point drawing from more than the stride's streams would run into the
+    # next row; both are refused before any row runs.
+    too_many = cli._MAX_SWEEP_SAMPLES + 1
+    configs = {
+        "q51.json": {"sizes": [3] * 51, "samples": 100},
+        "q_big.json": {"sizes": [3], "samples": too_many},
+        "g_big.json": {"n": [8], "p": [0.4], "samples": too_many},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    out = str(tmp_path / "x.json")
+    cases = [
+        (["qform", "--sweep", str(tmp_path / "q51.json")], "at most 50 sizes"),
+        (["qform", "--sweep", str(tmp_path / "q_big.json")], "at most 500000000 samples"),
+        (
+            ["graph", "--graph", files["tri.json"], "--sweep", str(tmp_path / "g_big.json")],
+            "at most 500000000 samples",
+        ),
+    ]
+    for argv, message in cases:
+        code, _, err = _run(argv + ["--law", "rademacher", "--out", out], capsys)
+        assert code == 2, argv
+        assert message in err
+    assert not (tmp_path / "x.json.csv").exists()
+
+    (tmp_path / "q50.json").write_text(json.dumps({"sizes": [3] * 50, "samples": 100}))
+    code, _, _ = _run(["qform", "--sweep", str(tmp_path / "q50.json"), "--law", "rademacher", "--out", out], capsys)
+    assert code == 0
+    assert len(json.loads(open(out).read())["results"]["rows"]) == 50
+
+
 def test_ustat_report(files, capsys):
     code, out, _ = _run(
         ["ustat", "--weights", files["w.json"], "--law", "rademacher", "--samples", "500", "--seed", "2"],

@@ -169,8 +169,8 @@ def test_subset_rate_is_scale_invariant():
     rng = np.random.default_rng(27)
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng).centered()
-    a = hoeffding.rate_thmS(hoeffding.project(X))
-    b = hoeffding.rate_thmS(hoeffding.project(X * 7.5))
+    a = hoeffding.subset_rate_report(hoeffding.project(X)).value
+    b = hoeffding.subset_rate_report(hoeffding.project(X * 7.5)).value
     assert a == pytest.approx(b, rel=1e-10)
 
 

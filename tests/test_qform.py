@@ -241,14 +241,23 @@ def test_degenerate_analysis_raises_on_rate_access():
 # ------------------------------------------------------------- eigenvalues
 
 
-def test_jacobi_agrees_with_lapack():
+def test_largest_abs_eigenvalue_matches_the_spectral_norm():
+    # The operator 2-norm comes from an SVD, an independent LAPACK route; for
+    # a symmetric matrix it equals |lambda_1|.
     rng = np.random.default_rng(66)
     for _ in range(12):
         n = int(rng.integers(2, 30))
         A = _random_sym(rng, n)
-        got = qform.jacobi_eigenvalues(A)
-        want = np.linalg.eigvalsh(A)
-        assert np.max(np.abs(got - want)) < 1e-11 * max(1.0, np.max(np.abs(want)))
+        assert qform.largest_abs_eigenvalue(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+    # The negative end of the spectrum dominates.
+    Q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    A = Q @ np.diag([-7.0, -1.0, 0.5, 2.0, 3.0]) @ Q.T
+    A = (A + A.T) / 2.0
+    assert qform.largest_abs_eigenvalue(A) == pytest.approx(7.0, rel=1e-12)
+    assert qform.largest_abs_eigenvalue(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+    assert qform.largest_abs_eigenvalue(np.zeros((4, 4))) == 0.0
+    assert qform.largest_abs_eigenvalue(np.array([[-2.5]])) == 2.5
+    assert qform.largest_abs_eigenvalue(np.zeros((0, 0))) == 0.0
 
 
 def test_largest_abs_eigenvalue_small_and_large_paths():
@@ -317,6 +326,34 @@ def test_q_samples_match_exact_moments():
     exact_var = qform.variance_q(A, law.moments())
     assert draws.mean() == pytest.approx(0.0, abs=5.0 * math.sqrt(exact_var / draws.size))
     assert draws.var() == pytest.approx(exact_var, rel=0.05)
+
+
+def _einsum_q_samples(A, law, rng, size, batch):
+    # Reference: each whole batch through one einsum, no row blocks.
+    M = qform.symmetrize(A)
+    n = M.shape[0]
+    shift = law.moments().mu[2] * float(np.trace(M))
+    out = np.empty(size)
+    done = 0
+    while done < size:
+        b = min(batch, size - done)
+        X = law.sample(rng, b * n).reshape(b, n)
+        out[done : done + b] = np.einsum("bi,ij,bj->b", X, M, X) - shift
+        done += b
+    return out
+
+
+def test_q_samples_match_the_einsum_expression():
+    # Sizes and batches off multiples of the row block, n = 1 included; both
+    # sides read the same stream, so only the summation order differs.
+    block = qform._Q_BLOCK
+    law = three_point()
+    for n, size, batch in [(1, 2 * block + 17, 3000), (7, 3 * block + 5, block + 1), (33, block + 999, 50_000)]:
+        A = _random_sym(np.random.default_rng(n), n)
+        got = qform.q_samples(A, law, mc.stream(69, n), size, batch=batch)
+        want = _einsum_q_samples(A, law, mc.stream(69, n), size, batch)
+        assert got.shape == (size,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_q_functional_requires_centered_law():
