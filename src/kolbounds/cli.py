@@ -365,9 +365,25 @@ def _run_graph(args: argparse.Namespace) -> int:
     ns = _int_list(cfg.get("n", []), "n")
     ps = _float_list(cfg.get("p", []), "p")
     combine = cfg.get("combine", "product")
+    if combine != "product":
+        raise InputError(
+            "graph sweeps standardize by the exact variance, which only the "
+            f"product convention has; combine must be 'product', got {combine!r}"
+        )
     grid = [(n, p) for n in ns for p in ps]
     delta = _sweep_delta(cfg, args)
     samples = _sweep_samples(cfg, args) if grid else 0
+    # Every point is checked before the first one samples, so a point out of
+    # the domain or over the copy cap refuses the sweep before any row runs.
+    points = []
+    for n, p in grid:
+        rate = graphweigh.rg_rate(G, n, p, law)
+        _, var = graphweigh.exact_weight_moments(G, n, p, law, combine)
+        if var <= 0.0:
+            raise DegenerateError(f"zero weight variance at n={n}, p={p}")
+        if G.kind == "generic":
+            graphweigh.check_copy_cap(G, n)
+        points.append((n, p, rate, math.sqrt(var)))
     config = {
         "combine": combine,
         "command": "graph",
@@ -381,12 +397,7 @@ def _run_graph(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     rows: list[dict] = []
-    for ci, (n, p) in enumerate(grid):
-        rate = graphweigh.rg_rate(G, n, p, law)
-        _, var = graphweigh.exact_weight_moments(G, n, p, law, combine)
-        if var <= 0.0:
-            raise DegenerateError(f"zero weight variance at n={n}, p={p}")
-        sig = math.sqrt(var)
+    for ci, (n, p, rate, sig) in enumerate(points):
         first = _SWEEP_STREAM_STRIDE * ci
         draws = mc.chunked_draws(
             lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b, combine=combine) / sig,
@@ -469,7 +480,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("graph", help="template-weight rate sweep over an (n, p) grid")
     g.add_argument("--graph", required=True, help="template JSON file with vertices and edges")
     g.add_argument("--law", required=True, help="'rademacher', 'three-point', or a law JSON file")
-    g.add_argument("--sweep", required=True, help="JSON config {n, p, samples, delta, combine}")
+    g.add_argument(
+        "--sweep",
+        required=True,
+        help="JSON config {n, p, samples, delta}; combine, if given, must be \"product\"",
+    )
     add_common(g)
     g.set_defaults(handler=_run_graph)
 

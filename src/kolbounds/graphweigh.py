@@ -15,8 +15,12 @@ where min_scale minimizes n^{v_H} p^{e_H} over subgraphs H of G with at least
 one edge. The omitted constant depends only on the template's edge count.
 
 Simulation uses closed matrix formulas for the four common templates (single
-edge, two-edge path, triangle, four-cycle) and falls back to explicit copy
-enumeration for any template on up to five vertices.
+edge, two-edge path, triangle, four-cycle) and a generic counter for any other
+template on up to five vertices. The generic counter lists the copies once per
+call, as every k-vertex subset of the n vertices carrying each distinct
+labelling of the template; copy_count predicts their number before anything is
+allocated, and more than _GENERIC_COPY_CAP copies are refused. Both counters
+evaluate a batch of draws _BLOCK draws at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from .dist import Distribution
 from .errors import DegenerateError, DomainError, InputError
 
 _GENERIC_COPY_CAP = 200_000
+
+# Draws per counter block: the dense n x n matrices (and the generic
+# counter's per-copy values) exist one block at a time, and the blocking never
+# depends on the worker count, so the counts are reproducible.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -142,30 +151,35 @@ class GraphSpec:
             return "four_cycle"
         return "generic"
 
+    def labellings(self) -> np.ndarray:
+        """Distinct edge sets of the template on the labels 0..k-1.
+
+        Returns an integer array of shape (k!/|Aut|, n_edges, 2) with sorted
+        edges in each row: relabelling by every permutation of the k vertices
+        and keeping the distinct results quotients out the automorphisms.
+        """
+        found = {
+            tuple(sorted((min(s[u], s[v]), max(s[u], s[v])) for u, v in self.edges))
+            for s in itertools.permutations(range(self.n_vertices))
+        }
+        return np.array(sorted(found), dtype=np.int64).reshape(len(found), self.n_edges, 2)
+
     def copies_in(self, n: int) -> np.ndarray:
         """Edge lists of all copies of the template inside the complete graph.
 
-        Returns an integer array of shape (n_copies, n_edges, 2); copies are
-        deduplicated as edge sets, so automorphisms are already quotiented out.
+        Returns an integer array of shape (n_copies, n_edges, 2) with sorted
+        edges in each row. Every k-vertex subset carries each distinct
+        labelling once, so every copy appears exactly once. The count is
+        checked against _GENERIC_COPY_CAP before anything is enumerated.
         """
-        if n < self.n_vertices:
-            return np.zeros((0, self.n_edges, 2), dtype=np.int64)
-        seen: set[frozenset] = set()
-        rows: list[list[tuple[int, int]]] = []
-        for verts in itertools.permutations(range(n), self.n_vertices):
-            mapped = frozenset(
-                (min(verts[u], verts[v]), max(verts[u], verts[v])) for u, v in self.edges
-            )
-            if mapped in seen:
-                continue
-            seen.add(mapped)
-            rows.append(sorted(mapped))
-            if len(rows) > _GENERIC_COPY_CAP:
-                raise DomainError(
-                    f"template has more than {_GENERIC_COPY_CAP} copies at n={n}; "
-                    "use a smaller n or a closed-form template"
-                )
-        return np.asarray(rows, dtype=np.int64).reshape(len(rows), self.n_edges, 2)
+        k = self.n_vertices
+        check_copy_cap(self, n)
+        subsets = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(n), k)),
+            dtype=np.int64,
+            count=math.comb(n, k) * k,
+        ).reshape(-1, k)
+        return subsets[:, self.labellings()].reshape(-1, self.n_edges, 2)
 
 
 def min_subgraph_scale(G: GraphSpec, n: int, p: float) -> float:
@@ -204,21 +218,22 @@ def rg_rate(G: GraphSpec, n: int, p: float, law: Distribution) -> float:
 def copy_count(G: GraphSpec, n: int) -> int:
     """Number of copies of the template in the complete graph on n vertices.
 
-    Uses closed forms for the named templates so large n stays cheap; the
-    generic path enumerates and is capped accordingly.
+    Each k-vertex subset hosts one copy per distinct labelling, so the count
+    is C(n, k) times the number of labellings; nothing is enumerated.
     """
     if n < G.n_vertices:
         return 0
-    kind = G.kind
-    if kind == "edge":
-        return math.comb(n, 2)
-    if kind == "two_path":
-        return 3 * math.comb(n, 3)
-    if kind == "triangle":
-        return math.comb(n, 3)
-    if kind == "four_cycle":
-        return 3 * math.comb(n, 4)
-    return int(G.copies_in(n).shape[0])
+    return math.comb(n, G.n_vertices) * len(G.labellings())
+
+
+def check_copy_cap(G: GraphSpec, n: int) -> None:
+    """Refuse, from the predicted count, to enumerate more than _GENERIC_COPY_CAP copies."""
+    count = copy_count(G, n)
+    if count > _GENERIC_COPY_CAP:
+        raise DomainError(
+            f"template has {count} copies at n={n}, more than the {_GENERIC_COPY_CAP} "
+            "the generic counter enumerates; use a smaller n or a closed-form template"
+        )
 
 
 def exact_weight_moments(
@@ -245,46 +260,78 @@ def exact_weight_moments(
     return 0.0, var
 
 
-class _EdgeDraw:
-    """One batch of weighted retained edges, in flat and matrix form.
+def _edge_positions(n: int, edges: np.ndarray) -> np.ndarray:
+    """Flat positions of sorted edges (shape (..., 2)) among the pairs of K_n.
 
-    Y holds weight times retention indicator; B is the plain 0/1 adjacency.
-    Keeping the retention mask separate matters for laws with an atom at
-    zero, where a kept weight-zero edge still completes copies.
+    The flat order is the row-major upper triangle of np.triu_indices(n, 1).
+    """
+    u, v = edges[..., 0], edges[..., 1]
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
+class _EdgeDraw:
+    """One batch of retention indicators and edge weights, in flat form.
+
+    The batch's retention uniforms are drawn before its weights, whatever the
+    blocking of the counters. Edges are the upper-triangle pairs in row-major
+    order. Keeping the retention mask separate from the weights matters for
+    laws with an atom at zero, where a kept weight-zero edge still completes
+    copies.
     """
 
     def __init__(self, n: int, p: float, law: Distribution, rng: np.random.Generator, b: int):
-        self.iu, self.ju = np.triu_indices(n, k=1)
-        m = self.iu.size
+        self.n = n
+        iu, ju = np.triu_indices(n, k=1)
+        m = iu.size
         self.kept = rng.random((b, m)) < p
         self.weights = law.sample(rng, b * m).reshape(b, m)
-        self.flat = np.where(self.kept, self.weights, 0.0)
-        self.n = n
-        self._lookup = np.zeros((n, n), dtype=np.int64)
-        self._lookup[self.iu, self.ju] = np.arange(m)
-        self._lookup[self.ju, self.iu] = np.arange(m)
+        # Flat position of every matrix cell; the diagonal reads a zero
+        # column appended after the m edges.
+        cells = np.full((n, n), m)
+        cells[iu, ju] = cells[ju, iu] = np.arange(m)
+        self._cells = cells.ravel()
 
-    def weighted_matrix(self) -> np.ndarray:
-        Y = np.zeros((self.flat.shape[0], self.n, self.n))
-        Y[:, self.iu, self.ju] = self.flat
-        Y[:, self.ju, self.iu] = self.flat
-        return Y
+    def matrices(self, flat: np.ndarray) -> np.ndarray:
+        """Dense symmetric n x n matrices holding one row of edge values each."""
+        padded = np.zeros((flat.shape[0], flat.shape[1] + 1))
+        padded[:, :-1] = flat
+        return np.take(padded, self._cells, axis=1).reshape(-1, self.n, self.n)
 
-    def kept_matrix(self) -> np.ndarray:
-        B = np.zeros((self.flat.shape[0], self.n, self.n))
-        k = self.kept.astype(float)
-        B[:, self.iu, self.ju] = k
-        B[:, self.ju, self.iu] = k
-        return B
+    def counts(self, kind: str, combine: str, idx: np.ndarray | None = None) -> np.ndarray:
+        """Combined weight of every draw, evaluated _BLOCK draws at a time.
 
-    def edge_index(self, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-        return self._lookup[eu, ev]
+        idx holds the flat edge positions of the copies, one row per template
+        edge (shape (n_edges, n_copies)), and is used by the generic counter
+        only. That counter folds the copies' edges in one at a time, so it
+        holds _BLOCK x n_copies values rather than the full gather.
+        """
+        b = self.kept.shape[0]
+        out = np.empty(b)
+        fold = np.multiply if combine == "product" else np.add
+        for lo in range(0, b, _BLOCK):
+            kept = self.kept[lo : lo + _BLOCK]
+            weights = self.weights[lo : lo + _BLOCK]
+            if kind == "generic":
+                per_copy = weights[:, idx[0]]
+                complete = kept[:, idx[0]]
+                for col in idx[1:]:
+                    fold(per_copy, weights[:, col], out=per_copy)
+                    complete &= kept[:, col]
+                counts = (per_copy * complete).sum(axis=1)
+            else:
+                flat = np.where(kept, weights, 0.0)
+                if combine == "product":
+                    counts = _product_counts(kind, self, flat)
+                else:
+                    counts = _sum_counts(kind, self, flat, kept)
+            out[lo : lo + kept.shape[0]] = counts
+        return out
 
 
-def _product_counts(kind: str, draw: _EdgeDraw) -> np.ndarray:
+def _product_counts(kind: str, draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
     if kind == "edge":
-        return draw.flat.sum(axis=1)
-    Y = draw.weighted_matrix()
+        return flat.sum(axis=1)
+    Y = draw.matrices(flat)
     if kind == "two_path":
         r = Y.sum(axis=2)
         q = (Y * Y).sum(axis=2)
@@ -295,21 +342,23 @@ def _product_counts(kind: str, draw: _EdgeDraw) -> np.ndarray:
         Y2 = Y @ Y
         tr4 = np.einsum("bij,bij->b", Y2, Y2)
         s = np.einsum("bii->bi", Y2)
-        q4 = (Y**4).sum(axis=(1, 2))
+        # Sum of Y^4 over the n x n matrix, in which every edge appears twice.
+        sq = flat * flat
+        q4 = 2.0 * (sq * sq).sum(axis=1)
         return (tr4 - 2.0 * (s * s).sum(axis=1) + q4) / 8.0
     raise InputError(f"no closed-form counter for kind {kind!r}")
 
 
-def _sum_counts(kind: str, draw: _EdgeDraw) -> np.ndarray:
+def _sum_counts(kind: str, draw: _EdgeDraw, flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
     """Sum-of-weights convention: each complete copy contributes its edge total.
 
     Rewritten as sum over kept edges of (weight) times (number of kept copies
     through that edge), which the four templates admit in closed form.
     """
     if kind == "edge":
-        return draw.flat.sum(axis=1)
-    Y = draw.weighted_matrix()
-    B = draw.kept_matrix()
+        return flat.sum(axis=1)
+    Y = draw.matrices(flat)
+    B = draw.matrices(kept.astype(float))
     if kind == "two_path":
         r = B.sum(axis=2)
         through = r[:, :, None] + r[:, None, :] - 2.0 * B
@@ -338,7 +387,9 @@ def simulate_weight(
     """Draw realizations of the combined template weight.
 
     With size None a single float comes back. combine is "product" (default,
-    the convention every report should flag) or "sum".
+    the convention every report should flag) or "sum". Each batch of draws
+    takes its retention indicators and then its weights from rng, so the
+    draws depend on batch but not on the counter blocking.
     """
     if combine not in ("product", "sum"):
         raise InputError(f"combine must be 'product' or 'sum', got {combine!r}")
@@ -350,23 +401,13 @@ def simulate_weight(
     if total < 1:
         raise InputError("size must be positive")
     kind = G.kind
-    copies = G.copies_in(n) if kind == "generic" else None
+    idx = None
+    if kind == "generic":
+        idx = _edge_positions(n, G.copies_in(n).transpose(1, 0, 2))
     out = np.empty(total)
     done = 0
     while done < total:
         b = min(batch, total - done)
-        draw = _EdgeDraw(n, p, law, rng, b)
-        if kind == "generic":
-            idx = draw.edge_index(copies[:, :, 0], copies[:, :, 1])
-            kept_all = draw.kept[:, idx].all(axis=2)
-            wvals = draw.weights[:, idx]
-            if combine == "product":
-                out[done : done + b] = (wvals.prod(axis=2) * kept_all).sum(axis=1)
-            else:
-                out[done : done + b] = (wvals.sum(axis=2) * kept_all).sum(axis=1)
-        elif combine == "product":
-            out[done : done + b] = _product_counts(kind, draw)
-        else:
-            out[done : done + b] = _sum_counts(kind, draw)
+        out[done : done + b] = _EdgeDraw(n, p, law, rng, b).counts(kind, combine, idx)
         done += b
     return float(out[0]) if size is None else out

@@ -267,6 +267,43 @@ def test_graph_sweep_csv_and_empty_grid(files, capsys, tmp_path):
     assert open(out2 + ".csv").read() == "n,p,rg_rate,dk_emp,dkw\n"
 
 
+def test_graph_sweep_refuses_before_any_row_runs(files, capsys, tmp_path, monkeypatch):
+    # Every grid point is checked up front: no row may sample when a later
+    # point is refused, and an empty grid does not excuse an unknown convention.
+    def row_ran(*args, **kwargs):
+        raise AssertionError("a sweep row ran before the refusal")
+
+    monkeypatch.setattr(cli.graphweigh, "simulate_weight", row_ran)
+    k4 = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+    (tmp_path / "k4.json").write_text(json.dumps(k4))
+    configs = {
+        "k4_big.json": {"n": [8, 60], "p": [0.5], "samples": 1000},
+        "bogus_empty.json": {"n": [], "p": [0.4], "combine": "mean"},
+        "bad_p.json": {"n": [8], "p": [0.4, 1.5], "samples": 1000},
+        "small_n.json": {"n": [8, 2], "p": [0.4], "samples": 1000},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / name).write_text(json.dumps(cfg))
+    out = str(tmp_path / "x.json")
+    cases = [
+        (str(tmp_path / "k4.json"), str(tmp_path / "k4_big.json"), "487635 copies at n=60"),
+        (files["tri.json"], str(tmp_path / "bogus_empty.json"), "combine must be 'product', got 'mean'"),
+        (files["tri.json"], files["sweep_sum.json"], "combine must be 'product', got 'sum'"),
+        (files["tri.json"], str(tmp_path / "bad_p.json"), "must lie in (0, 1), got 1.5"),
+        (files["tri.json"], str(tmp_path / "small_n.json"), "n=2 cannot host a 3-vertex template"),
+    ]
+    for graph, sweep, message in cases:
+        argv = ["graph", "--graph", graph, "--law", "rademacher", "--sweep", sweep, "--out", out]
+        code, _, err = _run(argv, capsys)
+        assert code == 2, sweep
+        assert message in err
+    assert not (tmp_path / "x.json").exists()
+
+    with pytest.raises(SystemExit):
+        cli.main(["graph", "--help"])
+    assert 'combine, if given, must be "product"' in " ".join(capsys.readouterr().out.split())
+
+
 def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):
     # Row 50 of a qform sweep would start at the matrix stream block, and a
     # point drawing from more than the stride's streams would run into the

@@ -1,5 +1,6 @@
 """Random-graph subgraph weights: templates, counters, moments, rate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, DomainError, InputError
 
 ZERO_ATOM = Distribution.finite([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+HOUSE = gw.GraphSpec(5, ((0, 1), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)))
 
 
 # ------------------------------------------------------------------ templates
@@ -70,6 +73,52 @@ def test_copy_count_matches_enumeration():
     assert gw.copy_count(gw.GraphSpec.triangle(), 2) == 0
 
 
+def _copies_by_permutation_walk(G, n):
+    """Reference enumeration: map the template through every injective vertex
+    labelling and keep the distinct edge sets."""
+    seen = set()
+    for verts in itertools.permutations(range(n), G.n_vertices):
+        seen.add(frozenset((min(verts[u], verts[v]), max(verts[u], verts[v])) for u, v in G.edges))
+    return seen
+
+
+def test_copies_in_matches_the_permutation_walk():
+    templates = [
+        gw.GraphSpec.edge(),
+        gw.GraphSpec.two_path(),
+        gw.GraphSpec.triangle(),
+        gw.GraphSpec.four_cycle(),
+        gw.GraphSpec.complete(4),
+        gw.GraphSpec.cycle(5),
+        HOUSE,
+    ]
+    for G in templates:
+        for n in range(G.n_vertices, 9):
+            want = _copies_by_permutation_walk(G, n)
+            copies = G.copies_in(n)
+            got = [frozenset(map(tuple, c.tolist())) for c in copies]
+            assert set(got) == want, (G, n)
+            assert len(got) == len(want) == gw.copy_count(G, n), (G, n)
+            assert (copies[:, :, 0] < copies[:, :, 1]).all()
+            assert all(c.tolist() == sorted(c.tolist()) for c in copies)
+    assert len(HOUSE.labellings()) == 60
+
+
+def test_copy_cap_is_checked_before_enumerating():
+    # K4 has one labelling, so C(48, 4) = 194580 copies fit under the cap and
+    # C(49, 4) = 211876 do not. The refusal comes from the predicted count,
+    # before the C(60, 4) = 487635 copies at n = 60 would be listed.
+    K4 = gw.GraphSpec.complete(4)
+    assert gw.copy_count(K4, 60) == math.comb(60, 4)
+    gw.check_copy_cap(K4, 48)
+    with pytest.raises(DomainError, match="211876 copies at n=49"):
+        gw.check_copy_cap(K4, 49)
+    with pytest.raises(DomainError):
+        K4.copies_in(60)
+    with pytest.raises(DomainError):
+        gw.simulate_weight(K4, 60, 0.5, Distribution.rademacher(), mc.stream(87, 0), size=10)
+
+
 def test_json_roundtrip(tmp_path):
     G = gw.GraphSpec.four_cycle()
     back = gw.GraphSpec.from_json(G.to_json())
@@ -86,12 +135,12 @@ def test_json_roundtrip(tmp_path):
 
 def _brute_from_draw(G, draw, combine):
     copies = G.copies_in(draw.n)
-    b = draw.flat.shape[0]
+    b = draw.kept.shape[0]
     out = np.zeros(b)
     for row in range(b):
         total = 0.0
         for copy in copies:
-            idx = draw.edge_index(copy[:, 0], copy[:, 1])
+            idx = gw._edge_positions(draw.n, copy)
             if not draw.kept[row, idx].all():
                 continue
             if combine == "product":
@@ -120,6 +169,81 @@ def test_closed_form_counters_match_copy_enumeration(combine):
         draw = gw._EdgeDraw(7, 0.45, law, mc.stream(seed, 0), 50)
         want = _brute_from_draw(G, draw, combine)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10), (G.kind, combine)
+
+
+def _whole_batch_counts(G, draw, combine):
+    """Reference counters: one dense evaluation of the whole batch."""
+    n = draw.n
+    iu, ju = np.triu_indices(n, k=1)
+    flat = np.where(draw.kept, draw.weights, 0.0)
+
+    def dense(vals):
+        M = np.zeros((vals.shape[0], n, n))
+        M[:, iu, ju] = vals
+        M[:, ju, iu] = vals
+        return M
+
+    kind = G.kind
+    if kind == "generic":
+        copies = G.copies_in(n)
+        idx = gw._edge_positions(n, copies)
+        wvals = draw.weights[:, idx]
+        per_copy = wvals.prod(axis=2) if combine == "product" else wvals.sum(axis=2)
+        return (per_copy * draw.kept[:, idx].all(axis=2)).sum(axis=1)
+    if kind == "edge":
+        return flat.sum(axis=1)
+    Y = dense(flat)
+    if combine == "product":
+        if kind == "two_path":
+            r = Y.sum(axis=2)
+            return 0.5 * (r * r - (Y * Y).sum(axis=2)).sum(axis=1)
+        if kind == "triangle":
+            return np.einsum("bij,bji->b", Y @ Y, Y) / 6.0
+        Y2 = Y @ Y
+        s = np.einsum("bii->bi", Y2)
+        tr4 = np.einsum("bij,bij->b", Y2, Y2)
+        return (tr4 - 2.0 * (s * s).sum(axis=1) + (Y**4).sum(axis=(1, 2))) / 8.0
+    B = dense(draw.kept.astype(float))
+    if kind == "two_path":
+        r = B.sum(axis=2)
+        return 0.5 * np.einsum("bij,bij->b", Y, r[:, :, None] + r[:, None, :] - 2.0 * B)
+    if kind == "triangle":
+        return 0.5 * np.einsum("bij,bij->b", Y, B @ B)
+    B2 = B @ B
+    d2 = np.einsum("bii->bi", B2)
+    paths = B2 @ B - B * (d2[:, :, None] + d2[:, None, :]) + B
+    return 0.5 * np.einsum("bij,bij->b", Y, paths)
+
+
+@pytest.mark.parametrize("combine", ["product", "sum"])
+def test_blocked_counters_match_whole_batch_evaluation(combine):
+    # Sizes and batches off the block: one batch of four blocks (the last
+    # holding 5 draws), and batches of _BLOCK + 1 draws with a 2-draw tail.
+    size = 3 * gw._BLOCK + 5
+    templates = [
+        gw.GraphSpec.edge(),
+        gw.GraphSpec.two_path(),
+        gw.GraphSpec.triangle(),
+        gw.GraphSpec.four_cycle(),
+        gw.GraphSpec.complete(4),
+    ]
+    for G in templates:
+        for law_idx, law in enumerate((ZERO_ATOM, ASYM)):
+            seed = 90 + law_idx
+            for batch in (2_000, gw._BLOCK + 1):
+                got = gw.simulate_weight(
+                    G, 9, 0.55, law, mc.stream(seed, 0), size=size, combine=combine, batch=batch
+                )
+                rng = mc.stream(seed, 0)
+                parts = []
+                for lo in range(0, size, batch):
+                    draw = gw._EdgeDraw(9, 0.55, law, rng, min(batch, size - lo))
+                    parts.append(_whole_batch_counts(G, draw, combine))
+                want = np.concatenate(parts)
+                assert np.abs(want).max() > 0.0
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f"{G.kind} {batch}"
+                )
 
 
 def test_generic_template_matches_exact_moments():
