@@ -24,6 +24,7 @@ check failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -231,14 +232,27 @@ def _run_qform(args: argparse.Namespace) -> int:
         Z = qform.q_functional(A, law) * (1.0 / sig)
         results["exact"] = mc.exact_kdist(Z).to_json()
     if args.samples:
-        draws = mc.chunked_draws(
-            lambda rng, b: qform.q_samples(A, law, rng, b) / sig,
-            args.samples,
-            seed=args.seed,
-        )
+        draws = mc.chunked_draws(functools.partial(_q_draw, A, law, sig), args.samples, seed=args.seed)
         results["empirical"] = mc.empirical_kdist(draws, delta=args.delta, seed=(args.seed, 0)).to_json()
     _emit(args, "qform", config, _QFORM_FLAGS, results)
     return 0
+
+
+def _q_draw(A: np.ndarray, law: Distribution, scale: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    return qform.q_samples(A, law, rng, size) / scale
+
+
+def _sweep_matrix(seed: int, idx: int, n: int) -> np.ndarray:
+    return sign_matrix(n, mc.stream(seed, _MATRIX_STREAM_BASE + idx))
+
+
+def _sweep_q_draw(
+    seed: int, idx: int, n: int, law: Distribution, scale: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    # Each chunk regenerates its row's matrix from the row's stream, so the
+    # queued rows hold no n x n matrices; that costs O(n^2) per chunk of
+    # O(chunk * n^2) work.
+    return _q_draw(_sweep_matrix(seed, idx, n), law, scale, rng, size)
 
 
 def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
@@ -265,20 +279,20 @@ def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
         "seed": args.seed,
         "sizes": sizes,
     }
-    rows: list[dict] = []
+    # Every size is generated and analysed before the first row samples, so a
+    # bad or degenerate size refuses the sweep before any row runs.
+    analyses = []
+    draw_rows = []
     for idx, n in enumerate(sizes):
-        A = sign_matrix(n, mc.stream(args.seed, _MATRIX_STREAM_BASE + idx))
-        q = qform.analyze(A, m)
+        q = qform.analyze(_sweep_matrix(args.seed, idx, n), m)
         if q.degenerate:
             raise DegenerateError(f"sweep matrix at n={n} gives zero variance")
+        analyses.append(q)
         sig = math.sqrt(q.sigma2)
-        first = _SWEEP_STREAM_STRIDE * idx
-        draws = mc.chunked_draws(
-            lambda rng, b: qform.q_samples(A, law, rng, b) / sig,
-            samples,
-            seed=args.seed,
-            first_stream=first,
-        )
+        draw = functools.partial(_sweep_q_draw, args.seed, idx, n, law, sig)
+        draw_rows.append((draw, samples, _SWEEP_STREAM_STRIDE * idx))
+    rows: list[dict] = []
+    for n, q, (_, _, first), draws in zip(sizes, analyses, draw_rows, mc.pooled_draws(draw_rows, args.seed)):
         rep = mc.empirical_kdist(draws, delta=delta, seed=(args.seed, first))
         rows.append(
             {
@@ -351,6 +365,12 @@ def _float_list(obj, what: str) -> list[float]:
     return out
 
 
+def _graph_draw(
+    G: graphweigh.GraphSpec, n: int, p: float, law: Distribution, scale: float, rng: np.random.Generator, size: int
+) -> np.ndarray:
+    return graphweigh.simulate_weight(G, n, p, law, rng, size) / scale
+
+
 def _run_graph(args: argparse.Namespace) -> int:
     _validate_common(args)
     if args.sweep is None:
@@ -396,15 +416,12 @@ def _run_graph(args: argparse.Namespace) -> int:
         "samples": samples,
         "seed": args.seed,
     }
+    draw_rows = [
+        (functools.partial(_graph_draw, G, n, p, law, sig), samples, _SWEEP_STREAM_STRIDE * ci)
+        for ci, (n, p, _, sig) in enumerate(points)
+    ]
     rows: list[dict] = []
-    for ci, (n, p, rate, sig) in enumerate(points):
-        first = _SWEEP_STREAM_STRIDE * ci
-        draws = mc.chunked_draws(
-            lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b, combine=combine) / sig,
-            samples,
-            seed=args.seed,
-            first_stream=first,
-        )
+    for (n, p, rate, _), (_, _, first), draws in zip(points, draw_rows, mc.pooled_draws(draw_rows, args.seed)):
         rep = mc.empirical_kdist(draws, delta=delta, seed=(args.seed, first))
         rows.append({"n": n, "p": p, "rg_rate": rate, "dk_emp": rep.value, "dkw": rep.dkw_radius})
     columns = ["n", "p", "rg_rate", "dk_emp", "dkw"]

@@ -3,6 +3,11 @@
 A Distribution is a finite list of (value, probability) atoms in strictly
 increasing value order. Moments up to order eight are computed exactly by
 direct summation; they feed every closed-form rate in the package.
+
+Sampling is inverse-CDF through draw_atoms: uniforms are drawn a fixed block
+at a time and mapped to atom codes by counting the cdf steps at or below
+them, so a draw of N values holds the N outputs plus one block of
+temporaries, and is bit-identical to one searchsorted over all N uniforms.
 """
 
 from __future__ import annotations
@@ -17,6 +22,18 @@ import numpy as np
 from .errors import InputError
 
 _PROB_SUM_TOL = 1e-12
+
+# Uniforms per draw_atoms block. Successive rng.random calls continue one
+# stream, so the blocking never changes the draws or the generator state.
+_DRAW_BLOCK = 32_768
+
+# Laws with at most this many atoms turn a block into codes by one comparison
+# pass per cdf step; larger laws binary-search the steps. Timed per 32 768-
+# uniform block (np.take included; 2 cores, numpy 2.4.6), the passes take
+# about 0.06 ms at 3 atoms, 0.4 ms at 40 and 1.2-1.6 ms at 128, the search
+# 0.46, 1.6 and 2.1-2.4 ms. The two cross between 208 atoms (passes still
+# faster in every run) and 224. The cut keeps the codes within a byte.
+_COMPARE_MAX_ATOMS = 208
 
 
 @dataclass(frozen=True)
@@ -126,6 +143,12 @@ class Distribution:
     def probs_array(self) -> np.ndarray:
         return np.asarray(self.probs, dtype=float)
 
+    def cdf_array(self) -> np.ndarray:
+        """Cumulative probabilities, with the last entry pinned to exactly 1."""
+        cdf = np.cumsum(self.probs_array())
+        cdf[-1] = 1.0
+        return cdf
+
     def mean(self) -> float:
         return float(np.dot(self.values_array(), self.probs_array()))
 
@@ -153,15 +176,42 @@ class Distribution:
 
     # ----------------------------------------------------------------- sample
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Inverse-CDF draw(s). Deterministic given the generator state."""
-        cdf = np.cumsum(self.probs_array())
-        cdf[-1] = 1.0
-        u = rng.random(size if size is not None else 1)
-        idx = np.searchsorted(cdf, u, side="right")
-        idx = np.minimum(idx, self.n_atoms - 1)
-        out = self.values_array()[idx]
+    def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None):
+        """Inverse-CDF draw(s) through draw_atoms; deterministic given the generator state."""
+        out = draw_atoms(rng, self.cdf_array(), self.values_array(), np.empty(1 if size is None else size))
         return out if size is not None else float(out[0])
+
+
+def draw_atoms(rng: np.random.Generator, cdf: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out with inverse-CDF draws of the atoms values and return it.
+
+    cdf holds the cumulative probabilities of the atoms; its last entry is
+    never read. The k-th element of out (in C order) takes the k-th uniform u
+    of rng and becomes values[c] with c = #{j < len(values) - 1 : u >= cdf[j]},
+    which is searchsorted(cdf, u, side="right") clipped to the last atom.
+    Up to _COMPARE_MAX_ATOMS atoms, c is counted by one comparison pass per
+    step; above it, by a searchsorted on the block.
+    The uniforms come _DRAW_BLOCK at a time and the codes go through np.take
+    straight into out, so nothing of size out is allocated. out must be
+    C-contiguous with the dtype of values.
+    """
+    steps = np.asarray(cdf, dtype=float)[: len(values) - 1]
+    flat = out.reshape(-1)
+    u = np.empty(min(_DRAW_BLOCK, flat.size))
+    at_or_above = np.empty(u.size, dtype=bool)
+    codes = np.empty(u.size, dtype=np.uint8)
+    for lo in range(0, flat.size, _DRAW_BLOCK):
+        ub = rng.random(out=u[: flat.size - lo])
+        if len(values) <= _COMPARE_MAX_ATOMS:
+            cb = codes[: ub.size]
+            cb.fill(0)
+            for step in steps:
+                np.greater_equal(ub, step, out=at_or_above[: ub.size])
+                cb += at_or_above[: ub.size]
+        else:
+            cb = np.searchsorted(steps, ub, side="right")
+        np.take(values, cb, out=flat[lo : lo + ub.size], mode="clip")
+    return out
 
 
 def _as_float(x: object) -> float:

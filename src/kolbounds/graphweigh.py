@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 
 _GENERIC_COPY_CAP = 200_000
@@ -273,8 +273,9 @@ class _EdgeDraw:
     """One batch of retention indicators and edge weights, in flat form.
 
     The batch's retention uniforms are drawn before its weights, whatever the
-    blocking of the counters. Edges are the upper-triangle pairs in row-major
-    order. Keeping the retention mask separate from the weights matters for
+    blocking of the counters, and both go through draw_atoms, so a batch of b
+    draws holds 9·b·m bytes (m edges) and never its uniforms. Edges are the
+    upper-triangle pairs in row-major order. Keeping the retention mask separate from the weights matters for
     laws with an atom at zero, where a kept weight-zero edge still completes
     copies.
     """
@@ -283,7 +284,8 @@ class _EdgeDraw:
         self.n = n
         iu, ju = np.triu_indices(n, k=1)
         m = iu.size
-        self.kept = rng.random((b, m)) < p
+        # u < p is the two-atom law (True, False) with its step at p.
+        self.kept = draw_atoms(rng, np.array([p, 1.0]), np.array([True, False]), np.empty((b, m), dtype=bool))
         self.weights = law.sample(rng, b * m).reshape(b, m)
         # Flat position of every matrix cell; the diagonal reads a zero
         # column appended after the m edges.

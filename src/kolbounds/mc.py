@@ -5,6 +5,9 @@ whose absolute error is a few ulp (far below the 1e-12 budget documented
 here); the build tests validate it against a large trapezoid quadrature.
 Randomness uses counter-based Philox streams keyed by (seed, stream_id), so
 a stream's output never depends on scheduling or on other streams.
+Monte Carlo rows are drawn in fixed chunks, one stream per chunk, and
+pooled_draws runs the chunks of every row of a sweep through one pool of
+KOLBOUNDS_WORKERS threads; chunked_draws is its one-row case.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,29 +73,71 @@ def chunked_draws(
 
     Chunk i always draws from stream(seed, first_stream + i), so the output
     is a pure function of (seed, first_stream, chunk) and does not change
-    with the worker count. Threads help because the heavy draw paths release
-    the interpreter lock inside the array kernels.
+    with the worker count. This is the one-row case of pooled_draws.
     """
-    if total < 0:
-        raise InputError("total draw count cannot be negative")
+    (out,) = pooled_draws([(draw, total, first_stream)], seed, chunk)
+    return out
+
+
+def pooled_draws(
+    rows: Iterable[tuple[Callable[[np.random.Generator, int], np.ndarray], int, int]],
+    seed: int,
+    chunk: int = DRAW_CHUNK,
+) -> Iterator[np.ndarray]:
+    """Yield the draws of each (draw, total, first_stream) row, in row order.
+
+    Every chunk of every row goes through one pool of worker_count() threads,
+    so rows shorter than the pool no longer leave workers idle. Chunk i of a
+    row draws from stream(seed, first_stream + i), exactly as chunked_draws
+    draws that row alone, so each row is a pure function of its triple, the
+    seed and chunk, whatever the worker count. All chunks of a row are queued
+    at once; before queueing a row, the oldest rows are yielded once done, or
+    waited for while more than worker_count() rows are queued, so a sweep
+    holds a few rows' draws at a time even if one chunk straggles. Threads
+    help because the heavy draw paths release the interpreter lock inside the
+    array kernels; with one worker everything runs in the calling thread.
+    """
+    rows = list(rows)
     if chunk < 1:
         raise InputError("chunk size must be positive")
-    out = np.empty(total)
-    starts = list(range(0, total, chunk))
+    if any(total < 0 for _, total, _ in rows):
+        raise InputError("total draw count cannot be negative")
 
-    def fill(item: tuple[int, int]) -> None:
-        i, start = item
-        size = min(chunk, total - start)
-        out[start : start + size] = draw(stream(seed, first_stream + i), size)
+    def fill(out: np.ndarray, start: int, draw, rng: np.random.Generator) -> None:
+        size = min(chunk, out.size - start)
+        out[start : start + size] = draw(rng, size)
 
     workers = worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, enumerate(starts)))
-    else:
-        for item in enumerate(starts):
-            fill(item)
-    return out
+    if workers == 1:
+        for draw, total, first in rows:
+            out = np.empty(total)
+            for i, start in enumerate(range(0, total, chunk)):
+                fill(out, start, draw, stream(seed, first + i))
+            yield out
+        return
+    pending: deque[tuple[np.ndarray, list[Future]]] = deque()
+
+    def finished(out: np.ndarray, futures: list[Future]) -> np.ndarray:
+        for fut in futures:
+            fut.result()
+        return out
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for draw, total, first in rows:
+            while pending and (len(pending) > workers or all(f.done() for f in pending[0][1])):
+                yield finished(*pending.popleft())
+            out = np.empty(total)
+            futures = [
+                pool.submit(fill, out, start, draw, stream(seed, first + i))
+                for i, start in enumerate(range(0, total, chunk))
+            ]
+            pending.append((out, futures))
+        while pending:
+            yield finished(*pending.popleft())
+    finally:
+        # A failed chunk or an abandoned generator drops the chunks still queued.
+        pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)

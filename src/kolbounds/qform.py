@@ -437,8 +437,9 @@ def q_samples(
 ) -> np.ndarray:
     """Monte Carlo draws of Q (unnormalized), batched for memory.
 
-    Each batch of b draws is evaluated _Q_BLOCK rows at a time as
-    sum_j (X M)_ij X_ij, one BLAS matrix product per block.
+    Each batch of b draws holds its b x n law draws (8·b·n bytes) and is
+    evaluated _Q_BLOCK rows at a time as sum_j (X M)_ij X_ij, one BLAS
+    matrix product per block.
     """
     M = symmetrize(A)
     n = M.shape[0]

@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .dist import Distribution
+from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
@@ -272,8 +272,8 @@ def ustat_sample(
     """Monte Carlo draws of U (unnormalized), batched over samples."""
     _check_pair(w, g, None)
     n, d = w.n, w.order
-    cum = np.cumsum(g.law.probs_array())
-    cum[-1] = 1.0
+    cdf = g.law.cdf_array()
+    atoms = np.arange(g.law.n_atoms)
     subsets = [
         (sub, float(w.table[sub]))
         for sub in itertools.combinations(range(n), d)
@@ -284,7 +284,7 @@ def ustat_sample(
     done = 0
     while done < size:
         b = min(batch, size - done)
-        codes = np.searchsorted(cum, rng.random((b, n)), side="right")
+        codes = draw_atoms(rng, cdf, atoms, np.empty((b, n), dtype=atoms.dtype))
         acc = np.zeros(b)
         for sub, wv in subsets:
             idx = tuple(codes[:, k] for k in sub)

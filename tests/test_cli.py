@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from kolbounds import cli, mc
+from kolbounds import cli, graphweigh, mc, qform
 
 
 @pytest.fixture()
@@ -302,6 +303,74 @@ def test_graph_sweep_refuses_before_any_row_runs(files, capsys, tmp_path, monkey
     with pytest.raises(SystemExit):
         cli.main(["graph", "--help"])
     assert 'combine, if given, must be "product"' in " ".join(capsys.readouterr().out.split())
+
+
+def test_qform_sweep_refuses_before_any_row_samples(files, capsys, tmp_path, monkeypatch):
+    # Every size is generated and analysed up front: the bad last size must
+    # stop the sweep before the first row draws a sample.
+    calls = []
+    monkeypatch.setattr(cli.qform, "q_samples", lambda A, law, rng, size: calls.append(size) or np.zeros(size))
+    (tmp_path / "late_bad.json").write_text(json.dumps({"sizes": [128, 1], "samples": 1000}))
+    out = str(tmp_path / "x.json")
+    argv = ["qform", "--sweep", str(tmp_path / "late_bad.json"), "--law", "rademacher", "--out", out]
+    code, _, err = _run(argv, capsys)
+    assert code == 2
+    assert "sign matrices need n >= 2" in err
+    assert calls == []
+    assert not (tmp_path / "x.json").exists()
+
+
+def _sweep_outputs(argv, out, monkeypatch, capsys):
+    texts = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(mc.WORKERS_ENV, workers)
+        code, _, _ = _run(argv + ["--out", out], capsys)
+        assert code == 0
+        texts.append((open(out, "rb").read(), open(out + ".csv", "rb").read()))
+    assert texts[0] == texts[1] == texts[2]
+    monkeypatch.setenv(mc.WORKERS_ENV, "1")
+    return json.loads(texts[0][0])
+
+
+def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
+    # Each row must also equal a lone chunked_draws over that row's streams.
+    out = str(tmp_path / "s.json")
+    seed = 4
+    (tmp_path / "q.json").write_text(json.dumps({"sizes": [6, 12, 9], "samples": 60_000}))
+    argv = ["qform", "--sweep", str(tmp_path / "q.json"), "--law", "three-point", "--seed", str(seed)]
+    rows = _sweep_outputs(argv, out, monkeypatch, capsys)["results"]["rows"]
+    law = cli.three_point()
+    for idx, row in enumerate(rows):
+        A = cli.sign_matrix(row["n"], mc.stream(seed, cli._MATRIX_STREAM_BASE + idx))
+        sig = qform.analyze(A, law.moments()).sigma2 ** 0.5
+        draws = mc.chunked_draws(
+            lambda rng, b: qform.q_samples(A, law, rng, b) / sig,
+            60_000,
+            seed=seed,
+            first_stream=cli._SWEEP_STREAM_STRIDE * idx,
+        )
+        assert row["dk_emp"] == mc.empirical_kdist(draws).value
+
+    k4 = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+    (tmp_path / "k4.json").write_text(json.dumps(k4))
+    (tmp_path / "grid.json").write_text(json.dumps({"n": [8, 12], "p": [0.4, 0.6], "samples": 1000}))
+    law = cli.Distribution.rademacher()
+    for graph in (files["tri.json"], str(tmp_path / "k4.json")):
+        argv = ["graph", "--graph", graph, "--law", "rademacher", "--sweep", str(tmp_path / "grid.json")]
+        argv += ["--seed", str(seed)]
+        rows = _sweep_outputs(argv, out, monkeypatch, capsys)["results"]["rows"]
+        G = graphweigh.GraphSpec.load(graph)
+        assert len(rows) == 4
+        for idx, row in enumerate(rows):
+            n, p = row["n"], row["p"]
+            sig = graphweigh.exact_weight_moments(G, n, p, law)[1] ** 0.5
+            draws = mc.chunked_draws(
+                lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig,
+                1000,
+                seed=seed,
+                first_stream=cli._SWEEP_STREAM_STRIDE * idx,
+            )
+            assert row["dk_emp"] == mc.empirical_kdist(draws).value
 
 
 def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):

@@ -1,11 +1,12 @@
 """Laws and their exact moment tables."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kolbounds import mc
+from kolbounds import dist, mc
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import InputError
 
@@ -122,3 +123,122 @@ def test_sample_scalar_and_array_shapes():
     arr = law.sample(rng, 17)
     assert arr.shape == (17,)
     assert set(np.unique(arr)) <= {-1.0, 1.0}
+
+
+def _reference_sample(law, rng, size):
+    # The whole-array inverse CDF that draw_atoms replaces: every uniform,
+    # its searchsorted index and a clipped copy of it exist at once.
+    cdf = np.cumsum(law.probs_array())
+    cdf[-1] = 1.0
+    u = rng.random(size if size is not None else 1)
+    idx = np.searchsorted(cdf, u, side="right")
+    idx = np.minimum(idx, law.n_atoms - 1)
+    out = law.values_array()[idx]
+    return out if size is not None else float(out[0])
+
+
+def _law_with(n_atoms):
+    weights = np.arange(1, n_atoms + 1, dtype=float)
+    return Distribution(tuple(np.linspace(-2.0, 3.0, n_atoms)), tuple(weights / weights.sum()))
+
+
+# Both sides of the cut between the comparison passes and the binary search.
+_CUT = dist._COMPARE_MAX_ATOMS
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 10, 40, _CUT, _CUT + 1, 256, 300])
+def test_blocked_sample_matches_the_whole_array_reference(n_atoms):
+    law = _law_with(n_atoms)
+    block = dist._DRAW_BLOCK
+    sizes = [0, 1, 7, block - 1, block, block + 1, 2 * block + 17, (3, block // 2 + 5), (2, 0)]
+    for i, size in enumerate(sizes):
+        ours, ref = mc.stream(31, i), mc.stream(31, i)
+        got, want = law.sample(ours, size), _reference_sample(law, ref, size)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # The blocked draw leaves the generator exactly where one big draw does.
+        assert np.array_equal(ours.random(5), ref.random(5))
+    ours, ref = mc.stream(32, 0), mc.stream(32, 0)
+    for _ in range(3):
+        got = law.sample(ours)
+        assert isinstance(got, float)
+        assert got == _reference_sample(law, ref, None)
+    assert ours.random() == ref.random()
+
+
+class _FixedUniforms:
+    """Stands in for a generator and hands out prescribed uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else int(np.prod(size))
+        chunk = self.u[self.pos : self.pos + n]
+        self.pos += n
+        if out is None:
+            return chunk.reshape(size).copy()
+        out[...] = chunk
+        return out
+
+
+def test_uniforms_on_a_cdf_step_take_the_next_atom():
+    law = Distribution((-1.0, 0.0, 2.0, 5.0), (0.25, 0.5, 0.125, 0.125))
+    cdf = law.cdf_array()
+    assert cdf.tolist() == [0.25, 0.75, 0.875, 1.0]
+    below_one = np.nextafter(1.0, 0.0)
+    u = [0.0, 0.25, 0.75, 0.875, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0), below_one, 1.0]
+    u = np.tile(u, dist._DRAW_BLOCK // 4)  # spans several blocks
+    got = law.sample(_FixedUniforms(u), u.size)
+    want = _reference_sample(law, _FixedUniforms(u), u.size)
+    assert np.array_equal(got, want)
+    assert got[:8].tolist() == [-1.0, 0.0, 2.0, 5.0, -1.0, 2.0, 5.0, 5.0]
+    # The same on a law above the cut, whose cdf steps k/512 are exact.
+    big = Distribution(tuple(float(k) for k in range(300)), (1 / 512,) * 299 + (213 / 512,))
+    u = np.repeat(np.arange(0, 300) / 512, 2)
+    u[1::2] = np.nextafter(u[1::2], 0.0)
+    got = big.sample(_FixedUniforms(u), u.size)
+    assert np.array_equal(got, _reference_sample(big, _FixedUniforms(u), u.size))
+    assert got[2:6].tolist() == [1.0, 0.0, 2.0, 1.0]
+    # A cdf that reaches 1 before its last step: both clip to the last atom.
+    steps = np.array([0.5, 1.0, 1.0])
+    codes = dist.draw_atoms(_FixedUniforms([0.5, 1.0, 0.2]), steps, np.arange(3), np.empty(3, dtype=int))
+    assert codes.tolist() == [1, 2, 0]
+
+
+@pytest.mark.parametrize("n_atoms, searches", [(_CUT, False), (_CUT + 1, True)])
+def test_only_laws_above_the_cut_binary_search(monkeypatch, n_atoms, searches):
+    calls = []
+    real = np.searchsorted
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    _law_with(n_atoms).sample(mc.stream(35, 0), 100)
+    assert bool(calls) == searches
+    assert _CUT < 256  # comparison codes are uint8
+
+
+def test_draw_atoms_writes_any_dtype_in_place():
+    # Retention flags are u < p, drawn as the two atoms (True, False).
+    out = np.empty((4, 9), dtype=bool)
+    flags = dist.draw_atoms(mc.stream(33, 0), np.array([0.3, 1.0]), np.array([True, False]), out)
+    assert flags is out
+    assert np.array_equal(out, mc.stream(33, 0).random((4, 9)) < 0.3)
+
+
+def test_sample_memory_is_the_output_plus_one_block():
+    law = three_point()
+    rng = mc.stream(34, 0)
+    size = 10**6
+    tracemalloc.start()
+    try:
+        law.sample(rng, size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One block holds its uniforms, flags, codes and np.take's index copy.
+    assert peak <= 8 * size + 20 * dist._DRAW_BLOCK

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,38 @@ def test_blocked_counters_match_whole_batch_evaluation(combine):
                 np.testing.assert_allclose(
                     got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f"{G.kind} {batch}"
                 )
+
+
+def test_edge_draw_matches_the_whole_batch_draw():
+    # The batch's flags and weights equal one whole-array draw of each, in
+    # that order, and the generator ends where that draw leaves it.
+    n, p, b = 12, 0.35, 700  # 46 200 edge draws: more than one sampling block
+    m = n * (n - 1) // 2
+    for law_idx, law in enumerate((ZERO_ATOM, ASYM, Distribution.rademacher())):
+        ours, ref = mc.stream(93, law_idx), mc.stream(93, law_idx)
+        draw = gw._EdgeDraw(n, p, law, ours, b)
+        kept = ref.random((b, m)) < p
+        cdf = np.cumsum(law.probs_array())
+        cdf[-1] = 1.0
+        idx = np.minimum(np.searchsorted(cdf, ref.random(b * m), side="right"), law.n_atoms - 1)
+        assert np.array_equal(draw.kept, kept)
+        assert np.array_equal(draw.weights, law.values_array()[idx].reshape(b, m))
+        assert np.array_equal(ours.random(4), ref.random(4))
+
+
+def test_edge_draw_holds_nine_bytes_per_edge_draw():
+    n, b = 80, 2_000
+    m = n * (n - 1) // 2
+    rng = mc.stream(94, 0)
+    tracemalloc.start()
+    try:
+        gw._EdgeDraw(n, 0.5, three_point(), rng, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One flag byte and one 8-byte weight per edge draw; the whole-array draw
+    # of the uniforms, indices and values peaked near 25 bytes.
+    assert peak <= 1.1 * 9 * b * m
 
 
 def test_generic_template_matches_exact_moments():

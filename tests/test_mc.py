@@ -1,6 +1,7 @@
 """Distances, the normal CDF, Philox streams, chunked drawing, dumps."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,70 @@ def test_chunked_draws_edges_and_guards(monkeypatch):
         mc.worker_count()
     monkeypatch.setenv(mc.WORKERS_ENV, "")
     assert mc.worker_count() == 1
+
+
+def test_pooled_rows_match_serial_chunked_draws(monkeypatch):
+    # Rows of several lengths, with an empty row and rows of one short chunk,
+    # all equal chunked_draws over the same streams at any worker count.
+    A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    law = three_point()
+
+    def draw_q(rng, size):
+        return qform.q_samples(A, law, rng, size)
+
+    def draw_u(rng, size):
+        return rng.random(size)
+
+    rows = [(draw_q, 25_003, 0), (draw_u, 0, 10), (draw_u, 900, 20), (draw_q, 70_000, 30)]
+    rows += [(draw_u, 1_000 + i, 40 + 10 * i) for i in range(7)]
+    monkeypatch.delenv(mc.WORKERS_ENV, raising=False)
+    serial = [mc.chunked_draws(d, total, seed=96, first_stream=first, chunk=10_000) for d, total, first in rows]
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(mc.WORKERS_ENV, workers)
+        pooled = list(mc.pooled_draws(rows, seed=96, chunk=10_000))
+        assert len(pooled) == len(rows)
+        for got, want in zip(pooled, serial):
+            assert np.array_equal(got, want)
+    assert serial[1].size == 0
+    assert np.array_equal(serial[3][10_000:20_000], draw_q(mc.stream(96, 31), 10_000))
+
+
+def test_pooled_draws_under_thread_switch_stress(monkeypatch):
+    # More workers than cores, a tiny switch interval and many small chunks
+    # of rows of uneven length: a chunk written to the wrong row or slice,
+    # or a row yielded before its last chunk, would break the equality.
+    def draw(rng, size):
+        return rng.random(size) + size
+
+    rows = [(draw, 37 * (i % 5), 1_000 * i) for i in range(60)]
+    monkeypatch.setenv(mc.WORKERS_ENV, "1")
+    serial = list(mc.pooled_draws(rows, seed=98, chunk=16))
+    monkeypatch.setenv(mc.WORKERS_ENV, "5")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            pooled = list(mc.pooled_draws(rows, seed=98, chunk=16))
+            assert len(pooled) == len(serial)
+            assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pooled_draws_raise_a_failed_chunk(monkeypatch):
+    def draw(rng, size):
+        if size == 7:
+            raise InputError("chunk failed")
+        return rng.random(size)
+
+    monkeypatch.setenv(mc.WORKERS_ENV, "2")
+    rows = [(draw, 20, 0), (draw, 27, 10), (draw, 20, 20)]
+    pooled = mc.pooled_draws(rows, seed=97, chunk=10)
+    assert next(pooled).size == 20
+    with pytest.raises(InputError, match="chunk failed"):
+        next(pooled)
+    with pytest.raises(InputError):
+        list(mc.pooled_draws([(draw, -1, 0)], seed=97))
 
 
 def test_binary_dump_roundtrip(tmp_path):

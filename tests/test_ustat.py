@@ -1,5 +1,6 @@
 """Weighted degenerate U-statistics: tensors, kernels, variance, rate."""
 
+import itertools
 import json
 import math
 
@@ -217,3 +218,25 @@ def test_sample_moments_agree_with_enumeration():
     draws = ustat.ustat_sample(w, g, mc.stream(75, 0), 120_000)
     assert draws.mean() == pytest.approx(0.0, abs=5.0 * math.sqrt(exact_var / draws.size))
     assert draws.var() == pytest.approx(exact_var, rel=0.05)
+
+
+def test_sample_codes_match_the_whole_array_draw():
+    # Subset contraction over codes from the whole-array searchsorted draw,
+    # the expression the blocked atom draw replaced.
+    law = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)]).centered()
+    g = ustat.UKernel.product(law, 2)
+    w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(76), 5))
+    size, batch = 9_001, 4_000
+    got = ustat.ustat_sample(w, g, mc.stream(76, 0), size, batch=batch)
+    rng = mc.stream(76, 0)
+    cum = np.cumsum(law.probs_array())
+    cum[-1] = 1.0
+    want = []
+    for lo in range(0, size, batch):
+        b = min(batch, size - lo)
+        codes = np.searchsorted(cum, rng.random((b, w.n)), side="right")
+        acc = np.zeros(b)
+        for sub in itertools.combinations(range(w.n), 2):
+            acc += w.table[sub] * g.table[tuple(codes[:, k] for k in sub)]
+        want.append((1.0 / math.comb(w.n, 2)) * acc)
+    assert np.array_equal(got, np.concatenate(want))
