@@ -6,11 +6,13 @@ quadratic form is
     Q = sum_{i != j} a_ij X_i X_j + sum_k a_kk (X_k^2 - mu2).
 
 Its variance and fourth moment admit closed forms in the matrix and the law's
-moments; every distinct-index sum below is reduced to matrix products so the
-whole analysis costs O(n^3). The spectral radius |lambda_1| comes from LAPACK
-(numpy.linalg.eigvalsh), and Monte Carlo draws of Q are evaluated as
-row-blocked matrix products. Brute-force twins of each sub-sum live in the
-test suite.
+moments; sub_sums reduces every distinct-index sum to one shared set of
+matrix products, so the whole analysis costs O(n^3). The spectral radius |lambda_1| comes from LAPACK
+(numpy.linalg.eigvalsh). Monte Carlo draws of Q and the exact outcome grid
+both go through multilinear_form, the blocked evaluator of W[x, ..., x]
+that weighted U-statistics share; the grid is walked a block of outcomes at
+a time, never as one |Omega| x n array. Brute-force twins of each sub-sum
+and of both evaluations live in the test suite.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
 _SYM_TOL = 1e-12
-# Rows per matmul block in q_samples: temporaries stay at _Q_BLOCK * n
-# floats whatever the batch, and the blocking never depends on the worker
-# count, so the draws and their sums are reproducible.
+# Rows per multilinear_form block: _Q_BLOCK for a quadratic form (temporaries
+# _Q_BLOCK * n floats); otherwise at most _Q_BLOCK rows whose largest
+# temporary fits _BLOCK_FLOATS (1 MiB, so a block stays in a per-core L2
+# cache). Shapes alone fix them, never the worker count, so the sums are
+# reproducible.
 _Q_BLOCK = 4096
+_BLOCK_FLOATS = 1 << 17
 
 
 # ----------------------------------------------------------------- matrices
@@ -72,130 +77,66 @@ def largest_abs_eigenvalue(A: np.ndarray) -> float:
 
 
 # --------------------------------------------------- distinct-index sub-sums
-#
-# Shorthand: d = diag(A), B = A entrywise squared, Cb = A entrywise cubed,
-# s_i = (A^2)_ii = sum_k a_ik^2, shat_i = s_i - a_ii^2. Every sum runs over
-# pairwise distinct indices unless stated; all are reduced to matrix algebra.
 
 
-def _parts(A: np.ndarray):
+def sub_sums(A: np.ndarray) -> dict[str, float]:
+    """Every distinct-index sub-sum of the fourth moment, from one set of products.
+
+    Indices in a tuple are pairwise distinct and i != j runs over ordered
+    pairs. With d = diag(A), B = A * A entrywise, s_i = sum_k a_ik^2 and
+    shat_i = s_i - a_ii^2, each sum reduces to matrix algebra:
+
+        diag_quartic      sum_i a_ii^4
+        offdiag_quartic   sum_{i != j} a_ij^4
+        two_rays          sum_(i,j,k) a_ij^2 a_ik^2
+        diag_triangle     sum_(i,j,k) a_ii a_ij a_ik a_jk
+        diag_pair_path    sum_(i,j,k) a_ii a_jj a_ik a_kj
+        ray_bridge        sum_(i,j,k) a_kj^2 a_ik a_ij
+        cycle4            sum_(i1,i2,i3,i4) a_i1i2 a_i2i3 a_i3i4 a_i4i1
+        diag_sq_pair      sum_{i != j} a_ii^2 a_jj^2
+        diag_sq_off       sum_(i,j,k) a_ii^2 a_jk^2
+        disjoint_squares  sum_(i1,i2,i3,i4) a_i1i2^2 a_i3i4^2
+        diag_prod_sq      sum_{i != j} a_ii a_jj a_ij^2
+        diag_cubed_ray    sum_{i != j} a_ii a_ij^3
+        diag_sq_ray       sum_{i != j} a_ii^2 a_ij^2
+        diag_path_sq      sum_(i,j,k) a_ii a_ij a_jk^2
+        diag_sq_cross     sum_{i != j} a_ii^2 a_jj a_ij
+        tr_a4             Tr A^4, the same sum over unrestricted indices
+
+    Brute-force twins of every entry live in the test suite.
+    """
     d = A.diagonal().copy()
     B = A * A
     s = B.sum(axis=1)
-    return d, B, s, s - d * d
-
-
-def sum_diag_quartic(A: np.ndarray) -> float:
-    """sum_i a_ii^4"""
-    return float(np.sum(A.diagonal() ** 4))
-
-
-def sum_offdiag_quartic(A: np.ndarray) -> float:
-    """sum_{i != j} a_ij^4 (ordered pairs)"""
-    return float(np.sum((A * A) ** 2) - sum_diag_quartic(A))
-
-
-def sum_two_rays(A: np.ndarray) -> float:
-    """sum over distinct (i, j, k) of a_ij^2 a_ik^2"""
-    d, B, s, shat = _parts(A)
-    q = (B * B).sum(axis=1)
-    return float(np.sum(shat * shat - (q - d**4)))
-
-
-def sum_diag_triangle(A: np.ndarray) -> float:
-    """sum over distinct (i, j, k) of a_ii a_ij a_ik a_jk"""
-    d, B, s, shat = _parts(A)
-    a3_diag = (A @ A @ A).diagonal()
-    inner = a3_diag - 2.0 * d * s + d**3 - (B @ d - d**3)
-    return float(np.sum(d * inner))
-
-
-def sum_diag_pair_path(A: np.ndarray) -> float:
-    """sum over distinct (i, j, k) of a_ii a_jj a_ik a_kj"""
-    d, B, s, shat = _parts(A)
-    u = A @ d - d * d
-    corr = B @ (d * d) - d**4
-    return float(np.sum(u * u - corr))
-
-
-def sum_ray_bridge(A: np.ndarray) -> float:
-    """sum over distinct (i, j, k) of a_kj^2 a_ik a_ij"""
-    d, B, s, shat = _parts(A)
+    shat = s - d * d
     M2 = A @ A
-    Cb = A * A * A
-    full = float(np.sum(B * M2) - np.sum(d * d * s))
-    cross = float(np.sum(d * (Cb.sum(axis=1) - d**3)))
-    return full - 2.0 * cross
-
-
-def sum_cycle4(A: np.ndarray) -> float:
-    """sum over distinct (i1, i2, i3, i4) of a_{i1 i2} a_{i2 i3} a_{i3 i4} a_{i4 i1}"""
-    d, B, s, shat = _parts(A)
-    tr4 = float(np.sum((A @ A) ** 2))
-    dd2 = sum_diag_prod_sq(A)
-    dq2 = sum_diag_sq_ray(A)
-    return (
-        tr4
-        - 4.0 * sum_diag_triangle(A)
-        - 2.0 * sum_two_rays(A)
-        - 2.0 * dd2
-        - sum_offdiag_quartic(A)
-        - 4.0 * dq2
-        - sum_diag_quartic(A)
-    )
-
-
-def sum_diag_sq_pair(A: np.ndarray) -> float:
-    """sum_{i != j} a_ii^2 a_jj^2"""
-    d = A.diagonal()
+    d4 = float(np.sum(d**4))
     diag2 = float(np.sum(d * d))
-    return diag2 * diag2 - float(np.sum(d**4))
-
-
-def sum_diag_sq_off(A: np.ndarray) -> float:
-    """sum over i and ordered (j, k), all distinct, of a_ii^2 a_jk^2"""
-    d, B, s, shat = _parts(A)
     off2 = float(np.sum(B) - np.sum(d * d))
-    return float(np.sum(d * d * (off2 - 2.0 * shat)))
-
-
-def sum_disjoint_squares(A: np.ndarray) -> float:
-    """sum over distinct (i1, i2, i3, i4) of a_{i1 i2}^2 a_{i3 i4}^2"""
-    d, B, s, shat = _parts(A)
-    off2 = float(np.sum(B) - np.sum(d * d))
-    return off2 * off2 - 4.0 * float(np.sum(shat * shat)) + 2.0 * sum_offdiag_quartic(A)
-
-
-def sum_diag_prod_sq(A: np.ndarray) -> float:
-    """sum_{i != j} a_ii a_jj a_ij^2"""
-    d, B, s, shat = _parts(A)
-    return float(d @ B @ d - np.sum(d**4))
-
-
-def sum_diag_cubed_ray(A: np.ndarray) -> float:
-    """sum_{i != j} a_ii a_ij^3"""
-    d = A.diagonal()
-    Cb = A * A * A
-    return float(np.sum(d * (Cb.sum(axis=1) - d**3)))
-
-
-def sum_diag_sq_ray(A: np.ndarray) -> float:
-    """sum_{i != j} a_ii^2 a_ij^2"""
-    d, B, s, shat = _parts(A)
-    return float(np.sum(d * d * shat))
-
-
-def sum_diag_path_sq(A: np.ndarray) -> float:
-    """sum over distinct (i, j, k) of a_ii a_ij a_jk^2"""
-    d, B, s, shat = _parts(A)
-    first = float(d @ (A @ shat) - np.sum(d * d * shat))
-    return first - sum_diag_cubed_ray(A)
-
-
-def sum_diag_sq_cross(A: np.ndarray) -> float:
-    """sum_{i != j} a_ii^2 a_jj a_ij"""
-    d = A.diagonal()
-    return float((d * d) @ A @ d - np.sum(d**4))
+    u = A @ d - d * d
+    S = {"diag_quartic": d4, "offdiag_quartic": float(np.sum(B**2) - d4), "tr_a4": float(np.sum(M2**2))}
+    S["two_rays"] = float(np.sum(shat * shat - ((B * B).sum(axis=1) - d**4)))
+    S["diag_triangle"] = float(np.sum(d * ((M2 @ A).diagonal() - 2.0 * d * s + d**3 - (B @ d - d**3))))
+    S["diag_pair_path"] = float(np.sum(u * u - (B @ (d * d) - d**4)))
+    S["diag_cubed_ray"] = float(np.sum(d * ((B * A).sum(axis=1) - d**3)))
+    S["ray_bridge"] = float(np.sum(B * M2) - np.sum(d * d * s)) - 2.0 * S["diag_cubed_ray"]
+    S["diag_prod_sq"] = float(d @ B @ d - d4)
+    S["diag_sq_ray"] = float(np.sum(d * d * shat))
+    S["cycle4"] = (
+        S["tr_a4"]
+        - 4.0 * S["diag_triangle"]
+        - 2.0 * S["two_rays"]
+        - 2.0 * S["diag_prod_sq"]
+        - S["offdiag_quartic"]
+        - 4.0 * S["diag_sq_ray"]
+        - d4
+    )
+    S["diag_sq_pair"] = diag2 * diag2 - d4
+    S["diag_sq_off"] = float(np.sum(d * d * (off2 - 2.0 * shat)))
+    S["disjoint_squares"] = off2 * off2 - 4.0 * float(np.sum(shat * shat)) + 2.0 * S["offdiag_quartic"]
+    S["diag_path_sq"] = float(d @ (A @ shat) - np.sum(d * d * shat)) - S["diag_cubed_ray"]
+    S["diag_sq_cross"] = float((d * d) @ A @ A.diagonal() - d4)
+    return S
 
 
 # ------------------------------------------------------------ moment algebra
@@ -209,39 +150,39 @@ def variance_q(A: np.ndarray, m: MomentTable) -> float:
     return 2.0 * m.mu[2] ** 2 * off2 + m.mu_tilde4 * float(np.sum(d * d))
 
 
-def s1_term(A: np.ndarray, m: MomentTable) -> float:
+def s1_term(S: dict[str, float], m: MomentTable) -> float:
     """Leading family: diagonal quartics, squared edges, cycles, and the two
-    triangle shapes carrying mu3^2 mu2 weight."""
+    triangle shapes carrying mu3^2 mu2 weight (S from sub_sums)."""
     mu = m.mu
     return (
-        m.mu_tilde8 * sum_diag_quartic(A)
-        + 16.0 * mu[4] ** 2 * 0.5 * sum_offdiag_quartic(A)
-        + 48.0 * mu[2] ** 2 * mu[4] * sum_two_rays(A)
-        + 48.0 * mu[2] ** 4 * sum_cycle4(A)
-        + 48.0 * mu[3] ** 2 * mu[2] * (sum_diag_pair_path(A) + 2.0 * sum_ray_bridge(A))
+        m.mu_tilde8 * S["diag_quartic"]
+        + 16.0 * mu[4] ** 2 * 0.5 * S["offdiag_quartic"]
+        + 48.0 * mu[2] ** 2 * mu[4] * S["two_rays"]
+        + 48.0 * mu[2] ** 4 * S["cycle4"]
+        + 48.0 * mu[3] ** 2 * mu[2] * (S["diag_pair_path"] + 2.0 * S["ray_bridge"])
     )
 
 
-def s2_term(A: np.ndarray, m: MomentTable) -> float:
+def s2_term(S: dict[str, float], m: MomentTable) -> float:
     """Variance-squared family: products of squares over disjoint index pairs."""
     mu = m.mu
     return (
-        m.mu_tilde4**2 * sum_diag_sq_pair(A)
-        + 4.0 * m.mu_tilde4 * mu[2] ** 2 * sum_diag_sq_off(A)
-        + 4.0 * mu[2] ** 4 * sum_disjoint_squares(A)
+        m.mu_tilde4**2 * S["diag_sq_pair"]
+        + 4.0 * m.mu_tilde4 * mu[2] ** 2 * S["diag_sq_off"]
+        + 4.0 * mu[2] ** 4 * S["disjoint_squares"]
     )
 
 
-def s3_term(A: np.ndarray, m: MomentTable) -> float:
+def s3_term(S: dict[str, float], m: MomentTable) -> float:
     """Sign-indefinite remainder; empty when the diagonal vanishes."""
     mu = m.mu
     return (
-        6.0 * m.mu_tilde4**2 * sum_diag_prod_sq(A)
-        + 8.0 * mu[3] * (mu[5] - mu[3] * mu[2]) * sum_diag_cubed_ray(A)
-        + 6.0 * mu[2] * (m.mu_tilde6 + m.mu_tilde4 * mu[2]) * sum_diag_sq_ray(A)
-        + 24.0 * mu[3] ** 2 * mu[2] * sum_diag_path_sq(A)
-        + 24.0 * mu[2] ** 2 * m.mu_tilde4 * sum_diag_triangle(A)
-        + 6.0 * mu[3] * (mu[5] - 2.0 * mu[3] * mu[2]) * sum_diag_sq_cross(A)
+        6.0 * m.mu_tilde4**2 * S["diag_prod_sq"]
+        + 8.0 * mu[3] * (mu[5] - mu[3] * mu[2]) * S["diag_cubed_ray"]
+        + 6.0 * mu[2] * (m.mu_tilde6 + m.mu_tilde4 * mu[2]) * S["diag_sq_ray"]
+        + 24.0 * mu[3] ** 2 * mu[2] * S["diag_path_sq"]
+        + 24.0 * mu[2] ** 2 * m.mu_tilde4 * S["diag_triangle"]
+        + 6.0 * mu[3] * (mu[5] - 2.0 * mu[3] * mu[2]) * S["diag_sq_cross"]
     )
 
 
@@ -294,9 +235,8 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     offdiag2 = float(np.sum(B)) - diag2
     total2 = offdiag2 + diag2
     sigma2 = variance_q(M, m)
-    s1 = s1_term(M, m)
-    s2 = s2_term(M, m)
-    s3 = s3_term(M, m)
+    S = sub_sums(M)
+    s1, s2, s3 = s1_term(S, m), s2_term(S, m), s3_term(S, m)
     has_diag = diag2 > 0.0
     return QFormAnalysis(
         n=n,
@@ -305,7 +245,7 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
         s2=s2,
         s3=s3,
         eq4=s1 + 3.0 * s2 + 4.0 * s3,
-        tr_a4=float(np.sum((M @ M) ** 2)),
+        tr_a4=S["tr_a4"],
         lambda1=largest_abs_eigenvalue(M),
         influence=float(np.max(B.sum(axis=1))) if n else 0.0,
         offdiag2=offdiag2,
@@ -415,16 +355,51 @@ def trace_chain(A: np.ndarray, m: MomentTable | None = None) -> list[ChainStep]:
 # ------------------------------------------------------- evaluation and draws
 
 
+def multilinear_form(W: np.ndarray, X: np.ndarray, coef: np.ndarray | None = None) -> np.ndarray:
+    """W[x, ..., x] = sum_i W[i1..id] x_i1 ... x_id for every row x of X (rows x n).
+
+    Per block the first slot is one BLAS product Y = X @ W.reshape(n, n^(d-1)),
+    the middle slots are batched matrix products and the last is
+    Y *= X; Y.sum(axis=1), the whole evaluation when d = 2. With X of shape
+    (rows, p, n) and coef of shape (p,) * d, each row holds p vectors and the
+    result is sum_a coef[a] W[x_a1, ..., x_ad], every slot a batched product.
+    """
+    n, d = X.shape[-1], W.ndim
+    if coef is None and d == 1:
+        return X @ W
+    X3 = X[:, None, :] if coef is None else X
+    p = X3.shape[1]
+    if coef is None and d == 2:
+        rows = _Q_BLOCK
+    else:
+        rows = max(1, min(_Q_BLOCK, _BLOCK_FLOATS // (p * max(n, p) ** (d - 1))))
+    flat = W.reshape(n, -1)
+    out = np.empty(X.shape[0])
+    for lo in range(0, X.shape[0], rows):
+        Xb = X3[lo : lo + rows]
+        r = Xb.shape[0]
+        Y = Xb.reshape(r * p, n) @ flat
+        for k in range(1, d - (coef is None)):
+            Y = np.matmul(Xb[:, None], Y.reshape(r, p**k, n, -1))
+        if coef is None:
+            Y = Y.reshape(r, n)
+            Y *= Xb.reshape(r, n)
+            out[lo : lo + r] = Y.sum(axis=1)
+        else:
+            out[lo : lo + r] = Y.reshape(r, -1) @ coef.reshape(-1)
+    return out
+
+
 def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
-    """Q as an exactly-enumerated functional on the n-fold product space."""
+    """Q on the n-fold product space, evaluated at most _Q_BLOCK outcomes at a time."""
     M = symmetrize(A)
     n = M.shape[0]
     if not law.is_centered():
         raise DomainError("quadratic forms are defined over a centered law")
     space = OutcomeSpace.iid(law, n)
-    pts = np.stack(np.meshgrid(*space.values, indexing="ij"), axis=-1).reshape(space.size, n)
-    mu2 = law.moments().mu[2]
-    vals = np.einsum("oi,ij,oj->o", pts, M, pts) - mu2 * float(np.trace(M))
+    v = law.values_array()
+    vals = space.evaluate(lambda codes: multilinear_form(M, v[codes]), _Q_BLOCK)
+    vals -= law.moments().mu[2] * float(np.trace(M))
     return RandomFunctional(space, vals)
 
 
@@ -438,22 +413,16 @@ def q_samples(
     """Monte Carlo draws of Q (unnormalized), batched for memory.
 
     Each batch of b draws holds its b x n law draws (8·b·n bytes) and is
-    evaluated _Q_BLOCK rows at a time as sum_j (X M)_ij X_ij, one BLAS
-    matrix product per block.
+    evaluated by multilinear_form, _Q_BLOCK rows and one BLAS matrix product
+    at a time.
     """
     M = symmetrize(A)
     n = M.shape[0]
     mu2 = law.moments().mu[2]
     shift = mu2 * float(np.trace(M))
     out = np.empty(size)
-    done = 0
-    while done < size:
-        b = min(batch, size - done)
-        X = law.sample(rng, b * n).reshape(b, n)
-        for lo in range(0, b, _Q_BLOCK):
-            Xb = X[lo : lo + _Q_BLOCK]
-            Y = Xb @ M
-            Y *= Xb
-            out[done + lo : done + lo + Xb.shape[0]] = Y.sum(axis=1) - shift
-        done += b
+    for lo in range(0, size, batch):
+        b = min(batch, size - lo)
+        out[lo : lo + b] = multilinear_form(M, law.sample(rng, b * n).reshape(b, n))
+    out -= shift
     return out

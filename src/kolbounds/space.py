@@ -12,7 +12,7 @@ at construction so the failure happens early and loudly.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,6 +70,26 @@ class OutcomeSpace:
         shape = [1] * self.n
         shape[k] = self.shape[k]
         return self.probs[k].reshape(shape)
+
+    def evaluate(self, fn: Callable[[np.ndarray], np.ndarray], rows: int) -> np.ndarray:
+        """Values of fn at every outcome in enumeration order, a block at a time.
+
+        A block is every outcome of the trailing axes whose sizes multiply to
+        at most rows, under one index of the leading axes; fn gets its codes
+        (codes[r, k] is the atom index of coordinate k), a buffer reused by
+        the next block.
+        """
+        k, inner = self.n, 1
+        while k > 0 and inner * self.shape[k - 1] <= rows:
+            k -= 1
+            inner *= self.shape[k]
+        codes = np.empty((inner, self.n), dtype=np.intp)
+        codes[:, k:] = np.indices(self.shape[k:]).reshape(self.n - k, inner).T
+        vals = np.empty(self.size)
+        for b in range(self.size // inner):
+            codes[:, :k] = np.unravel_index(b, self.shape[:k])
+            vals[b * inner : (b + 1) * inner] = fn(codes)
+        return vals
 
     def check_coordinate(self, k: int) -> None:
         if not 0 <= k < self.n:

@@ -10,6 +10,11 @@ assumptions U sits in the top Hoeffding grade, its variance is a product of
 a kernel norm and a weight norm, and its distance to normal is controlled by
 weight contractions. Everything here is exact summation; nothing is sampled
 except ustat_sample.
+
+Enumeration and draws never walk the C(n, d) subsets: with w symmetric and
+diagonal-free, a product kernel f x ... x f sums to W[x, ..., x] / d! at
+x = f(X), and any other kernel is its atom expansion over one-hot rows
+against w on increasing tuples, both through qform.multilinear_form.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import numpy as np
 
 from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
+from .qform import _Q_BLOCK, multilinear_form
 from .space import OutcomeSpace, RandomFunctional
 
 _DEGEN_TOL = 1e-10
@@ -56,13 +62,6 @@ class WeightTensor:
         self.order = T.ndim
 
     @staticmethod
-    def from_matrix(A: np.ndarray) -> "WeightTensor":
-        M = np.asarray(A, dtype=float)
-        if M.ndim != 2:
-            raise InputError("from_matrix expects a 2d array")
-        return WeightTensor(M)
-
-    @staticmethod
     def from_json(obj: object) -> "WeightTensor":
         if not isinstance(obj, dict):
             raise InputError("weight JSON must be an object")
@@ -93,12 +92,21 @@ class WeightTensor:
         with open(path, "r", encoding="utf-8") as fh:
             return WeightTensor.from_json(json.load(fh))
 
+    def increasing(self) -> np.ndarray:
+        """Boolean mask of the index tuples with k1 < k2 < ... < kd."""
+        mask = np.ones(self.table.shape, dtype=bool)
+        axes = np.indices(self.table.shape, sparse=True)
+        for lower, upper in zip(axes, axes[1:]):
+            mask &= lower < upper
+        return mask
+
     def to_json(self) -> dict:
-        entries = []
-        for sub in itertools.combinations(range(self.n), self.order):
-            val = float(self.table[sub])
-            if val != 0.0:
-                entries.append({"subset": list(sub), "value": val})
+        """Nonzero weights on increasing tuples, in lexicographic order."""
+        nonzero = np.nonzero(self.increasing() & (self.table != 0.0))
+        entries = [
+            {"subset": sub, "value": val}
+            for sub, val in zip(np.stack(nonzero, axis=1).tolist(), self.table[nonzero].tolist())
+        ]
         return {"n": self.n, "order": self.order, "entries": entries}
 
     def total_sq_sum(self) -> float:
@@ -145,6 +153,7 @@ class UKernel:
         self.law = law
         self.table = T
         self.order = T.ndim
+        self.factor: np.ndarray | None = None  # f of a product kernel f x ... x f
         self._probs = law.probs_array()
         if not raw:
             worst = self.slot_mean_max()
@@ -195,7 +204,9 @@ class UKernel:
         T = v.copy()
         for _ in range(order - 1):
             T = np.multiply.outer(T, v)
-        return UKernel(law, T)
+        g = UKernel(law, T)
+        g.factor = v
+        return g
 
     @staticmethod
     def from_json(obj: object) -> "UKernel":
@@ -245,21 +256,27 @@ def ustat_rate(w: WeightTensor, g: UKernel, law: Distribution | None = None) -> 
     return g.l4_norm_sq() / l2 * w.weight_factor()
 
 
+def _labels(g: UKernel) -> np.ndarray:
+    """Per-atom labels _subset_sums reads: f(atom) for a product kernel, else the index."""
+    return g.factor if g.factor is not None else np.arange(g.law.n_atoms)
+
+
+def _subset_sums(w: WeightTensor, g: UKernel, labels: np.ndarray) -> np.ndarray:
+    """sum_{k1 < ... < kd} w(k) g(X_k1, ..., X_kd) for each row of labels."""
+    if g.factor is not None:
+        return multilinear_form(w.table, labels) / math.factorial(w.order)
+    onehot = (labels[:, None, :] == np.arange(g.law.n_atoms)[:, None]).astype(float)
+    return multilinear_form(np.where(w.increasing(), w.table, 0.0), onehot, g.table)
+
+
 def ustat_functional(w: WeightTensor, g: UKernel) -> RandomFunctional:
-    """Exact enumeration of U on the n-fold product space (small n only)."""
+    """U on the n-fold product space (small n only), at most _Q_BLOCK outcomes at a time."""
     _check_pair(w, g, None)
-    n, d = w.n, w.order
-    space = OutcomeSpace.iid(g.law, n)
-    m = g.law.n_atoms
-    total = np.zeros((m,) * n)
-    for sub in itertools.combinations(range(n), d):
-        wv = float(w.table[sub])
-        if wv == 0.0:
-            continue
-        shape = tuple(m if k in sub else 1 for k in range(n))
-        total += wv * g.table.reshape(shape)
-    total /= math.comb(n, d)
-    return space.functional(total)
+    space = OutcomeSpace.iid(g.law, w.n)
+    labels = _labels(g)
+    vals = space.evaluate(lambda codes: _subset_sums(w, g, labels[codes]), _Q_BLOCK)
+    vals /= math.comb(w.n, w.order)
+    return space.functional(vals)
 
 
 def ustat_sample(
@@ -269,26 +286,18 @@ def ustat_sample(
     size: int,
     batch: int = 20_000,
 ) -> np.ndarray:
-    """Monte Carlo draws of U (unnormalized), batched over samples."""
+    """Monte Carlo draws of U (unnormalized), batched over samples.
+
+    Each batch draws its b x n atom labels into one reused 8·b·n-byte buffer
+    (a general kernel's one-hot rows take m times that again).
+    """
     _check_pair(w, g, None)
-    n, d = w.n, w.order
     cdf = g.law.cdf_array()
-    atoms = np.arange(g.law.n_atoms)
-    subsets = [
-        (sub, float(w.table[sub]))
-        for sub in itertools.combinations(range(n), d)
-        if float(w.table[sub]) != 0.0
-    ]
-    scale = 1.0 / math.comb(n, d)
+    labels = _labels(g)
+    drawn = np.empty((min(batch, size), w.n), dtype=labels.dtype)
     out = np.empty(size)
-    done = 0
-    while done < size:
-        b = min(batch, size - done)
-        codes = draw_atoms(rng, cdf, atoms, np.empty((b, n), dtype=atoms.dtype))
-        acc = np.zeros(b)
-        for sub, wv in subsets:
-            idx = tuple(codes[:, k] for k in sub)
-            acc += wv * g.table[idx]
-        out[done : done + b] = scale * acc
-        done += b
+    for lo in range(0, size, batch):
+        b = min(batch, size - lo)
+        out[lo : lo + b] = _subset_sums(w, g, draw_atoms(rng, cdf, labels, drawn[:b]))
+    out *= 1.0 / math.comb(w.n, w.order)
     return out

@@ -1,6 +1,9 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -419,6 +422,31 @@ def test_ustat_report(files, capsys):
     assert res["rate"] > 0.0
     assert "exact" in res
     assert abs(res["empirical"]["value"] - res["exact"]["value"]) <= res["empirical"]["dkw"] + 0.05
+
+
+def test_ustat_reports_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
+    # 120 000 draws are three chunks, so two and three workers interleave them.
+    argv = ["ustat", "--weights", files["w.json"], "--law", files["law.json"], "--samples", "120000", "--seed", "5"]
+    texts = []
+    for workers in ("1", "2", "3", "2"):
+        monkeypatch.setenv(mc.WORKERS_ENV, workers)
+        out = str(tmp_path / f"u{len(texts)}.json")
+        assert cli.main(argv + ["--out", out]) == 0
+        texts.append(open(out, "rb").read())
+    capsys.readouterr()
+    assert len(set(texts)) == 1
+    assert json.loads(texts[0])["results"]["empirical"]["n"] == 120_000
+
+
+def test_cli_import_loads_no_test_only_modules():
+    # scipy and hypothesis serve the tests only; importing them at run time
+    # would add to every command's start-up time and resident memory.
+    code = "import sys, kolbounds.cli; print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis'}))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_chaos_verify_clean_and_corrupt(files, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Distances, the normal CDF, Philox streams, chunked drawing, dumps."""
+"""Distances, the normal CDF, Philox streams, chunked drawing."""
 
 import math
 import sys
@@ -72,6 +72,26 @@ def test_normal_cdf_against_quadrature():
     arr = mc.normal_cdf(xs)
     assert arr.shape == xs.shape
     assert np.all(np.diff(arr) > 0)
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # A dense grid, signed zeros, infinities and both sides of each range
+    # boundary of the rational erfc (|x| / sqrt 2 = 0.46875, 4, 26.543).
+    from scipy.special import ndtr
+
+    edges = np.sqrt(2.0) * np.array([0.46875, 4.0, 26.543])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    xs = np.concatenate([np.linspace(-40.0, 40.0, 800_001), edges, -edges, [0.0, -0.0, np.inf, -np.inf]])
+    got = mc.normal_cdf(xs)
+    assert got.shape == xs.shape
+    assert np.max(np.abs(got - ndtr(xs))) <= 1e-15
+    assert list(mc.normal_cdf(np.array([-np.inf, np.inf]))) == [0.0, 1.0]
+    assert np.isnan(mc.normal_cdf(np.array([np.nan]))).all()
+    # Scalars and 0-d arrays go through the same arithmetic and come back as floats.
+    for x in (-3.7, 0.25, 5.5):
+        assert isinstance(mc.normal_cdf(x), float)
+        assert mc.normal_cdf(x) == mc.normal_cdf(np.array([x]))[0] == mc.normal_cdf(np.float64(x))
+    assert mc.normal_cdf(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_empirical_kdist_dkw_radius_and_guards():
@@ -202,30 +222,3 @@ def test_pooled_draws_raise_a_failed_chunk(monkeypatch):
         next(pooled)
     with pytest.raises(InputError):
         list(mc.pooled_draws([(draw, -1, 0)], seed=97))
-
-
-def test_binary_dump_roundtrip(tmp_path):
-    path = str(tmp_path / "s.bin")
-    data = mc.stream(96, 0).standard_normal(1000)
-    mc.write_samples(path, data)
-    back = mc.read_samples(path)
-    assert np.array_equal(back, data)
-    # Truncate the payload; the header count no longer matches.
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-8])
-    with pytest.raises(InputError):
-        mc.read_samples(path)
-    open(path, "wb").write(raw[:4])
-    with pytest.raises(InputError):
-        mc.read_samples(path)
-
-
-def test_csv_dump_roundtrip(tmp_path):
-    path = str(tmp_path / "s.csv")
-    data = np.array([0.1, -2.5, 3.25e-17])
-    mc.write_samples_csv(path, data)
-    back = mc.read_samples_csv(path)
-    assert np.array_equal(back, data)
-    open(path, "w").write("wrong\n1.0\n")
-    with pytest.raises(InputError):
-        mc.read_samples_csv(path)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from kolbounds import mc, qform
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, InputError
+from kolbounds.space import OutcomeSpace
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 
@@ -88,51 +90,52 @@ def _b_diag_path_sq(A):
 def test_sub_sums_match_brute_force():
     rng = np.random.default_rng(61)
     pairs = [
-        (qform.sum_diag_quartic, lambda A: sum(A[i, i] ** 4 for i in range(len(A)))),
+        ("diag_quartic", lambda A: sum(A[i, i] ** 4 for i in range(len(A)))),
         (
-            qform.sum_offdiag_quartic,
+            "offdiag_quartic",
             lambda A: sum(
                 A[i, j] ** 4 for i, j in itertools.permutations(range(len(A)), 2)
             ),
         ),
-        (qform.sum_two_rays, _b_two_rays),
-        (qform.sum_diag_triangle, _b_diag_triangle),
-        (qform.sum_diag_pair_path, _b_diag_pair_path),
-        (qform.sum_ray_bridge, _b_ray_bridge),
-        (qform.sum_cycle4, _b_cycle4),
+        ("two_rays", _b_two_rays),
+        ("diag_triangle", _b_diag_triangle),
+        ("diag_pair_path", _b_diag_pair_path),
+        ("ray_bridge", _b_ray_bridge),
+        ("cycle4", _b_cycle4),
         (
-            qform.sum_diag_sq_pair,
+            "diag_sq_pair",
             lambda A: sum(
                 A[i, i] ** 2 * A[j, j] ** 2
                 for i, j in itertools.permutations(range(len(A)), 2)
             ),
         ),
-        (qform.sum_diag_sq_off, _b_diag_sq_off),
-        (qform.sum_disjoint_squares, _b_disjoint_squares),
+        ("diag_sq_off", _b_diag_sq_off),
+        ("disjoint_squares", _b_disjoint_squares),
         (
-            qform.sum_diag_prod_sq,
+            "diag_prod_sq",
             lambda A: sum(
                 A[i, i] * A[j, j] * A[i, j] ** 2
                 for i, j in itertools.permutations(range(len(A)), 2)
             ),
         ),
         (
-            qform.sum_diag_cubed_ray,
+            "diag_cubed_ray",
             lambda A: sum(
                 A[i, i] * A[i, j] ** 3
                 for i, j in itertools.permutations(range(len(A)), 2)
             ),
         ),
         (
-            qform.sum_diag_sq_ray,
+            "diag_sq_ray",
             lambda A: sum(
                 A[i, i] ** 2 * A[i, j] ** 2
                 for i, j in itertools.permutations(range(len(A)), 2)
             ),
         ),
-        (qform.sum_diag_path_sq, _b_diag_path_sq),
+        ("diag_path_sq", _b_diag_path_sq),
+        ("tr_a4", lambda A: float(np.trace(np.linalg.matrix_power(A, 4)))),
         (
-            qform.sum_diag_sq_cross,
+            "diag_sq_cross",
             lambda A: sum(
                 A[i, i] ** 2 * A[j, j] * A[i, j]
                 for i, j in itertools.permutations(range(len(A)), 2)
@@ -142,10 +145,10 @@ def test_sub_sums_match_brute_force():
     for trial in range(6):
         n = 4 + (trial % 2)
         A = _random_sym(rng, n, zero_diag=(trial == 3))
-        for fast, slow in pairs:
-            want = slow(A)
-            got = fast(A)
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-11), fast.__name__
+        sums = qform.sub_sums(A)
+        assert set(sums) == {name for name, _ in pairs}
+        for name, slow in pairs:
+            assert sums[name] == pytest.approx(slow(A), rel=1e-11, abs=1e-11), name
 
 
 def test_variance_matches_enumeration():
@@ -168,7 +171,8 @@ def test_fourth_moment_identity_matches_enumeration():
             A = _random_sym(rng, n, zero_diag=(trial == 2))
             X = qform.q_functional(A, law)
             want = X.moment(4)
-            got = qform.s1_term(A, m) + 3.0 * qform.s2_term(A, m) + 4.0 * qform.s3_term(A, m)
+            S = qform.sub_sums(A)
+            got = qform.s1_term(S, m) + 3.0 * qform.s2_term(S, m) + 4.0 * qform.s3_term(S, m)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-11)
 
 
@@ -176,7 +180,7 @@ def test_remainder_term_vanishes_without_diagonal():
     rng = np.random.default_rng(64)
     A = _random_sym(rng, 5, zero_diag=True)
     for law in (three_point(), ASYM):
-        assert qform.s3_term(A, law.moments()) == 0.0
+        assert qform.s3_term(qform.sub_sums(A), law.moments()) == 0.0
 
 
 def test_cycle_sum_plus_two_rays_equals_bridge_square():
@@ -190,9 +194,8 @@ def test_cycle_sum_plus_two_rays_equals_bridge_square():
         for i, j in itertools.permutations(range(n), 2):
             inner = sum(A[i, k] * A[k, j] for k in range(n) if k not in (i, j))
             total += inner * inner
-        assert qform.sum_cycle4(A) + qform.sum_two_rays(A) == pytest.approx(
-            total, rel=1e-11
-        )
+        sums = qform.sub_sums(A)
+        assert sums["cycle4"] + sums["two_rays"] == pytest.approx(total, rel=1e-11)
 
 
 # ------------------------------------------------------------- worked example
@@ -354,6 +357,96 @@ def test_q_samples_match_the_einsum_expression():
         want = _einsum_q_samples(A, law, mc.stream(69, n), size, batch)
         assert got.shape == (size,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _row_blocked_q_samples(A, law, rng, size, batch):
+    # The row-blocked loop q_samples ran before multilinear_form took it over.
+    M = qform.symmetrize(A)
+    n = M.shape[0]
+    shift = law.moments().mu[2] * float(np.trace(M))
+    out = np.empty(size)
+    done = 0
+    while done < size:
+        b = min(batch, size - done)
+        X = law.sample(rng, b * n).reshape(b, n)
+        for lo in range(0, b, qform._Q_BLOCK):
+            Xb = X[lo : lo + qform._Q_BLOCK]
+            Y = Xb @ M
+            Y *= Xb
+            out[done + lo : done + lo + Xb.shape[0]] = Y.sum(axis=1) - shift
+        done += b
+    return out
+
+
+def test_q_samples_are_bit_identical_to_the_row_blocked_loop():
+    block = qform._Q_BLOCK
+    for law in (three_point(), ASYM.centered()):
+        for n, size, batch in [(1, block + 3, 3000), (5, 2 * block + 17, block + 1), (40, block + 999, 50_000)]:
+            A = _random_sym(np.random.default_rng(n), n)
+            got = qform.q_samples(A, law, mc.stream(70, n), size, batch=batch)
+            assert np.array_equal(got, _row_blocked_q_samples(A, law, mc.stream(70, n), size, batch))
+
+
+def _meshgrid_q_functional(A, law):
+    # The whole-grid evaluation q_functional replaced: one |Omega| x n array.
+    M = qform.symmetrize(A)
+    n = M.shape[0]
+    space = OutcomeSpace.iid(law, n)
+    pts = np.stack(np.meshgrid(*space.values, indexing="ij"), axis=-1).reshape(space.size, n)
+    return np.einsum("oi,ij,oj->o", pts, M, pts) - law.moments().mu[2] * float(np.trace(M))
+
+
+FOUR_ATOM = Distribution.finite([(-2.0, 0.1), (-0.5, 0.4), (1.0, 0.3), (1.5, 0.2)]).centered()
+
+
+@pytest.mark.parametrize("law", [Distribution.rademacher(), three_point(), ASYM.centered(), FOUR_ATOM],
+                         ids=["rademacher", "three-point", "asym", "four-atom"])
+def test_q_functional_matches_the_meshgrid_twin(law):
+    rng = np.random.default_rng(71)
+    for n in (1, 2, 5, 7):
+        A = _random_sym(rng, n, zero_diag=(n == 5))
+        got = qform.q_functional(A, law).values
+        want = _meshgrid_q_functional(A, law)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_q_functional_holds_the_grid_plus_one_block():
+    # Rademacher n = 16: the values take 8·|Omega| bytes; a |Omega| x n array
+    # would take n times that. One block holds a few _Q_BLOCK x n arrays.
+    n = 16
+    A = _random_sym(np.random.default_rng(72), n)
+    law = Distribution.rademacher()
+    tracemalloc.start()
+    try:
+        X = qform.q_functional(A, law)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.values.size == 2**n
+    assert peak <= 8 * 2**n + 6 * 8 * qform._Q_BLOCK * n
+    assert peak < 8 * 2**n * n
+
+
+def test_multilinear_form_feature_rows_and_orders():
+    # Every order against an explicit contraction; feature rows against the
+    # tensor contracted with each slot's own vector.
+    rng = np.random.default_rng(73)
+    for d in (1, 2, 3, 4):
+        n = 5
+        W = rng.standard_normal((n,) * d)
+        X = rng.standard_normal((37, n))
+        want = [np.einsum(W, list(range(d)), *itertools.chain(*[(x, [k]) for k in range(d)]), []) for x in X]
+        assert np.allclose(qform.multilinear_form(W, X), want, rtol=1e-13, atol=1e-13)
+        F = rng.standard_normal((37, 3, n))
+        coef = rng.standard_normal((3,) * d)
+        want = [
+            sum(
+                coef[a] * np.einsum(W, list(range(d)), *itertools.chain(*[(f[a[k]], [k]) for k in range(d)]), [])
+                for a in itertools.product(range(3), repeat=d)
+            )
+            for f in F
+        ]
+        assert np.allclose(qform.multilinear_form(W, F, coef), want, rtol=1e-12, atol=1e-12)
 
 
 def test_q_functional_requires_centered_law():

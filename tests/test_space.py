@@ -106,3 +106,21 @@ def test_values_are_immutable():
     X = space.coordinate(0)
     with pytest.raises(ValueError):
         X.values[0] = 5.0
+
+
+def test_evaluate_walks_the_outcomes_in_enumeration_order():
+    # Mixed atom counts and block sizes below, at and above the trailing axes'
+    # products: the codes handed out, block after block, are unravel_index of
+    # 0..size-1, and each block's values land at its outcomes.
+    rad, three = Distribution.rademacher(), three_point()
+    four = Distribution.finite([(0.0, 0.25), (1.0, 0.25), (2.0, 0.25), (3.0, 0.25)])
+    for laws in ([rad] * 5, [three, four, rad, three], [four], [three] * 3):
+        space = OutcomeSpace(laws)
+        want = np.stack(np.unravel_index(np.arange(space.size), space.shape), axis=1)
+        weights = np.arange(1, space.n + 1)
+        for rows in (1, 2, 3, 5, 8, 64, 4096):
+            seen = []
+            vals = space.evaluate(lambda codes: seen.append(codes.copy()) or codes @ weights, rows)
+            assert np.array_equal(np.concatenate(seen), want)
+            assert max(len(c) for c in seen) <= max(rows, 1)
+            assert np.array_equal(vals, want @ weights)

@@ -3,11 +3,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kolbounds import mc, qform, ustat
+from kolbounds import dist, mc, qform, ustat
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, DomainError, InputError
 from kolbounds.hoeffding import project
@@ -220,23 +223,210 @@ def test_sample_moments_agree_with_enumeration():
     assert draws.var() == pytest.approx(exact_var, rel=0.05)
 
 
-def test_sample_codes_match_the_whole_array_draw():
-    # Subset contraction over codes from the whole-array searchsorted draw,
-    # the expression the blocked atom draw replaced.
-    law = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)]).centered()
-    g = ustat.UKernel.product(law, 2)
-    w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(76), 5))
-    size, batch = 9_001, 4_000
-    got = ustat.ustat_sample(w, g, mc.stream(76, 0), size, batch=batch)
-    rng = mc.stream(76, 0)
-    cum = np.cumsum(law.probs_array())
-    cum[-1] = 1.0
-    want = []
+# ------------------------------------------- subset-loop twins of the evaluator
+
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)]).centered()
+FOUR_ATOM = Distribution.finite([(-2.0, 0.1), (-0.5, 0.4), (1.0, 0.3), (1.5, 0.2)]).centered()
+LAWS = {"rademacher": Distribution.rademacher(), "three-point": three_point(), "asym": ASYM, "four-atom": FOUR_ATOM}
+
+
+def _sym_weights(rng, n, d):
+    # A random symmetric, diagonal-free order-d tensor (one weight per subset).
+    T = np.zeros((n,) * d)
+    for sub in itertools.combinations(range(n), d):
+        val = rng.standard_normal()
+        for perm in itertools.permutations(sub):
+            T[perm] = val
+    return ustat.WeightTensor(T)
+
+
+def _kernels(law, d, rng):
+    raw = ustat.UKernel(law, rng.standard_normal((law.n_atoms,) * d), raw=True)
+    return {"product": ustat.UKernel.product(law, d), "canonical": raw.canonical()}
+
+
+def _loop_sums(w, g, codes):
+    # The subset loop ustat_sample ran: one gather per weighted subset.
+    acc = np.zeros(codes.shape[0])
+    for sub in itertools.combinations(range(w.n), w.order):
+        wv = float(w.table[sub])
+        if wv != 0.0:
+            acc += wv * g.table[tuple(codes[:, k] for k in sub)]
+    return acc
+
+
+def _loop_ustat_sample(w, g, rng, size, batch):
+    cdf = g.law.cdf_array()
+    atoms = np.arange(g.law.n_atoms)
+    out = []
     for lo in range(0, size, batch):
         b = min(batch, size - lo)
-        codes = np.searchsorted(cum, rng.random((b, w.n)), side="right")
-        acc = np.zeros(b)
-        for sub in itertools.combinations(range(w.n), 2):
-            acc += w.table[sub] * g.table[tuple(codes[:, k] for k in sub)]
-        want.append((1.0 / math.comb(w.n, 2)) * acc)
-    assert np.array_equal(got, np.concatenate(want))
+        codes = dist.draw_atoms(rng, cdf, atoms, np.empty((b, w.n), dtype=atoms.dtype))
+        out.append(_loop_sums(w, g, codes) / math.comb(w.n, w.order))
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _loop_ustat_functional(w, g):
+    # The grid sum ustat_functional ran: one broadcast kernel per subset.
+    n, m = w.n, g.law.n_atoms
+    total = np.zeros((m,) * n)
+    for sub in itertools.combinations(range(n), w.order):
+        wv = float(w.table[sub])
+        if wv != 0.0:
+            total += wv * g.table.reshape(tuple(m if k in sub else 1 for k in range(n)))
+    return total.reshape(-1) / math.comb(n, w.order)
+
+
+def _assert_close(got, want, rel):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("law_name", list(LAWS))
+def test_evaluator_matches_the_subset_loops(law_name, d):
+    law = LAWS[law_name]
+    rng = np.random.default_rng(100 + d)
+    n = 6 if law.n_atoms < 4 else 5
+    w = _sym_weights(rng, n, d)
+    for kind, g in _kernels(law, d, rng).items():
+        _assert_close(ustat.ustat_functional(w, g).values, _loop_ustat_functional(w, g), 1e-12)
+        # 2 500 draws in batches of 1 000: the last batch is short, and at
+        # d = 4 one batch spans several evaluator blocks.
+        got = ustat.ustat_sample(w, g, mc.stream(77, d), 2_500, batch=1_000)
+        _assert_close(got, _loop_ustat_sample(w, g, mc.stream(77, d), 2_500, 1_000), 1e-12)
+        if kind == "product":
+            # The same table without its factor takes the one-hot atom path.
+            plain = ustat.UKernel(law, g.table)
+            assert plain.factor is None
+            _assert_close(ustat.ustat_functional(w, plain).values, ustat.ustat_functional(w, g).values, 1e-12)
+
+
+def test_order_three_draws_across_many_blocks_match_the_loop():
+    # n = 30, d = 3 is the benchmarked shape: 1 000 draws span several blocks
+    # of the value form, and 300 several blocks of the one-hot form.
+    w = _sym_weights(np.random.default_rng(82), 30, 3)
+    kernels = _kernels(ASYM, 3, np.random.default_rng(82))
+    for g, size in ((kernels["product"], 1_000), (kernels["canonical"], 300)):
+        got = ustat.ustat_sample(w, g, mc.stream(82, 0), size)
+        _assert_close(got, _loop_ustat_sample(w, g, mc.stream(82, 0), size, 20_000), 1e-12)
+
+
+def test_asymmetric_kernels_keep_the_increasing_slot_order():
+    # g(a, b) != g(b, a): the sum runs over k1 < k2 with X_k1 in the first slot.
+    law = ASYM
+    table = np.array([[0.0, 1.0, -2.0], [0.5, 0.0, 3.0], [-1.0, 0.25, 0.0]])
+    g = ustat.UKernel(law, table, raw=True).canonical()
+    assert not np.allclose(g.table, g.table.T)
+    w = _sym_weights(np.random.default_rng(78), 5, 2)
+    _assert_close(ustat.ustat_functional(w, g).values, _loop_ustat_functional(w, g), 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    d=st.integers(1, 4),
+    probs=st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluator_matches_the_subset_loops_on_random_laws(n, d, probs, seed):
+    d = min(d, n)
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.choice(np.arange(-6, 7), size=len(probs), replace=False)) / 2.0
+    law = Distribution.finite(zip(values.tolist(), (np.array(probs) / sum(probs)).tolist())).centered()
+    w = _sym_weights(rng, n, d)
+    for g in _kernels(law, d, rng).values():
+        if law.n_atoms**n <= 4096:
+            _assert_close(ustat.ustat_functional(w, g).values, _loop_ustat_functional(w, g), 1e-12)
+        got = ustat.ustat_sample(w, g, mc.stream(seed, 1), 700, batch=300)
+        _assert_close(got, _loop_ustat_sample(w, g, mc.stream(seed, 1), 700, 300), 1e-12)
+
+
+def test_sample_codes_match_the_whole_array_draw(monkeypatch):
+    # The atoms ustat_sample draws are exactly those of the whole-array
+    # searchsorted draw the blocked atom draw replaced, and the generator ends
+    # in the same state. The sums are the subset loop's on those codes up to
+    # round-off: the evaluator adds in another order.
+    law = ASYM
+    w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(76), 5))
+    size, batch = 9_001, 4_000
+    for g in (ustat.UKernel.product(law, 2), _kernels(law, 2, np.random.default_rng(76))["canonical"]):
+        drawn = []
+
+        def recording_draw(*args):
+            drawn.append(dist.draw_atoms(*args).copy())
+            return drawn[-1]
+
+        monkeypatch.setattr(ustat, "draw_atoms", recording_draw)
+        rng = mc.stream(76, 0)
+        got = ustat.ustat_sample(w, g, rng, size, batch=batch)
+        ref = mc.stream(76, 0)
+        cum = np.cumsum(law.probs_array())
+        cum[-1] = 1.0
+        codes = [
+            np.searchsorted(cum, ref.random((min(batch, size - lo), w.n)), side="right")
+            for lo in range(0, size, batch)
+        ]
+        labels = g.factor if g.factor is not None else np.arange(law.n_atoms)
+        assert len(drawn) == len(codes)
+        assert all(np.array_equal(a, labels[c]) for a, c in zip(drawn, codes))
+        assert np.array_equal(rng.random(8), ref.random(8))
+        want = np.concatenate([_loop_sums(w, g, c) for c in codes]) / math.comb(w.n, 2)
+        _assert_close(got, want, 1e-13)
+
+
+def test_sample_memory_is_the_output_one_batch_and_one_block():
+    # n = 30, d = 3: the output, one batch of drawn values (8·b·n bytes),
+    # draw_atoms' block and one evaluator block; the 27 000-entry tensor and
+    # the C(30, 3) = 4 060 subsets are never expanded per draw.
+    n, size, batch = 30, 50_000, 20_000
+    w = _sym_weights(np.random.default_rng(79), n, 3)
+    g = ustat.UKernel.product(three_point(), 3)
+    tracemalloc.start()
+    try:
+        ustat.ustat_sample(w, g, mc.stream(79, 0), size, batch=batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * size + 8 * batch * n + 8 * qform._BLOCK_FLOATS + 20 * dist._DRAW_BLOCK + 16 * batch
+
+
+@pytest.mark.parametrize("kind", ["product", "canonical"])
+def test_functional_holds_the_grid_plus_one_block(kind):
+    # Rademacher n = 16: 8·|Omega| bytes of values plus one block of outcome
+    # codes, their labels or one-hot rows and the evaluator's temporaries; a
+    # |Omega| x n array alone would take 8·|Omega|·n bytes.
+    n = 16
+    law = Distribution.rademacher()
+    g = _kernels(law, 2, np.random.default_rng(80))[kind]
+    w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(80), n))
+    tracemalloc.start()
+    try:
+        U = ustat.ustat_functional(w, g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert U.values.size == 2**n
+    assert peak <= 8 * 2**n + 8 * 8 * qform._Q_BLOCK * n
+    assert peak < 8 * 2**n * n
+
+
+def _loop_to_json(w):
+    # The per-subset walk to_json replaced.
+    entries = []
+    for sub in itertools.combinations(range(w.n), w.order):
+        val = float(w.table[sub])
+        if val != 0.0:
+            entries.append({"subset": list(sub), "value": val})
+    return {"n": w.n, "order": w.order, "entries": entries}
+
+
+def test_weight_json_is_byte_identical_to_the_subset_walk():
+    rng = np.random.default_rng(81)
+    tensors = [_sym_weights(rng, n, d) for n, d in [(1, 1), (5, 1), (6, 2), (7, 3), (6, 4)]]
+    sparse = _sym_weights(rng, 8, 3)
+    sparse.table[np.abs(sparse.table) < 1.0] = 0.0
+    tensors += [sparse, ustat.WeightTensor(np.zeros((4, 4))), ustat.WeightTensor(np.full(3, -0.0))]
+    for w in tensors:
+        for dump in (lambda o: json.dumps(o), lambda o: json.dumps(o, sort_keys=True, separators=(",", ":"))):
+            assert dump(w.to_json()) == dump(_loop_to_json(w))
