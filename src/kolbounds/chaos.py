@@ -202,7 +202,7 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
     per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for mask in range(1, 1 << n):
         grid = H.term_grid(mask)
-        if grid is None or float(np.max(np.abs(grid))) <= _DROP_TOL * scale:
+        if float(np.max(np.abs(grid))) <= _DROP_TOL * scale:
             continue
         subset = tuple(k for k in range(n) if mask & (1 << k))
         d = len(subset)

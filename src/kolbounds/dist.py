@@ -50,15 +50,6 @@ class MomentTable:
     mu_tilde8: float
     abs3: float
 
-    def mu_tilde(self, k: int) -> float:
-        if k == 4:
-            return self.mu_tilde4
-        if k == 6:
-            return self.mu_tilde6
-        if k == 8:
-            return self.mu_tilde8
-        raise InputError(f"mu_tilde is tabulated for k in {{4, 6, 8}}, got {k}")
-
 
 @dataclass(frozen=True)
 class Distribution:

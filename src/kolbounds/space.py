@@ -12,7 +12,7 @@ at construction so the failure happens early and loudly.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -91,6 +91,18 @@ class OutcomeSpace:
             vals[b * inner : (b + 1) * inner] = fn(codes)
         return vals
 
+    def average(self, grid: np.ndarray, keep: Container[int] = ()) -> np.ndarray:
+        """E of a full or reduced grid over every coordinate not in keep (keepdims).
+
+        A reduced grid has length one along the axes it is constant on, and
+        averaging along such an axis is a no-op.
+        """
+        g = grid
+        for k in range(self.n):
+            if k not in keep and g.shape[k] > 1:
+                g = np.sum(g * self.axis_probs(k), axis=k, keepdims=True)
+        return g
+
     def check_coordinate(self, k: int) -> None:
         if not 0 <= k < self.n:
             raise DomainError(f"coordinate {k} outside 0..{self.n - 1}")
@@ -164,7 +176,7 @@ class RandomFunctional:
     def axis_mean(self, k: int) -> np.ndarray:
         """E over coordinate k only; grid with axis k of length 1 (keepdims)."""
         self.space.check_coordinate(k)
-        return np.sum(self.grid * self.space.axis_probs(k), axis=k, keepdims=True)
+        return self.space.average(self.grid, [j for j in range(self.space.n) if j != k])
 
     def replace_grid(self, k: int, t_index: int) -> np.ndarray:
         """Grid of X(omega with coordinate k forced to atom t); keepdims on axis k."""
@@ -178,10 +190,7 @@ class RandomFunctional:
         keep = set(subset)
         for k in keep:
             self.space.check_coordinate(k)
-        g = self.grid
-        for k in range(self.space.n):
-            if k not in keep:
-                g = np.sum(g * self.space.axis_probs(k), axis=k, keepdims=True)
+        g = self.space.average(self.grid, keep)
         return RandomFunctional(self.space, np.broadcast_to(g, self.space.shape).reshape(-1).copy())
 
     def grad_grid(self, k: int, t_index: int) -> np.ndarray:

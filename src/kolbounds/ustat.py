@@ -120,14 +120,16 @@ class WeightTensor:
         """sum_{k, r} (sum_m w(k, m) w(r, m))^2 with |m| = l shared indices.
 
         All tuples run unrestricted; the zero diagonals make that equal to
-        the distinct-tuple sum the rate calls for.
+        the distinct-tuple sum the rate calls for. With A the table as an
+        n^(d-l) x n^l matrix this is ||A A^T||_F^2 = ||A^T A||_F^2, formed
+        through the smaller of the two Gram matrices.
         """
         d = self.order
         if not 1 <= l <= d - 1:
             raise DomainError(f"contraction depth must lie in 1..{d - 1}, got {l}")
-        axes = list(range(d - l, d))
-        M = np.tensordot(self.table, self.table, axes=(axes, axes))
-        return float(np.sum(M * M))
+        A = self.table.reshape(self.n ** (d - l), self.n**l)
+        G = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+        return float(np.sum(G * G))
 
     def weight_factor(self) -> float:
         """sup_l sqrt(contraction_sq(l)) / total_sq_sum, the matrix part of the rate."""

@@ -1,7 +1,11 @@
 """Subset decompositions: orthogonality, reconstruction, grade surgery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolbounds import hoeffding
 from kolbounds.dist import Distribution, three_point
@@ -9,10 +13,47 @@ from kolbounds.errors import DomainError, InputError
 from kolbounds.space import OutcomeSpace
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()]
 
 
 def _random_functional(space, rng):
     return space.functional(rng.standard_normal(space.size))
+
+
+def _moebius_terms(X):
+    """Reference: every W_J in reduced form, keyed by bit mask.
+
+    E[X | F_K] for every subset K, each peeled from a one-larger subset by
+    averaging one coordinate out; the in-place subset Moebius transform then
+    turns them into W_J = sum over K inside J of (-1)^(|J|-|K|) E[X | F_K].
+    (1 + m)^n entries in all.
+    """
+    space = X.space
+    n = space.n
+    full = (1 << n) - 1
+    cond = {full: X.grid}
+    for mask in range(full - 1, -1, -1):
+        missing = ~mask & full
+        j = (missing & -missing).bit_length() - 1  # lowest coordinate not in mask
+        g = cond[mask | (1 << j)]
+        cond[mask] = np.sum(g * space.axis_probs(j), axis=j, keepdims=True)
+    # After processing bit j, cond[mask] holds the alternating sum over the
+    # j-low bits of mask.
+    for j in range(n):
+        bit = 1 << j
+        for mask in range(full + 1):
+            if mask & bit:
+                cond[mask] = cond[mask] - cond[mask ^ bit]
+    return cond
+
+
+def _inclusion_exclusion_term(X, subset):
+    """W_J = sum over K inside J of (-1)^(|J|-|K|) E[X | F_K], as values."""
+    total = np.zeros(X.space.size)
+    for mask in range(1 << len(subset)):
+        K = [k for i, k in enumerate(subset) if mask >> i & 1]
+        total += (-1) ** (len(subset) - len(K)) * X.conditional(K).values
+    return total
 
 
 def _branch_scale_grades(space, grid, coeffs):
@@ -74,7 +115,85 @@ def test_second_moment_splits_over_terms():
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
+    split = sum(H.term(s).moment(2) for s in H.subsets())
+    assert split == pytest.approx(X.moment(2), rel=1e-12)
     assert H.second_moment() == pytest.approx(X.moment(2), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "laws",
+    [[Distribution.rademacher()] * 6, [three_point()] * 4, [ASYM] * 4, MIXED],
+    ids=["rademacher-6", "three-point-4", "asym-4", "mixed-4"],
+)
+def test_terms_and_grades_match_the_moebius_twin(laws):
+    rng = np.random.default_rng(30)
+    space = OutcomeSpace(laws)
+    X = _random_functional(space, rng)
+    H = hoeffding.project(X)
+    want = _moebius_terms(X)
+    assert len(want) == 2**space.n
+    grades = [np.zeros(space.shape) for _ in range(space.n + 1)]
+    for mask, w in want.items():
+        got = H.term_grid(mask)
+        assert got.shape == w.shape
+        assert np.max(np.abs(got - w)) < 1e-12
+        grades[bin(mask).count("1")] += w
+    for d, w in enumerate(grades):
+        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
+
+
+def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
+    # Rademacher n = 18 is the size cap: the Moebius twin would hold 3^18
+    # entries (3 GiB), the split grid and its order array 2 x 8 * 2^18 bytes.
+    n = 18
+    space = OutcomeSpace.iid(Distribution.rademacher(), n)
+    X = _random_functional(space, np.random.default_rng(34))
+    grid_bytes = 8 * space.size
+    tracemalloc.start()
+    try:
+        H = hoeffding.project(X)
+        assert tracemalloc.get_traced_memory()[1] <= 4 * grid_bytes
+        for view in (lambda: H.term(range(n)), lambda: H.grade(3), H.reconstruct):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view()
+            assert tracemalloc.get_traced_memory()[1] - base <= 8 * grid_bytes
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
+    for subset in [(), (4,), (0, 17), (2, 9, 13)]:
+        want = _inclusion_exclusion_term(X, subset)
+        assert np.max(np.abs(H.term(subset).values - want)) < 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=st.lists(st.integers(2, 4), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decomposition_properties_on_random_laws(atoms, seed):
+    # Random 2-4 atom laws per coordinate, n <= 5: the terms sum back to X,
+    # are pairwise orthogonal and vanish on averaging out any one member.
+    rng = np.random.default_rng(seed)
+    laws = []
+    for m in atoms:
+        values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False)) / 4.0
+        probs = rng.integers(1, 10, size=m)
+        laws.append(Distribution.finite(zip(values.tolist(), (probs / probs.sum()).tolist())))
+    space = OutcomeSpace(laws)
+    X = _random_functional(space, rng)
+    H = hoeffding.project(X)
+    terms = {s: H.term(s) for s in H.subsets()}
+    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
+    assert np.max(np.abs(sum(t.values for t in terms.values()) - X.values)) < 1e-12
+    items = list(terms.values())
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            assert abs((items[i] * items[j]).expectation()) < 1e-12
+    for subset, term in terms.items():
+        for k in subset:
+            rest = [j for j in range(space.n) if j != k]
+            assert np.max(np.abs(term.conditional(rest).values)) < 1e-12
 
 
 def test_grades_sum_back_and_scale_grades_matches():

@@ -67,6 +67,34 @@ def test_pair_contraction_is_the_trace_of_the_fourth_power():
         w.contraction_sq(2)
 
 
+def _tensordot_contraction_sq(w, l):
+    # The full n^(d-l) x n^(d-l) contraction the Gram form replaced.
+    axes = list(range(w.order - l, w.order))
+    M = np.tensordot(w.table, w.table, axes=(axes, axes))
+    return float(np.sum(M * M))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_contraction_sq_matches_the_tensordot_form(d):
+    w = _sym_weights(np.random.default_rng(73 + d), 7, d)
+    for l in range(1, d):
+        assert w.contraction_sq(l) == pytest.approx(_tensordot_contraction_sq(w, l), rel=1e-12)
+
+
+def test_contraction_sq_holds_only_the_smaller_gram():
+    # n = 40, d = 3: the tensordot form built a 1 600 x 1 600 matrix (20 MB);
+    # the Gram form holds a 40 x 40 one beside the table.
+    w = _sym_weights(np.random.default_rng(74), 40, 3)
+    tracemalloc.start()
+    try:
+        for l in (1, 2):
+            w.contraction_sq(l)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_weight_factor_guards():
     with pytest.raises(DomainError):
         ustat.WeightTensor(np.array([1.0, 2.0])).weight_factor()
