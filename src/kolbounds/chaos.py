@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,10 +77,8 @@ class ChaosKernel:
             if arr.shape != want:
                 raise InputError(f"table for subset {subset} has shape {arr.shape}, expected {want}")
             clean[subset] = arr
-        self.canonicalized = False
         if not raw and self.degeneracy_violation(clean) > DEGENERACY_TOL * max(1.0, self._scale(clean)):
             clean = {s: _center_slots(space, s, t) for s, t in clean.items()}
-            self.canonicalized = True
         self.tables = clean
 
     @staticmethod
@@ -142,9 +139,8 @@ class ChaosKernel:
             for j in subset:
                 newshape[j] = space.shape[j]
             total = total + table.reshape(newshape)
-        total = math.factorial(self.order) * total
-        grid = np.broadcast_to(total, space.shape)
-        return RandomFunctional(space, grid.reshape(-1).copy())
+        total *= math.factorial(self.order)
+        return space.expand(total)
 
     def evaluated_at(self, k: int, t_index: int) -> "ChaosKernel":
         """Freeze one slot at coordinate k to atom t; order drops by one.
@@ -173,10 +169,6 @@ class ChaosDecomposition:
 
     def orders(self, tol: float = 1e-12) -> list[int]:
         return sorted(d for d, k in self.kernels.items() if k.max_abs() > tol)
-
-    def max_order(self) -> int:
-        orders = self.orders()
-        return orders[-1] if orders else 0
 
     def reconstruct(self) -> RandomFunctional:
         out = self.space.constant(self.mean)
@@ -232,16 +224,14 @@ class DiscreteGradient:
 
     def component(self, k: int, t_index: int) -> RandomFunctional:
         self.space.check_coordinate(k)
-        grid = np.broadcast_to(self.stacks[k][t_index], self.space.shape)
-        return RandomFunctional(self.space, grid.reshape(-1).copy())
+        return self.space.expand(self.stacks[k][t_index])
 
     def power_int_half(self, p: int) -> RandomFunctional:
         """sum_k E_t[(grad_{k,t} X)^p] as a functional (weight 1 per coordinate)."""
         total = np.zeros((1,) * self.space.n)
         for k in range(self.space.n):
             total = total + np.tensordot(self.space.probs[k], self.stacks[k] ** p, axes=(0, 0))
-        grid = np.broadcast_to(total, self.space.shape)
-        return RandomFunctional(self.space, grid.reshape(-1).copy())
+        return self.space.expand(total)
 
     def power_int_full(self, p: int) -> RandomFunctional:
         """sum_k 2 E_t[(grad_{k,t} X)^p] as a functional (weight 2 per coordinate)."""
@@ -256,8 +246,7 @@ class DiscreteGradient:
             total = total + np.tensordot(
                 self.space.probs[k], self.stacks[k] * other.stacks[k], axes=(0, 0)
             )
-        grid = np.broadcast_to(total, self.space.shape)
-        return RandomFunctional(self.space, grid.reshape(-1).copy())
+        return self.space.expand(total)
 
     def expected_power_full(self, p: int) -> float:
         """E of the full-weight integral of (grad)^p over everything."""
@@ -373,7 +362,10 @@ def contract(f: ChaosKernel, g: ChaosKernel, k: int, l: int) -> Contraction:
     s = k - l
     fo = n - k
     go = m - k
-    letters = string.ascii_letters
+    # einsum labels go by role and position, never by block: shared slots
+    # 0..s-1, paired slots s..k-1, then f's own slots and g's own slots. A
+    # block on both sides as an own slot is two variables with two labels.
+    out_labels = list(range(s)) + list(range(k, k + fo + go))
     entries: dict[tuple, np.ndarray] = {}
     for S in itertools.combinations(blocks, s):
         rest = [b for b in blocks if b not in S]
@@ -382,48 +374,18 @@ def contract(f: ChaosKernel, g: ChaosKernel, k: int, l: int) -> Contraction:
                 used = set(S) | set(F) | set(G)
                 acc: np.ndarray | None = None
                 for C in itertools.combinations([b for b in blocks if b not in used], l):
-                    f_sub = tuple(sorted(set(S) | set(F) | set(C)))
-                    g_sub = tuple(sorted(set(S) | set(G) | set(C)))
+                    f_sub = tuple(sorted(S + F + C))
+                    g_sub = tuple(sorted(S + G + C))
                     tf = f.tables.get(f_sub)
                     tg = g.tables.get(g_sub)
                     if tf is None or tg is None:
                         continue
-                    # Letters: shared/paired blocks carry one letter on both
-                    # sides; side-only blocks carry their own even when the
-                    # same block shows up on both sides.
-                    lt: dict[tuple[str, int], str] = {}
-                    pool = iter(letters)
-                    for b in S:
-                        lt[("s", b)] = next(pool)
-                    for b in C:
-                        lt[("c", b)] = next(pool)
-                    for b in F:
-                        lt[("f", b)] = next(pool)
-                    for b in G:
-                        lt[("g", b)] = next(pool)
-
-                    def _sub_letters(sub: tuple[int, ...], side: str) -> str:
-                        out = []
-                        for b in sub:
-                            if ("s", b) in lt:
-                                out.append(lt[("s", b)])
-                            elif ("c", b) in lt:
-                                out.append(lt[("c", b)])
-                            else:
-                                out.append(lt[(side, b)])
-                        return "".join(out)
-
-                    spec = [_sub_letters(f_sub, "f"), _sub_letters(g_sub, "g")]
-                    operands: list[np.ndarray] = [tf, tg]
-                    for b in C:
-                        spec.append(lt[("c", b)])
-                        operands.append(space.probs[b])
-                    out_letters = (
-                        "".join(lt[("s", b)] for b in S)
-                        + "".join(lt[("f", b)] for b in F)
-                        + "".join(lt[("g", b)] for b in G)
-                    )
-                    term = np.einsum(",".join(spec) + "->" + out_letters, *operands)
+                    f_lab = {b: i for i, b in enumerate(S + C + F)}
+                    g_lab = {b: i for i, b in enumerate(S + C)} | {b: k + fo + i for i, b in enumerate(G)}
+                    operands = [tf, [f_lab[b] for b in f_sub], tg, [g_lab[b] for b in g_sub]]
+                    for i, b in enumerate(C):
+                        operands += [space.probs[b], [s + i]]
+                    term = np.einsum(*operands, out_labels)
                     acc = term if acc is None else acc + term
                 if acc is not None:
                     entries[(S, F, G)] = math.factorial(l) * acc
@@ -525,22 +487,12 @@ def contraction_rate(dec: ChaosDecomposition) -> float:
 # ------------------------------------------------------------------ utilities
 
 
-def random_kernel(
-    space: OutcomeSpace,
-    order: int,
-    rng: np.random.Generator,
-    scale: float = 1.0,
-    subset_keep: float = 1.0,
-) -> ChaosKernel:
-    """A random canonical kernel: normal tables, slotwise re-centered."""
-    tables: dict[tuple[int, ...], np.ndarray] = {}
-    for subset in itertools.combinations(range(space.n), order):
-        if subset_keep < 1.0 and rng.random() > subset_keep:
-            continue
-        tables[subset] = scale * rng.standard_normal(_subset_shape(space, subset))
-    if not tables:
-        # Keep at least one subset so the kernel is not trivially zero.
-        subset = tuple(range(order))
-        tables[subset] = scale * rng.standard_normal(_subset_shape(space, subset))
-    kern = ChaosKernel(space, order, tables, raw=True)
-    return kern.canonical()
+def random_kernel(space: OutcomeSpace, order: int, rng: np.random.Generator) -> ChaosKernel:
+    """A random canonical kernel: normal tables on every order-set, slotwise re-centered."""
+    if order > space.n:
+        raise DomainError(f"no {order}-sets among {space.n} coordinates")
+    tables = {
+        subset: rng.standard_normal(_subset_shape(space, subset))
+        for subset in itertools.combinations(range(space.n), order)
+    }
+    return ChaosKernel(space, order, tables, raw=True).canonical()

@@ -95,10 +95,11 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise InputError("--constant must be positive when given")
 
 
-def _emit(args: argparse.Namespace, command: str, config: dict, flags: dict, results: dict) -> None:
+def _emit(args: argparse.Namespace, config: dict, flags: dict, results: dict) -> int:
+    """Write the report (its command is config["command"]) and return exit code 0."""
     cfg_text = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
     report = {
-        "command": command,
+        "command": config["command"],
         "config": config,
         "config_sha256": hashlib.sha256(cfg_text.encode("utf-8")).hexdigest(),
         "constant": getattr(args, "constant", None),
@@ -113,6 +114,7 @@ def _emit(args: argparse.Namespace, command: str, config: dict, flags: dict, res
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _csv_cell(v) -> str:
@@ -128,15 +130,26 @@ def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
             fh.write(",".join(_csv_cell(row[c]) for c in columns) + "\n")
 
 
-def _int_list(obj, what: str) -> list[int]:
+def _number_list(obj, what: str, kind: type) -> list:
+    """A sweep field as a list of kind (int or float); an int field takes integral floats."""
     if not isinstance(obj, list):
         raise InputError(f"sweep field {what!r} must be a list")
     out = []
     for v in obj:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or int(v) != v:
-            raise InputError(f"sweep field {what!r} must hold integers, got {v!r}")
-        out.append(int(v))
+        fractional = isinstance(v, float) and not v.is_integer()
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or (kind is int and fractional):
+            raise InputError(f"sweep field {what!r} must hold {'integers' if kind is int else 'numbers'}, got {v!r}")
+        out.append(kind(v))
     return out
+
+
+def _sweep_config(args: argparse.Namespace) -> dict:
+    if not args.out:
+        raise InputError("sweeps require --out; the CSV lands next to it")
+    cfg = _load_json(args.sweep)
+    if not isinstance(cfg, dict):
+        raise InputError("the sweep config must be a JSON object")
+    return cfg
 
 
 def _sweep_samples(cfg: dict, args: argparse.Namespace) -> int:
@@ -168,6 +181,43 @@ def sign_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     iu = np.triu_indices(n, 1)
     A[iu] = np.where(rng.random(iu[0].size) < 0.5, -1.0, 1.0)
     return (A + A.T) / math.sqrt(n)
+
+
+def _scaled_draw(sample, scale: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    return sample(rng, size) / scale
+
+
+def _emit_distances(
+    args: argparse.Namespace, config: dict, flags: dict, results: dict, outcomes: int, exact, sample, scale: float
+) -> int:
+    """Add the distance sections of statistic / scale to results and emit the report.
+
+    The exact section enumerates exact() (the statistic on the whole space)
+    when its outcomes fit SIZE_CAP; the empirical one draws --samples values
+    through sample(rng, size) from streams 0, 1, ... of --seed.
+    """
+    if outcomes <= SIZE_CAP:
+        results["exact"] = mc.exact_kdist(exact() * (1.0 / scale)).to_json()
+    if args.samples:
+        draws = mc.chunked_draws(functools.partial(_scaled_draw, sample, scale), args.samples, seed=args.seed)
+        results["empirical"] = mc.empirical_kdist(draws, delta=args.delta, seed=(args.seed, 0)).to_json()
+    return _emit(args, config, flags, results)
+
+
+def _run_sweep(args: argparse.Namespace, config: dict, flags: dict, fields: list[str], rows: list[dict], draws: list) -> int:
+    """Sample every row through one pooled run, then write the CSV and the report.
+
+    rows[i] holds row i's fields (already checked), draws[i] its draw
+    function; row i draws config["samples"] values from the streams starting
+    at _SWEEP_STREAM_STRIDE * i and gains the dk_emp and dkw columns.
+    """
+    draw_rows = [(draw, config["samples"], _SWEEP_STREAM_STRIDE * i) for i, draw in enumerate(draws)]
+    for row, (_, _, first), values in zip(rows, draw_rows, mc.pooled_draws(draw_rows, args.seed)):
+        rep = mc.empirical_kdist(values, delta=config["delta"], seed=(args.seed, first))
+        row.update(dk_emp=rep.value, dkw=rep.dkw_radius)
+    columns = fields + ["dk_emp", "dkw"]
+    _write_csv(args.out + ".csv", columns, rows)
+    return _emit(args, config, flags, {"csv_columns": columns, "rows": rows})
 
 
 # ------------------------------------------------------------------- qform
@@ -227,19 +277,9 @@ def _run_qform(args: argparse.Namespace) -> int:
     }
     if args.constant is not None:
         results["scaled_rates"] = {k: args.constant * v for k, v in rates.items()}
-    sig = math.sqrt(q.sigma2)
-    if law.n_atoms**q.n <= SIZE_CAP:
-        Z = qform.q_functional(A, law) * (1.0 / sig)
-        results["exact"] = mc.exact_kdist(Z).to_json()
-    if args.samples:
-        draws = mc.chunked_draws(functools.partial(_q_draw, A, law, sig), args.samples, seed=args.seed)
-        results["empirical"] = mc.empirical_kdist(draws, delta=args.delta, seed=(args.seed, 0)).to_json()
-    _emit(args, "qform", config, _QFORM_FLAGS, results)
-    return 0
-
-
-def _q_draw(A: np.ndarray, law: Distribution, scale: float, rng: np.random.Generator, size: int) -> np.ndarray:
-    return qform.q_samples(A, law, rng, size) / scale
+    exact = functools.partial(qform.q_functional, A, law)
+    sample = functools.partial(qform.q_samples, A, law)
+    return _emit_distances(args, config, _QFORM_FLAGS, results, law.n_atoms**q.n, exact, sample, math.sqrt(q.sigma2))
 
 
 def _sweep_matrix(seed: int, idx: int, n: int) -> np.ndarray:
@@ -252,16 +292,12 @@ def _sweep_q_draw(
     # Each chunk regenerates its row's matrix from the row's stream, so the
     # queued rows hold no n x n matrices; that costs O(n^2) per chunk of
     # O(chunk * n^2) work.
-    return _q_draw(_sweep_matrix(seed, idx, n), law, scale, rng, size)
+    return qform.q_samples(_sweep_matrix(seed, idx, n), law, rng, size) / scale
 
 
 def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
-    if not args.out:
-        raise InputError("sweeps require --out; the CSV lands next to it")
-    cfg = _load_json(args.sweep)
-    if not isinstance(cfg, dict):
-        raise InputError("the sweep config must be a JSON object")
-    sizes = _int_list(cfg.get("sizes", []), "sizes")
+    cfg = _sweep_config(args)
+    sizes = _number_list(cfg.get("sizes", []), "sizes", int)
     if len(sizes) > _MAX_QFORM_SWEEP_SIZES:
         raise InputError(
             f"qform sweeps take at most {_MAX_QFORM_SWEEP_SIZES} sizes; "
@@ -281,32 +317,14 @@ def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
     }
     # Every size is generated and analysed before the first row samples, so a
     # bad or degenerate size refuses the sweep before any row runs.
-    analyses = []
-    draw_rows = []
+    rows, draws = [], []
     for idx, n in enumerate(sizes):
         q = qform.analyze(_sweep_matrix(args.seed, idx, n), m)
         if q.degenerate:
             raise DegenerateError(f"sweep matrix at n={n} gives zero variance")
-        analyses.append(q)
-        sig = math.sqrt(q.sigma2)
-        draw = functools.partial(_sweep_q_draw, args.seed, idx, n, law, sig)
-        draw_rows.append((draw, samples, _SWEEP_STREAM_STRIDE * idx))
-    rows: list[dict] = []
-    for n, q, (_, _, first), draws in zip(sizes, analyses, draw_rows, mc.pooled_draws(draw_rows, args.seed)):
-        rep = mc.empirical_kdist(draws, delta=delta, seed=(args.seed, first))
-        rows.append(
-            {
-                "n": n,
-                "rate_r1": qform.bound_r1(q),
-                "rate_r2": qform.bound_r2(q),
-                "dk_emp": rep.value,
-                "dkw": rep.dkw_radius,
-            }
-        )
-    columns = ["n", "rate_r1", "rate_r2", "dk_emp", "dkw"]
-    _write_csv(args.out + ".csv", columns, rows)
-    _emit(args, "qform-sweep", config, _QFORM_FLAGS, {"csv_columns": columns, "rows": rows})
-    return 0
+        rows.append({"n": n, "rate_r1": qform.bound_r1(q), "rate_r2": qform.bound_r2(q)})
+        draws.append(functools.partial(_sweep_q_draw, args.seed, idx, n, law, math.sqrt(q.sigma2)))
+    return _run_sweep(args, config, _QFORM_FLAGS, ["n", "rate_r1", "rate_r2"], rows, draws)
 
 
 # ------------------------------------------------------------------- ustat
@@ -336,54 +354,21 @@ def _run_ustat(args: argparse.Namespace) -> int:
             results["scaled_rate"] = args.constant * results["rate"]
     else:
         results["rate"] = None
-    sig = math.sqrt(sigma2)
-    if law.n_atoms**w.n <= SIZE_CAP:
-        Z = ustat.ustat_functional(w, g) * (1.0 / sig)
-        results["exact"] = mc.exact_kdist(Z).to_json()
-    if args.samples:
-        draws = mc.chunked_draws(
-            lambda rng, b: ustat.ustat_sample(w, g, rng, b) / sig,
-            args.samples,
-            seed=args.seed,
-        )
-        results["empirical"] = mc.empirical_kdist(draws, delta=args.delta, seed=(args.seed, 0)).to_json()
-    _emit(args, "ustat", config, _USTAT_FLAGS, results)
-    return 0
+    exact = functools.partial(ustat.ustat_functional, w, g)
+    sample = functools.partial(ustat.ustat_sample, w, g)
+    return _emit_distances(args, config, _USTAT_FLAGS, results, law.n_atoms**w.n, exact, sample, math.sqrt(sigma2))
 
 
 # ------------------------------------------------------------------- graph
 
 
-def _float_list(obj, what: str) -> list[float]:
-    if not isinstance(obj, list):
-        raise InputError(f"sweep field {what!r} must be a list")
-    out = []
-    for v in obj:
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InputError(f"sweep field {what!r} must hold numbers, got {v!r}")
-        out.append(float(v))
-    return out
-
-
-def _graph_draw(
-    G: graphweigh.GraphSpec, n: int, p: float, law: Distribution, scale: float, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    return graphweigh.simulate_weight(G, n, p, law, rng, size) / scale
-
-
 def _run_graph(args: argparse.Namespace) -> int:
     _validate_common(args)
-    if args.sweep is None:
-        raise InputError("graph runs need a --sweep grid config")
-    if not args.out:
-        raise InputError("sweeps require --out; the CSV lands next to it")
+    cfg = _sweep_config(args)
     G = graphweigh.GraphSpec.load(args.graph)
     law = _load_law(args.law)
-    cfg = _load_json(args.sweep)
-    if not isinstance(cfg, dict):
-        raise InputError("the sweep config must be a JSON object")
-    ns = _int_list(cfg.get("n", []), "n")
-    ps = _float_list(cfg.get("p", []), "p")
+    ns = _number_list(cfg.get("n", []), "n", int)
+    ps = _number_list(cfg.get("p", []), "p", float)
     combine = cfg.get("combine", "product")
     if combine != "product":
         raise InputError(
@@ -395,7 +380,7 @@ def _run_graph(args: argparse.Namespace) -> int:
     samples = _sweep_samples(cfg, args) if grid else 0
     # Every point is checked before the first one samples, so a point out of
     # the domain or over the copy cap refuses the sweep before any row runs.
-    points = []
+    rows, draws = [], []
     for n, p in grid:
         rate = graphweigh.rg_rate(G, n, p, law)
         _, var = graphweigh.exact_weight_moments(G, n, p, law, combine)
@@ -403,7 +388,9 @@ def _run_graph(args: argparse.Namespace) -> int:
             raise DegenerateError(f"zero weight variance at n={n}, p={p}")
         if G.kind == "generic":
             graphweigh.check_copy_cap(G, n)
-        points.append((n, p, rate, math.sqrt(var)))
+        rows.append({"n": n, "p": p, "rg_rate": rate})
+        sample = functools.partial(graphweigh.simulate_weight, G, n, p, law)
+        draws.append(functools.partial(_scaled_draw, sample, math.sqrt(var)))
     config = {
         "combine": combine,
         "command": "graph",
@@ -416,18 +403,7 @@ def _run_graph(args: argparse.Namespace) -> int:
         "samples": samples,
         "seed": args.seed,
     }
-    draw_rows = [
-        (functools.partial(_graph_draw, G, n, p, law, sig), samples, _SWEEP_STREAM_STRIDE * ci)
-        for ci, (n, p, _, sig) in enumerate(points)
-    ]
-    rows: list[dict] = []
-    for (n, p, rate, _), (_, _, first), draws in zip(points, draw_rows, mc.pooled_draws(draw_rows, args.seed)):
-        rep = mc.empirical_kdist(draws, delta=delta, seed=(args.seed, first))
-        rows.append({"n": n, "p": p, "rg_rate": rate, "dk_emp": rep.value, "dkw": rep.dkw_radius})
-    columns = ["n", "p", "rg_rate", "dk_emp", "dkw"]
-    _write_csv(args.out + ".csv", columns, rows)
-    _emit(args, "graph", config, _GRAPH_FLAGS, {"csv_columns": columns, "rows": rows})
-    return 0
+    return _run_sweep(args, config, _GRAPH_FLAGS, ["n", "p", "rg_rate"], rows, draws)
 
 
 # ------------------------------------------------------------ chaos-verify
@@ -444,7 +420,7 @@ def _run_chaos_verify(args: argparse.Namespace) -> int:
         "seed": args.seed,
     }
     results = {"checks": [c.to_json() for c in checks], "corrupt": bool(args.corrupt)}
-    _emit(args, "chaos-verify", config, _VERIFY_FLAGS, results)
+    _emit(args, config, _VERIFY_FLAGS, results)
     failing = [c.name for c in checks if not c.passed]
     if failing:
         print("identity failure: " + ", ".join(failing), file=sys.stderr)
@@ -517,10 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, DomainError, SpaceTooLargeError) as exc:
-        print(f"kolbounds: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (InputError, DomainError, SpaceTooLargeError, OSError, ValueError) as exc:
         print(f"kolbounds: {exc}", file=sys.stderr)
         return 2
     except DegenerateError as exc:

@@ -13,6 +13,7 @@ temporaries, and is bit-identical to one searchsorted over all N uniforms.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -61,6 +62,9 @@ class Distribution:
     def __post_init__(self) -> None:
         if len(self.values) != len(self.probs) or not self.values:
             raise InputError("a law needs matching, non-empty value and probability lists")
+        for name, xs in (("values", self.values), ("probabilities", self.probs)):
+            if not all(math.isfinite(x) for x in xs):
+                raise InputError(f"atom {name} must be finite numbers, got {list(xs)!r}")
         if any(p <= 0.0 for p in self.probs):
             raise InputError("atom probabilities must be strictly positive")
         total = float(sum(self.probs))

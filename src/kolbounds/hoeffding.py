@@ -20,7 +20,7 @@ the axes in J alone; the order-d part is the grid masked to order d and
 joined back; grade_sweep scales each entry by its order's coefficient
 between _split and _join. Terms come out in reduced (keepdims) form, one axis
 per coordinate with non-member axes collapsed to length one, and are
-broadcast back to full functionals on demand.
+expanded to full functionals (OutcomeSpace.expand) on demand.
 """
 
 from __future__ import annotations
@@ -128,8 +128,7 @@ class HoeffdingDecomposition:
         return [_subset_of(m, n) for m in sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))]
 
     def term(self, subset: Sequence[int]) -> RandomFunctional:
-        grid = self.term_grid(_mask_of(subset, self.space.n))
-        return RandomFunctional(self.space, np.broadcast_to(grid, self.space.shape).reshape(-1))
+        return self.space.expand(self.term_grid(_mask_of(subset, self.space.n)))
 
     def term_grid(self, mask: int) -> np.ndarray:
         """W_J for the coordinate set J given as a bit mask, in reduced form.
@@ -224,6 +223,27 @@ class SubsetRateReport:
     normalized: bool
 
 
+def _family(space: OutcomeSpace, terms: dict[int, np.ndarray], family: list) -> float:
+    """sum over (J, pairs) of E[(sum over pairs (A, B) of E[W_A W_B | F_J])^2].
+
+    Pairs with a missing (zero) term are skipped, and a J whose pairs are all
+    skipped adds nothing.
+    """
+    total = 0.0
+    for J, pairs in family:
+        acc = None
+        for A, B in pairs:
+            a = terms.get(A)
+            b = terms.get(B)
+            if a is None or b is None:
+                continue
+            c = space.average(a * b, _subset_of(J, space.n))
+            acc = c if acc is None else acc + c
+        if acc is not None:
+            total += space.average(acc * acc).item()
+    return total
+
+
 def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
     """Evaluate the three-family conditional-moment bracket for centered X.
 
@@ -265,58 +285,21 @@ def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
         if np.max(np.abs(g)) > 1e-15:
             terms[mask] = g
 
-    fam_diag = 0.0
-    fam_cross = 0.0
-    fam_low = 0.0
+    # Each family is a list of (J, pairs): the sum over pairs (A, B) of
+    # E[W_A W_B | F_J] is squared and averaged. K runs over the l-sets
+    # disjoint from J; at l = 0 only the diagonal family has a term (K empty).
+    diag, cross, low = [], [], []
     for i in range(1, d + 1):
         for l in range(0, i):
-            j_size = i - l
-            for J in by_size.get(j_size, []):
-                acc = None
-                for K in by_size.get(l, []) if l > 0 else [0]:
-                    if K & J:
-                        continue
-                    wjk = terms.get(J | K)
-                    if wjk is None:
-                        continue
-                    c = space.average(wjk * wjk, _subset_of(J, n))
-                    acc = c if acc is None else acc + c
-                if acc is not None:
-                    fam_diag += space.average(acc * acc).item()
-            if l == 0:
-                continue
-            # Cross family: ordered disjoint pairs (J1, J2).
-            for J1 in by_size.get(j_size, []):
-                for J2 in by_size.get(j_size, []):
-                    if J1 & J2 or J1 == J2:
-                        continue
-                    J12 = J1 | J2
-                    acc = None
-                    for K in by_size.get(l, []):
-                        if K & J12:
-                            continue
-                        a = terms.get(J1 | K)
-                        b = terms.get(J2 | K)
-                        if a is None or b is None:
-                            continue
-                        c = space.average(a * b, _subset_of(J12, n))
-                        acc = c if acc is None else acc + c
-                    if acc is not None:
-                        fam_cross += space.average(acc * acc).item()
-            # Low family: the bare W_K against W_{J u K}.
-            for J in by_size.get(j_size, []):
-                acc = None
-                for K in by_size.get(l, []):
-                    if K & J:
-                        continue
-                    a = terms.get(K)
-                    b = terms.get(J | K)
-                    if a is None or b is None:
-                        continue
-                    c = space.average(a * b, _subset_of(J, n))
-                    acc = c if acc is None else acc + c
-                if acc is not None:
-                    fam_low += space.average(acc * acc).item()
+            js = by_size.get(i - l, [])
+            ks = by_size.get(l, []) if l > 0 else [0]
+            diag += [(J, [(J | K, J | K) for K in ks if not K & J]) for J in js]
+            if l > 0:
+                # Cross: ordered disjoint pairs (J1, J2) given J1 u J2. Low: the bare W_K against W_{J u K}.
+                pairs = [(J1, J2) for J1 in js for J2 in js if not J1 & J2]
+                cross += [(J1 | J2, [(J1 | K, J2 | K) for K in ks if not K & (J1 | J2)]) for J1, J2 in pairs]
+                low += [(J, [(K, J | K) for K in ks if not K & J]) for J in js]
+    fam_diag, fam_cross, fam_low = (_family(space, terms, fam) for fam in (diag, cross, low))
     value = float(np.sqrt(fam_diag + fam_cross + fam_low))
     return SubsetRateReport(value, fam_diag, fam_cross, fam_low, normalized)
 

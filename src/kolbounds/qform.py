@@ -44,6 +44,8 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise InputError(f"matrix entries must be finite numbers, got {float(M[~np.isfinite(M)][0])!r}")
     scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
     gap = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if gap > _SYM_TOL * scale:

@@ -123,13 +123,22 @@ class OutcomeSpace:
     def constant(self, c: float) -> "RandomFunctional":
         return RandomFunctional(self, np.full(self.size, float(c)))
 
+    def expand(self, grid: np.ndarray) -> "RandomFunctional":
+        """The functional of a full or reduced (keepdims) grid, in one copy.
+
+        Each axis of length one is spread over its coordinate's atoms; the
+        grid itself is never modified or kept.
+        """
+        out = np.empty(self.shape)
+        np.copyto(out, grid)
+        return RandomFunctional(self, out.reshape(-1))
+
     def coordinate(self, k: int) -> "RandomFunctional":
         """The projection onto coordinate k as a functional."""
         self.check_coordinate(k)
         shape = [1] * self.n
         shape[k] = self.shape[k]
-        grid = np.broadcast_to(self.values[k].reshape(shape), self.shape)
-        return RandomFunctional(self, grid.reshape(-1).copy())
+        return self.expand(self.values[k].reshape(shape))
 
 
 class RandomFunctional:
@@ -168,9 +177,6 @@ class RandomFunctional:
     def centered(self) -> "RandomFunctional":
         return RandomFunctional(self.space, self.values - self.expectation())
 
-    def is_centered(self, tol: float = 1e-10) -> bool:
-        return abs(self.expectation()) <= tol
-
     # -------------------------------------------------------- conditioning
 
     def axis_mean(self, k: int) -> np.ndarray:
@@ -190,8 +196,7 @@ class RandomFunctional:
         keep = set(subset)
         for k in keep:
             self.space.check_coordinate(k)
-        g = self.space.average(self.grid, keep)
-        return RandomFunctional(self.space, np.broadcast_to(g, self.space.shape).reshape(-1).copy())
+        return self.space.expand(self.space.average(self.grid, keep))
 
     def grad_grid(self, k: int, t_index: int) -> np.ndarray:
         """The discrete gradient at (k, t): replace minus the axis mean (keepdims)."""

@@ -47,6 +47,8 @@ class WeightTensor:
         n = T.shape[0]
         if any(s != n for s in T.shape):
             raise InputError(f"weight tensor must be cubical, got shape {T.shape}")
+        if not np.isfinite(T).all():
+            raise InputError(f"weights must be finite numbers, got {float(T[~np.isfinite(T)][0])!r}")
         scale = max(1.0, float(np.max(np.abs(T))) if T.size else 0.0)
         for ax in range(T.ndim - 1):
             gap = float(np.max(np.abs(T - np.swapaxes(T, ax, ax + 1))))

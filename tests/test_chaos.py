@@ -1,5 +1,6 @@
 """Multiple-sum kernels: isometry, products, operator powers, contractions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -152,6 +153,99 @@ def test_full_self_contraction_recovers_the_norm():
         c = chaos.contract(f, f, d, d)
         assert c.free_slots() == 0
         assert c.scalar() == pytest.approx(f.norm_sq(), rel=1e-12)
+
+
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()]
+
+
+def _contract_twin(f, g, k, l):
+    """Reference contraction by plain loops over blocks and atoms.
+
+    Entry (S, F, G) at atoms (xs, xf, xg) is l! times the sum over l-sets C
+    of blocks outside S, F and G, and over the atoms xc of C weighted by
+    their laws, of f on S + F + C times g on S + G + C.
+    """
+    space = f.space
+    s, fo, go = k - l, f.order - k, g.order - k
+    blocks = range(space.n)
+    entries = {}
+    for S in itertools.combinations(blocks, s):
+        rest = [b for b in blocks if b not in S]
+        for F in itertools.combinations(rest, fo):
+            for G in itertools.combinations(rest, go):
+                shape = tuple(space.shape[b] for b in S + F + G)
+                val = np.zeros(shape)
+                hit = False
+                for C in itertools.combinations([b for b in rest if b not in F + G], l):
+                    f_sub, g_sub = tuple(sorted(S + F + C)), tuple(sorted(S + G + C))
+                    if f_sub not in f.tables or g_sub not in g.tables:
+                        continue
+                    hit = True
+                    for idx in np.ndindex(*shape):
+                        xs, xf, xg = idx[:s], idx[s : s + fo], idx[s + fo :]
+                        for xc in itertools.product(*(range(space.shape[b]) for b in C)):
+                            w = math.prod(space.probs[b][t] for b, t in zip(C, xc))
+                            at_f = dict(zip(S + F + C, xs + xf + xc))
+                            at_g = dict(zip(S + G + C, xs + xg + xc))
+                            fv = f.tables[f_sub][tuple(at_f[b] for b in f_sub)]
+                            gv = g.tables[g_sub][tuple(at_g[b] for b in g_sub)]
+                            val[idx] += w * fv * gv
+                if hit:
+                    entries[(S, F, G)] = math.factorial(l) * val
+    return entries
+
+
+def _norm_twin(space, entries, free_counts):
+    """Sum over entries and atoms of law weight times value squared, times the slot weights."""
+    total = 0.0
+    for (S, F, G), val in entries.items():
+        for idx in np.ndindex(*val.shape):
+            total += math.prod(space.probs[b][t] for b, t in zip(S + F + G, idx)) * val[idx] ** 2
+    return total * math.prod(math.factorial(c) * 2.0**c for c in free_counts)
+
+
+def test_contraction_matches_the_loop_twin_on_a_mixed_space():
+    space = OutcomeSpace(MIXED)
+    rng = np.random.default_rng(44)
+    for a, b in [(1, 2), (2, 2), (2, 3)]:
+        f = chaos.random_kernel(space, a, rng)
+        g = chaos.random_kernel(space, b, rng)
+        for k in range(a + 1):
+            for l in range(k + 1):
+                c = chaos.contract(f, g, k, l)
+                want = _contract_twin(f, g, k, l)
+                assert set(c.entries) == set(want), (a, b, k, l)
+                for key, val in want.items():
+                    assert np.max(np.abs(c.entries[key] - val)) < 1e-12, (a, b, k, l, key)
+                norm = _norm_twin(space, want, (k - l, a - k, b - k))
+                assert c.l2_norm_sq() == pytest.approx(norm, rel=1e-12, abs=1e-12)
+
+
+def test_first_order_contractions_at_the_space_cap():
+    # 18 coordinates: numbering einsum labels by block would run past the
+    # 52 labels numpy accepts; labels by role stay below four.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 18)
+    rng = np.random.default_rng(45)
+    f = chaos.random_kernel(space, 1, rng)
+    g = chaos.random_kernel(space, 1, rng)
+    outer = chaos.contract(f, f, 0, 0)
+    assert len(outer.entries) == 18 * 18
+    for (S, (a,), (b,)), val in outer.entries.items():
+        assert S == ()
+        assert np.array_equal(val, np.multiply.outer(f.tables[(a,)], f.tables[(b,)]))
+    assert outer.l2_norm_sq() == pytest.approx(4.0 * f.norm_sq() ** 2, rel=1e-12)
+    shared = chaos.contract(f, g, 1, 0)
+    assert sorted(shared.entries) == [((a,), (), ()) for a in range(18)]
+    for ((a,), _, _), val in shared.entries.items():
+        assert np.array_equal(val, f.tables[(a,)] * g.tables[(a,)])
+    want = sum(2.0 * float(np.dot(space.probs[a], (f.tables[(a,)] * g.tables[(a,)]) ** 2)) for a in range(18))
+    assert shared.l2_norm_sq() == pytest.approx(want, rel=1e-12)
+
+
+def test_random_kernel_needs_room_for_its_order():
+    with pytest.raises(DomainError):
+        chaos.random_kernel(_space(2), 3, np.random.default_rng(46))
 
 
 def test_contraction_validates_depths():

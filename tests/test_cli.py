@@ -174,6 +174,27 @@ def test_bad_inputs_exit_two(files, capsys):
         assert "kolbounds:" in err
 
 
+def test_non_finite_inputs_are_refused_where_they_are_read(files, capsys, tmp_path):
+    (tmp_path / "nan.csv").write_text("0,nan\nnan,0\n")
+    (tmp_path / "inf.csv").write_text("0,1,inf\n1,0,1\ninf,1,0\n")
+    weights = {"n": 3, "order": 2, "entries": [{"subset": [0, 1], "value": "nan"}]}
+    (tmp_path / "w_nan.json").write_text(json.dumps(weights))
+    law = {"type": "finite", "atoms": [[-1.0, float("nan")], [1.0, 0.5]]}
+    (tmp_path / "law_nan.json").write_text(json.dumps(law))
+    cases = [
+        (["qform", "--matrix", str(tmp_path / "nan.csv"), "--law", "rademacher"], "matrix entries must be finite numbers, got nan"),
+        (["qform", "--matrix", str(tmp_path / "inf.csv"), "--law", "rademacher"], "matrix entries must be finite numbers, got inf"),
+        (["ustat", "--weights", str(tmp_path / "w_nan.json"), "--law", "rademacher"], "weights must be finite numbers, got nan"),
+        (["qform", "--matrix", files["A.csv"], "--law", str(tmp_path / "law_nan.json")], "atom probabilities must be finite numbers"),
+    ]
+    for argv, message in cases:
+        code, out, err = _run(argv, capsys)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("kolbounds: ") and message in err, err
+        assert "Warning" not in err
+
+
 def test_degenerate_matrix_exits_three(files, capsys):
     code, _, err = _run(["qform", "--matrix", files["zero.csv"], "--law", "rademacher"], capsys)
     assert code == 3

@@ -1,7 +1,11 @@
 """Product outcome spaces and exact functional enumeration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+
+from kolbounds import chaos
 
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError, InputError, SpaceTooLargeError
@@ -94,6 +98,40 @@ def test_functional_shape_validation():
         space.functional(np.zeros(5))
     ok = space.functional(np.zeros((3, 3)))
     assert ok.values.shape == (9,)
+
+
+def test_expand_spreads_a_reduced_grid_into_a_fresh_functional():
+    space = OutcomeSpace([three_point(), Distribution.rademacher(), three_point()])
+    reduced = np.arange(3.0).reshape(3, 1, 1)
+    X = space.expand(reduced)
+    assert np.array_equal(X.grid, np.broadcast_to(reduced, space.shape))
+    assert np.array_equal(space.expand(X.grid).values, X.values)
+    reduced[0] = 7.0
+    assert X.grid[0, 1, 2] == 0.0
+    with pytest.raises(ValueError):
+        space.expand(np.zeros((2, 1, 1)))
+    # functional() stays strict: it wraps full value lists only.
+    tiny = OutcomeSpace([Distribution.rademacher()])
+    with pytest.raises(InputError):
+        tiny.functional(np.zeros(1))
+
+
+def test_gradient_component_and_conditional_copy_at_most_once():
+    # In units of one full grid, 8 |Omega| bytes, at the cap.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 18)
+    X = space.functional(np.random.default_rng(12).standard_normal(space.size))
+    G = chaos.gradient(X)
+    grid_bytes = 8 * space.size
+    views = [(lambda: G.component(5, 1), 1.05), (lambda: X.conditional([0, 3, 17]), 1.55)]
+    tracemalloc.start()
+    try:
+        for view, limit in views:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view()
+            assert tracemalloc.get_traced_memory()[1] - base <= limit * grid_bytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_space_size_cap():
