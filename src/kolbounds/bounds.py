@@ -13,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import hoeffding
+from . import hoeffding, tol
 from .chaos import DiscreteGradient, apply_L_power, gradient
 from .errors import DomainError
 from .space import RandomFunctional
@@ -33,7 +31,7 @@ class FourthMomentCheck:
 
     @property
     def holds(self) -> bool:
-        return self.lhs <= self.rhs * (1.0 + 1e-12) + 1e-12
+        return self.lhs - self.rhs <= tol.SLACK * tol.scale(self.rhs)
 
 
 def fourth_moment_check(X: RandomFunctional) -> FourthMomentCheck:
@@ -105,9 +103,7 @@ def master_bound(X: RandomFunctional) -> MasterBound:
     with X1 the inverse number operator applied to X and X_half the
     inverse square-root power.
     """
-    scale = max(1.0, float(np.max(np.abs(X.values))))
-    if abs(X.expectation()) > 1e-9 * scale:
-        raise DomainError("the master bound needs a centered functional")
+    tol.check_centred(X.expectation(), X.values, "the master bound needs a centered functional")
     Xm1 = apply_L_power(X, -1.0)
     Xmh = apply_L_power(X, -0.5)
     gX = gradient(X)
@@ -156,7 +152,7 @@ def degenerate_gradient_bound(X: RandomFunctional) -> float:
     conditional-moment form sqrt(var_term) + 24 sqrt(2 fourth_term) from
     hoeffding.rate_degenerate.
     """
-    if abs(X.moment(2) - 1.0) > 1e-8:
+    if abs(X.moment(2) - 1.0) > tol.CENTRING:
         raise DomainError("degenerate bound needs a unit-variance input")
     g = gradient(X)
     return math.sqrt(max(g.power_int_half(2).variance(), 0.0)) + 24.0 * math.sqrt(

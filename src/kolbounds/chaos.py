@@ -5,8 +5,9 @@ Conventions, fixed once for the whole package:
 * A kernel of order d assigns to every sorted d-subset J of coordinates an
   array over the product of those coordinates' supports. Kernels are
   "canonical": every slot average under the slot's law vanishes. Admission
-  re-centers any table that misses this by more than 1e-10 (per slot, applied
-  to every slot), which never changes the value of the multiple sum.
+  re-centers any table that misses this by more than tol.CENTRING (scaled,
+  per slot, applied to every slot), which never changes the value of the
+  multiple sum.
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -31,23 +32,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import hoeffding
+from . import hoeffding, tol
 from .errors import DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
-
-DEGENERACY_TOL = 1e-10
-_DROP_TOL = 1e-13
 
 
 def _subset_shape(space: OutcomeSpace, subset: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(space.shape[j] for j in subset)
 
 
-def _center_slots(space: OutcomeSpace, subset: tuple[int, ...], table: np.ndarray) -> np.ndarray:
+def slot_mean_max(table: np.ndarray, probs: list[np.ndarray]) -> float:
+    """Largest |average of table over one slot|, slot (axis) k averaged under probs[k]."""
+    means = (np.tensordot(table, p, axes=([axis], [0])) for axis, p in enumerate(probs))
+    return max((float(np.max(np.abs(m))) for m in means), default=0.0)
+
+
+def center_slots(table: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
+    """table with each slot's average under probs[k] removed, slot by slot."""
     out = table
-    for axis, block in enumerate(subset):
-        p = space.probs[block].reshape((1,) * axis + (-1,) + (1,) * (table.ndim - axis - 1))
-        out = out - np.sum(out * p, axis=axis, keepdims=True)
+    for axis, p in enumerate(probs):
+        shaped = p.reshape((1,) * axis + (-1,) + (1,) * (table.ndim - axis - 1))
+        out = out - np.sum(out * shaped, axis=axis, keepdims=True)
     return out
 
 
@@ -77,37 +82,23 @@ class ChaosKernel:
             if arr.shape != want:
                 raise InputError(f"table for subset {subset} has shape {arr.shape}, expected {want}")
             clean[subset] = arr
-        if not raw and self.degeneracy_violation(clean) > DEGENERACY_TOL * max(1.0, self._scale(clean)):
-            clean = {s: _center_slots(space, s, t) for s, t in clean.items()}
         self.tables = clean
+        if not raw and self.degeneracy_violation() > tol.CENTRING * tol.scale(self.max_abs()):
+            self.tables = self.canonical().tables
 
-    @staticmethod
-    def _scale(tables: dict[tuple[int, ...], np.ndarray]) -> float:
-        return max((float(np.max(np.abs(t))) for t in tables.values()), default=0.0)
+    def _probs(self, subset: tuple[int, ...]) -> list[np.ndarray]:
+        return [self.space.probs[block] for block in subset]
 
-    def degeneracy_violation(self, tables: dict | None = None) -> float:
+    def degeneracy_violation(self) -> float:
         """Largest absolute slot average over all subsets and slots."""
-        tabs = self.tables if tables is None else tables
-        worst = 0.0
-        for subset, table in tabs.items():
-            for axis, block in enumerate(subset):
-                m = np.tensordot(table, self.space.probs[block], axes=([axis], [0]))
-                worst = max(worst, float(np.max(np.abs(m))) if m.size else 0.0)
-        return worst
+        return max((slot_mean_max(t, self._probs(s)) for s, t in self.tables.items()), default=0.0)
 
     def max_abs(self) -> float:
-        return self._scale(self.tables)
+        return max((float(np.max(np.abs(t))) for t in self.tables.values()), default=0.0)
 
     def canonical(self) -> "ChaosKernel":
-        return ChaosKernel(
-            self.space,
-            self.order,
-            {s: _center_slots(self.space, s, t) for s, t in self.tables.items()},
-            raw=True,
-        )
-
-    def scaled(self, c: float) -> "ChaosKernel":
-        return ChaosKernel(self.space, self.order, {s: c * t for s, t in self.tables.items()}, raw=True)
+        tables = {s: center_slots(t, self._probs(s)) for s, t in self.tables.items()}
+        return ChaosKernel(self.space, self.order, tables, raw=True)
 
     # ---------------------------------------------------------------- algebra
 
@@ -167,8 +158,10 @@ class ChaosDecomposition:
     mean: float
     kernels: dict[int, ChaosKernel] = field(default_factory=dict)
 
-    def orders(self, tol: float = 1e-12) -> list[int]:
-        return sorted(d for d, k in self.kernels.items() if k.max_abs() > tol)
+    def orders(self) -> list[int]:
+        """Orders whose kernel exceeds tol.DROP, scaled by the largest kernel entry."""
+        cut = tol.DROP * tol.scale([k.max_abs() for k in self.kernels.values()])
+        return sorted(d for d, k in self.kernels.items() if k.max_abs() > cut)
 
     def reconstruct(self) -> RandomFunctional:
         out = self.space.constant(self.mean)
@@ -189,12 +182,12 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
     H = hoeffding.project(X)
     space = X.space
     n = space.n
-    scale = max(1.0, float(np.max(np.abs(X.values))))
+    cut = tol.DROP * tol.scale(X.values)
     mean = X.expectation()
     per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for mask in range(1, 1 << n):
         grid = H.term_grid(mask)
-        if float(np.max(np.abs(grid))) <= _DROP_TOL * scale:
+        if float(np.max(np.abs(grid))) <= cut:
             continue
         subset = tuple(k for k in range(n) if mask & (1 << k))
         d = len(subset)
@@ -270,9 +263,7 @@ def apply_L_power(X: RandomFunctional, alpha: float) -> RandomFunctional:
     if alpha == 0.0:
         return X
     if alpha < 0.0:
-        scale = max(1.0, float(np.max(np.abs(X.values))))
-        if abs(X.expectation()) > 1e-10 * scale:
-            raise DomainError("negative operator powers need a centered functional")
+        tol.check_centred(X.expectation(), X.values, "negative operator powers need a centered functional")
     coeffs = [0.0] + [float(d) ** alpha for d in range(1, n + 1)]
     return hoeffding.scale_grades(X, coeffs)
 
@@ -286,9 +277,7 @@ def covariance_identity_check(X: RandomFunctional, Y: RandomFunctional, alpha: f
     Returns the absolute difference of the two sides.
     """
     for Z, name in ((X, "X"), (Y, "Y")):
-        scale = max(1.0, float(np.max(np.abs(Z.values))))
-        if abs(Z.expectation()) > 1e-10 * scale:
-            raise DomainError(f"covariance identity needs centered input {name}")
+        tol.check_centred(Z.expectation(), Z.values, f"covariance identity needs centered input {name}")
     A = apply_L_power(X, alpha - 1.0)
     B = apply_L_power(Y, -alpha)
     rhs = gradient(A).pair_int_half(gradient(B)).expectation()
@@ -445,12 +434,13 @@ def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
                     prev = tables.get(K)
                     add = coeff * factor * acc
                     tables[K] = add if prev is None else prev + add
+    cut = tol.DROP * tol.scale([np.max(np.abs(t)) for tables in acc_tables.values() for t in tables.values()])
     kernels: dict[int, ChaosKernel] = {}
     for r, tables in acc_tables.items():
-        live = {K: t for K, t in tables.items() if float(np.max(np.abs(t))) > _DROP_TOL}
+        live = {K: t for K, t in tables.items() if float(np.max(np.abs(t))) > cut}
         if live:
             kern = ChaosKernel(space, r, live)
-            if kern.max_abs() > _DROP_TOL:
+            if kern.max_abs() > cut:
                 kernels[r] = kern
     return ChaosDecomposition(space, mean_acc, kernels)
 
@@ -465,8 +455,8 @@ def contraction_rate(dec: ChaosDecomposition) -> float:
     plus, for 1 <= l < i <= d, the mixed and lower-order pairings
     |f_i *_l^l f_i|^2 and |f_l *_l^l f_i|^2, all with full-weight free slots.
     """
-    if abs(dec.mean) > 1e-10:
-        raise DomainError("contraction rate needs a centered decomposition")
+    sizes = [k.max_abs() for k in dec.kernels.values()]
+    tol.check_centred(dec.mean, sizes, "contraction rate needs a centered decomposition")
     total = 0.0
     orders = dec.orders()
     d = orders[-1] if orders else 0

@@ -32,7 +32,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, graphweigh, mc, qform, ustat, verify
+from . import __version__, graphweigh, mc, qform, tol, ustat, verify
 from .dist import Distribution, three_point
 from .errors import (
     DegenerateError,
@@ -224,7 +224,7 @@ def _run_sweep(args: argparse.Namespace, config: dict, flags: dict, fields: list
 
 
 def _sigma_step_valid(m, diag2: float) -> bool:
-    return diag2 == 0.0 or m.mu[4] >= 2.0 * m.mu[2] ** 2 - 1e-12
+    return diag2 == 0.0 or 2.0 * m.mu[2] ** 2 - m.mu[4] <= tol.INPUT * tol.scale(m.mu[4])
 
 
 def _run_qform(args: argparse.Namespace) -> int:
@@ -256,7 +256,7 @@ def _run_qform(args: argparse.Namespace) -> int:
         "spectral": qform.rate_gt(q, m),
     }
     dj = qform.dejong_check(q)
-    chain = qform.trace_chain(A, m if _sigma_step_valid(m, q.diag2) else None)
+    chain = qform.trace_chain(q, m if _sigma_step_valid(m, q.diag2) else None)
     results: dict = {
         "analysis": {
             "fourth_standardized": q.fourth_standardized,
@@ -410,8 +410,7 @@ def _run_graph(args: argparse.Namespace) -> int:
 
 
 def _run_chaos_verify(args: argparse.Namespace) -> int:
-    if args.seed < 0:
-        raise InputError("--seed must be a nonnegative integer")
+    _validate_common(args)
     checks = verify.run_suite(seed=args.seed, n_kernels=50, corrupt=args.corrupt)
     config = {
         "command": "chaos-verify",

@@ -16,13 +16,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
+from . import tol
 from .errors import InputError
-
-_PROB_SUM_TOL = 1e-12
 
 # Uniforms per draw_atoms block. Successive rng.random calls continue one
 # stream, so the blocking never changes the draws or the generator state.
@@ -43,6 +42,7 @@ class MomentTable:
 
     mu[k] is E[X^k] for k = 0..8 (mu[0] = 1). mu_tilde4/6/8 are the centered
     square moments E[(X^2 - mu2)^k] for k = 2, 3, 4, and abs3 is E[|X|^3].
+    centered is the law's Distribution.is_centered.
     """
 
     mu: tuple[float, ...]
@@ -50,6 +50,7 @@ class MomentTable:
     mu_tilde6: float
     mu_tilde8: float
     abs3: float
+    centered: bool
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class Distribution:
         if any(p <= 0.0 for p in self.probs):
             raise InputError("atom probabilities must be strictly positive")
         total = float(sum(self.probs))
-        if abs(total - 1.0) > _PROB_SUM_TOL:
+        if abs(total - 1.0) > tol.INPUT * tol.scale(self.probs):
             raise InputError(f"atom probabilities sum to {total!r}, not 1")
         if any(b <= a for a, b in zip(self.values, self.values[1:])):
             raise InputError("atom values must be strictly increasing; use finite() to sort/merge")
@@ -159,6 +160,7 @@ class Distribution:
             mu_tilde6=float(np.dot(sq**3, p)),
             mu_tilde8=float(np.dot(sq**4, p)),
             abs3=float(np.dot(np.abs(v) ** 3, p)),
+            centered=self.is_centered(),
         )
 
     def centered(self) -> "Distribution":
@@ -166,8 +168,9 @@ class Distribution:
         m = self.mean()
         return Distribution(tuple(v - m for v in self.values), self.probs)
 
-    def is_centered(self, tol: float = 1e-12) -> bool:
-        return abs(self.mean()) <= tol
+    def is_centered(self) -> bool:
+        """|mean| <= tol.INPUT * scale(values)."""
+        return abs(self.mean()) <= tol.INPUT * tol.scale(self.values)
 
     # ----------------------------------------------------------------- sample
 

@@ -182,16 +182,20 @@ class GraphSpec:
         return subsets[:, self.labellings()].reshape(-1, self.n_edges, 2)
 
 
+def _check_point(G: GraphSpec, n: int, p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise DomainError(f"retention probability must lie in (0, 1), got {p}")
+    if n < G.n_vertices:
+        raise DomainError(f"n={n} cannot host a {G.n_vertices}-vertex template")
+
+
 def min_subgraph_scale(G: GraphSpec, n: int, p: float) -> float:
     """min over subgraphs H with an edge of n^{v_H} p^{e_H}.
 
     Subgraphs without isolated vertices suffice for the minimum, so H ranges
     over nonempty edge subsets with v_H the number of covered vertices.
     """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"retention probability must lie in (0, 1), got {p}")
-    if n < G.n_vertices:
-        raise DomainError(f"n={n} cannot host a {G.n_vertices}-vertex template")
+    _check_point(G, n, p)
     best = math.inf
     for r in range(1, G.n_edges + 1):
         for subset in itertools.combinations(G.edges, r):
@@ -249,10 +253,7 @@ def exact_weight_moments(
     """
     if combine != "product":
         raise InputError("exact weight moments are only available for the product convention")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"retention probability must lie in (0, 1), got {p}")
-    if n < G.n_vertices:
-        raise DomainError(f"n={n} cannot host a {G.n_vertices}-vertex template")
+    _check_point(G, n, p)
     if not law.is_centered():
         raise DomainError("exact weight moments need a centered weight law")
     mu2 = law.moments().mu[2]
@@ -395,10 +396,7 @@ def simulate_weight(
     """
     if combine not in ("product", "sum"):
         raise InputError(f"combine must be 'product' or 'sum', got {combine!r}")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"retention probability must lie in (0, 1), got {p}")
-    if n < G.n_vertices:
-        raise DomainError(f"n={n} cannot host a {G.n_vertices}-vertex template")
+    _check_point(G, n, p)
     total = 1 if size is None else int(size)
     if total < 1:
         raise InputError("size must be positive")

@@ -31,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tol
 from .errors import DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
-
-_CENTER_TOL = 1e-10
 
 
 def _mask_of(subset: Sequence[int], n: int) -> int:
@@ -148,11 +147,13 @@ class HoeffdingDecomposition:
     def reconstruct(self) -> RandomFunctional:
         return RandomFunctional(self.space, _join(self.space, self._coef.copy()).reshape(-1))
 
-    def max_order(self, tol: float = 0.0) -> int:
-        return int(self._order[np.abs(self._coef) > tol].max(initial=0))
+    def max_order(self) -> int:
+        return max(self.orders_present(), default=0)
 
-    def orders_present(self, tol: float = 1e-12) -> list[int]:
-        return np.flatnonzero(np.bincount(self._order[np.abs(self._coef) > tol])).tolist()
+    def orders_present(self) -> list[int]:
+        """Orders holding a coefficient above tol.DROP, scaled by the largest one."""
+        live = np.abs(self._coef) > tol.DROP * tol.scale(self._coef)
+        return np.flatnonzero(np.bincount(self._order[live])).tolist()
 
     def grade(self, d: int) -> RandomFunctional:
         """The sum of all order-d terms as one functional."""
@@ -262,18 +263,18 @@ def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
     """
     space = H.space
     n = space.n
-    if abs(H.term_grid(0).item()) > _CENTER_TOL:
-        raise DomainError("subset rate needs a centered functional (order-0 term present)")
+    tol.check_centred(H.term_grid(0).item(), H._coef, "subset rate needs a centered functional (order-0 term present)")
     second = H.second_moment()
     if second <= 0.0:
         raise DomainError("subset rate needs a non-degenerate functional")
-    normalized = abs(second - 1.0) <= 1e-12
+    normalized = abs(second - 1.0) <= tol.DROP
     Hn = H if normalized else H.scaled(1.0 / np.sqrt(second))
-    d = Hn.max_order(tol=1e-14)
+    d = Hn.max_order()
     if d > 4:
         raise DomainError(f"subset rate is desk-scale only (max order 4, got {d})")
 
     # Every term the bracket reads has at most d coordinates; each is built once.
+    cut = tol.DROP * tol.scale(Hn._coef)
     by_size: dict[int, list[int]] = {}
     terms: dict[int, np.ndarray] = {}
     for mask in range(1, 1 << n):
@@ -282,7 +283,7 @@ def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
             continue
         by_size.setdefault(size, []).append(mask)
         g = Hn.term_grid(mask)
-        if np.max(np.abs(g)) > 1e-15:
+        if np.max(np.abs(g)) > cut:
             terms[mask] = g
 
     # Each family is a list of (J, pairs): the sum over pairs (A, B) of

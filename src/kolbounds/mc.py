@@ -27,8 +27,6 @@ from .space import RandomFunctional
 
 WORKERS_ENV = "KOLBOUNDS_WORKERS"
 
-NORMAL_CDF_MAX_ABS_ERROR = 1e-12  # documented budget; actual error is ~1e-16
-
 DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
 
 # Cody's rational approximations P/Q (np.polyval order, Q monic) to erf(x)/x

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tol
 from .dist import Distribution, MomentTable
 from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
-_SYM_TOL = 1e-12
 # Rows per multilinear_form block: _Q_BLOCK for a quadratic form (temporaries
 # _Q_BLOCK * n floats); otherwise at most _Q_BLOCK rows whose largest
 # temporary fits _BLOCK_FLOATS (1 MiB, so a block stays in a per-core L2
@@ -40,16 +40,13 @@ _BLOCK_FLOATS = 1 << 17
 
 
 def symmetrize(A: np.ndarray) -> np.ndarray:
-    """Validate near-symmetry (1e-12 scaled) and return the symmetric part."""
+    """Validate near-symmetry (tol.INPUT, scaled) and return the symmetric part."""
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InputError(f"matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InputError(f"matrix entries must be finite numbers, got {float(M[~np.isfinite(M)][0])!r}")
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    gap = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if gap > _SYM_TOL * scale:
-        raise InputError(f"matrix asymmetry {gap:.3e} exceeds tolerance")
+    tol.check_symmetric(
+        M, "matrix entries must be finite numbers, got {!r}", "matrix asymmetry {gap:.3e} exceeds tolerance"
+    )
     return 0.5 * (M + M.T)
 
 
@@ -204,6 +201,8 @@ class QFormAnalysis:
     tr_a4: float
     lambda1: float
     influence: float
+    row_power: float
+    row_total: float
     offdiag2: float
     diag2: float
     gamma: float
@@ -219,20 +218,18 @@ class QFormAnalysis:
         return self.eq4 / self.sigma2**2
 
 
-def _check_law(m: MomentTable) -> None:
-    if abs(m.mu[1]) > 1e-12:
+def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
+    """Exact variance, fourth-moment split, trace and influence functionals; with
+    s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i."""
+    if not m.centered:
         raise DomainError("quadratic-form analysis needs a centered law")
     if m.mu[2] <= 0.0:
         raise DomainError("law must have positive variance")
-
-
-def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
-    """Exact variance, fourth-moment split, trace and influence functionals."""
-    _check_law(m)
     M = symmetrize(A)
     n = M.shape[0]
     d = M.diagonal()
     B = M * M
+    s = B.sum(axis=1)
     diag2 = float(np.sum(d * d))
     offdiag2 = float(np.sum(B)) - diag2
     total2 = offdiag2 + diag2
@@ -249,7 +246,9 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
         eq4=s1 + 3.0 * s2 + 4.0 * s3,
         tr_a4=S["tr_a4"],
         lambda1=largest_abs_eigenvalue(M),
-        influence=float(np.max(B.sum(axis=1))) if n else 0.0,
+        influence=float(np.max(s)) if n else 0.0,
+        row_power=float(np.sqrt((s * s).sum())),
+        row_total=float(s.sum()),
         offdiag2=offdiag2,
         diag2=diag2,
         gamma=(diag2 / total2) if total2 > 0.0 else 0.0,
@@ -319,9 +318,9 @@ class ChainStep:
         return self.rhs - self.lhs
 
 
-def trace_chain(A: np.ndarray, m: MomentTable | None = None) -> list[ChainStep]:
+def trace_chain(q: QFormAnalysis, m: MomentTable | None = None) -> list[ChainStep]:
     """The comparison chain linking influence, row power sums, Tr A^4 and
-    the spectral radius.
+    the spectral radius, read from the analysis of A.
 
     The four matrix steps hold for every symmetric A:
 
@@ -329,28 +328,19 @@ def trace_chain(A: np.ndarray, m: MomentTable | None = None) -> list[ChainStep]:
         Tr A^4     <=  (sum_i s_i)^2,
         sqrt(Tr A^4)  <=  |lambda_1| sqrt(sum_i s_i),
 
-    where s_i = sum_j a_ij^2. When a moment table is supplied, a final step
-    compares mu2 * sqrt(sum_i s_i) with the standard deviation of Q; that one
-    needs mu4 >= 2 mu2^2 or a vanishing diagonal, which the caller must
-    ensure.
+    where s_i = sum_j a_ij^2. When a moment table is supplied (the one q was
+    analysed under), a final step compares mu2 * sqrt(sum_i s_i) with the
+    standard deviation of Q; that one needs mu4 >= 2 mu2^2 or a vanishing
+    diagonal, which the caller must ensure.
     """
-    M = symmetrize(A)
-    s = (M * M).sum(axis=1)
-    influence = float(s.max())
-    row_power = float(np.sqrt((s * s).sum()))
-    tr4 = float(((M @ M) ** 2).sum())
-    total2 = float(s.sum())
-    lam = largest_abs_eigenvalue(M)
     steps = [
-        ChainStep("influence_vs_row_power", influence, row_power),
-        ChainStep("row_power_vs_trace", row_power, math.sqrt(tr4)),
-        ChainStep("trace_vs_frobenius", tr4, total2**2),
-        ChainStep("trace_vs_spectral", math.sqrt(tr4), abs(lam) * math.sqrt(total2)),
+        ChainStep("influence_vs_row_power", q.influence, q.row_power),
+        ChainStep("row_power_vs_trace", q.row_power, math.sqrt(q.tr_a4)),
+        ChainStep("trace_vs_frobenius", q.tr_a4, q.row_total**2),
+        ChainStep("trace_vs_spectral", math.sqrt(q.tr_a4), q.lambda1 * math.sqrt(q.row_total)),
     ]
     if m is not None:
-        _check_law(m)
-        sigma = math.sqrt(variance_q(M, m))
-        steps.append(ChainStep("frobenius_vs_sigma", m.mu[2] * math.sqrt(total2), sigma))
+        steps.append(ChainStep("frobenius_vs_sigma", m.mu[2] * math.sqrt(q.row_total), math.sqrt(q.sigma2)))
     return steps
 
 

@@ -184,23 +184,12 @@ class RandomFunctional:
         self.space.check_coordinate(k)
         return self.space.average(self.grid, [j for j in range(self.space.n) if j != k])
 
-    def replace_grid(self, k: int, t_index: int) -> np.ndarray:
-        """Grid of X(omega with coordinate k forced to atom t); keepdims on axis k."""
-        self.space.check_coordinate(k)
-        if not 0 <= t_index < self.space.shape[k]:
-            raise DomainError(f"atom index {t_index} outside coordinate {k}'s support")
-        return np.take(self.grid, [t_index], axis=k)
-
     def conditional(self, subset: Sequence[int]) -> "RandomFunctional":
         """E[X | coordinates in subset], as a functional on the full space."""
         keep = set(subset)
         for k in keep:
             self.space.check_coordinate(k)
         return self.space.expand(self.space.average(self.grid, keep))
-
-    def grad_grid(self, k: int, t_index: int) -> np.ndarray:
-        """The discrete gradient at (k, t): replace minus the axis mean (keepdims)."""
-        return self.replace_grid(k, t_index) - self.axis_mean(k)
 
     # ----------------------------------------------------------- arithmetic
 

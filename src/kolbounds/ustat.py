@@ -25,12 +25,12 @@ import math
 
 import numpy as np
 
+from . import tol
+from .chaos import center_slots, slot_mean_max
 from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 from .qform import _Q_BLOCK, multilinear_form
 from .space import OutcomeSpace, RandomFunctional
-
-_DEGEN_TOL = 1e-10
 
 
 class WeightTensor:
@@ -47,24 +47,19 @@ class WeightTensor:
         n = T.shape[0]
         if any(s != n for s in T.shape):
             raise InputError(f"weight tensor must be cubical, got shape {T.shape}")
-        if not np.isfinite(T).all():
-            raise InputError(f"weights must be finite numbers, got {float(T[~np.isfinite(T)][0])!r}")
-        scale = max(1.0, float(np.max(np.abs(T))) if T.size else 0.0)
-        for ax in range(T.ndim - 1):
-            gap = float(np.max(np.abs(T - np.swapaxes(T, ax, ax + 1))))
-            if gap > 1e-12 * scale:
-                raise InputError(f"weight tensor asymmetry {gap:.3e} between axes {ax},{ax + 1}")
-        for a in range(T.ndim - 1):
-            for b in range(a + 1, T.ndim):
-                diag = np.diagonal(T, axis1=a, axis2=b)
-                if diag.size and float(np.max(np.abs(diag))) > 1e-12 * scale:
-                    raise InputError("weight tensor must vanish when indices repeat")
+        tol.check_symmetric(
+            T,
+            "weights must be finite numbers, got {!r}",
+            "weight tensor asymmetry {gap:.3e} between axes {ax},{next}",
+            "weight tensor must vanish when indices repeat",
+        )
         self.table = T
         self.n = n
         self.order = T.ndim
 
     @staticmethod
     def from_json(obj: object) -> "WeightTensor":
+        """Each entry sets every ordering of its subset; a later entry for the same set wins."""
         if not isinstance(obj, dict):
             raise InputError("weight JSON must be an object")
         try:
@@ -75,18 +70,31 @@ class WeightTensor:
             raise InputError("weight JSON needs integer n, order and an entries list") from exc
         if order < 1 or n < order:
             raise InputError(f"need 1 <= order <= n, got order={order}, n={n}")
+        if not all(isinstance(ent, dict) and "subset" in ent and "value" in ent for ent in entries):
+            raise InputError("each weight entry needs a subset and a value")
+        subs = [tuple(map(int, ent["subset"])) for ent in entries]
+        short = next((sub for sub in subs if len(sub) != order), None)
+        if short is not None:
+            raise InputError(f"weight subset {list(short)} must hold {order} distinct indices")
+        vals = np.fromiter((float(ent["value"]) for ent in entries), float, len(entries))
+        # Indices beyond int64 make an object array; the checks still apply.
+        idx = np.array(subs).reshape(-1, order)
+        srt = np.sort(idx, axis=1)
+        repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+        bad = repeats | (srt[:, 0] < 0) | (srt[:, -1] >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
+            why = f"must hold {order} distinct indices" if repeats[i] else f"out of range for n={n}"
+            raise InputError(f"weight subset {idx[i].tolist()} {why}")
+        # One write per axis permutation; each sorted subset keeps its last
+        # entry, since numpy leaves open which of repeated writes wins.
+        srt = srt.astype(np.intp, copy=False)
+        keys = np.ravel_multi_index(tuple(srt.T), (n,) * order)
+        last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
+        srt, vals = srt[last], vals[last]
         T = np.zeros((n,) * order)
-        for ent in entries:
-            if not isinstance(ent, dict) or "subset" not in ent or "value" not in ent:
-                raise InputError("each weight entry needs a subset and a value")
-            sub = [int(k) for k in ent["subset"]]
-            if len(sub) != order or len(set(sub)) != order:
-                raise InputError(f"weight subset {sub} must hold {order} distinct indices")
-            if any(k < 0 or k >= n for k in sub):
-                raise InputError(f"weight subset {sub} out of range for n={n}")
-            val = float(ent["value"])
-            for perm in itertools.permutations(sub):
-                T[perm] = val
+        for perm in itertools.permutations(range(order)):
+            T[tuple(srt[:, perm].T)] = vals
         return WeightTensor(T)
 
     @staticmethod
@@ -161,27 +169,18 @@ class UKernel:
         self._probs = law.probs_array()
         if not raw:
             worst = self.slot_mean_max()
-            scale = max(1.0, float(np.max(np.abs(T))))
-            if worst > _DEGEN_TOL * scale:
+            if worst > tol.CENTRING * tol.scale(T):
                 raise DomainError(
                     f"kernel is not conditionally centered (worst slot mean {worst:.3e}); "
                     "use canonical() first"
                 )
 
     def slot_mean_max(self) -> float:
-        worst = 0.0
-        for ax in range(self.order):
-            cond = np.tensordot(self.table, self._probs, axes=([ax], [0]))
-            worst = max(worst, float(np.max(np.abs(cond))) if cond.size else abs(float(cond)))
-        return worst
+        return slot_mean_max(self.table, [self._probs] * self.order)
 
     def canonical(self) -> "UKernel":
         """Project onto the top grade by removing each slot's conditional mean."""
-        T = self.table.copy()
-        for ax in range(self.order):
-            mean = np.tensordot(T, self._probs, axes=([ax], [0]))
-            T -= np.expand_dims(mean, ax)
-        return UKernel(self.law, T)
+        return UKernel(self.law, center_slots(self.table, [self._probs] * self.order))
 
     def moment(self, k: int) -> float:
         P = self._probs
@@ -226,11 +225,6 @@ class UKernel:
         if arr.size != m**order:
             raise InputError(f"kernel array has {arr.size} entries, expected {m}^{order}")
         return UKernel(law, arr.reshape((m,) * order))
-
-    @staticmethod
-    def load(path: str) -> "UKernel":
-        with open(path, "r", encoding="utf-8") as fh:
-            return UKernel.from_json(json.load(fh))
 
 
 def _check_pair(w: WeightTensor, g: UKernel, law: Distribution | None) -> None:

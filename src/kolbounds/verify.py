@@ -18,23 +18,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bounds, chaos, mc
+from . import bounds, chaos, mc, tol
 from .dist import three_point
 from .errors import DomainError
 from .space import OutcomeSpace, RandomFunctional
-
-DEFAULT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class CheckResult:
     name: str
     residual: float
-    tolerance: float
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.residual <= tol.SLACK
 
     def to_json(self) -> dict:
         # A residual of inf marks a check whose hypotheses already failed;
@@ -42,7 +39,7 @@ class CheckResult:
         return {
             "name": self.name,
             "residual": self.residual if math.isfinite(self.residual) else None,
-            "tolerance": self.tolerance,
+            "tolerance": tol.SLACK,
             "passed": bool(self.passed),
         }
 
@@ -77,8 +74,8 @@ def run_suite(seed: int = 0, n_kernels: int = 50, corrupt: bool = False) -> list
             rhs = float(math.factorial(f.order)) * f.inner_product(g)
         else:
             rhs = 0.0
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs)))
-    results.append(CheckResult("isometry", worst, DEFAULT_TOL))
+        worst = max(worst, abs(lhs - rhs) / tol.scale([lhs, rhs]))
+    results.append(CheckResult("isometry", worst))
 
     worst = 0.0
     pair_idx = [(0, 1), (1, 2), (2, 4), (4, 5), (5, 8), (3, 7)]
@@ -86,9 +83,8 @@ def run_suite(seed: int = 0, n_kernels: int = 50, corrupt: bool = False) -> list
         f, g = kernels[a], kernels[b]
         truth = f.integral() * g.integral()
         got = chaos.multiply(f, g).reconstruct()
-        scale = max(1.0, float(np.max(np.abs(truth.values))))
-        worst = max(worst, float(np.max(np.abs(truth.values - got.values))) / scale)
-    results.append(CheckResult("multiplication", worst, DEFAULT_TOL))
+        worst = max(worst, float(np.max(np.abs(truth.values - got.values))) / tol.scale(truth.values))
+    results.append(CheckResult("multiplication", worst))
 
     worst = 0.0
     for i in range(0, min(12, len(kernels) - 1)):
@@ -101,35 +97,34 @@ def run_suite(seed: int = 0, n_kernels: int = 50, corrupt: bool = False) -> list
             # A non-degenerate kernel yields an uncentered integral; that is
             # itself a failure of the identity's hypotheses.
             worst = math.inf
-    results.append(CheckResult("covariance_identity", worst, DEFAULT_TOL))
+    results.append(CheckResult("covariance_identity", worst))
 
     worst = 0.0
     for i in range(10):
         X = space.functional(rng.standard_normal(space.shape)).centered()
         back = chaos.decompose(X).reconstruct()
-        scale = max(1.0, float(np.max(np.abs(X.values))))
-        worst = max(worst, float(np.max(np.abs(back.values - X.values))) / scale)
-    results.append(CheckResult("decomposition_roundtrip", worst, DEFAULT_TOL))
+        worst = max(worst, float(np.max(np.abs(back.values - X.values))) / tol.scale(X.values))
+    results.append(CheckResult("decomposition_roundtrip", worst))
 
     worst = 0.0
     for i in range(15):
         X = space.functional(rng.standard_normal(space.shape)).centered()
         chk = bounds.fourth_moment_check(X)
-        worst = max(worst, max(0.0, chk.lhs - chk.rhs) / max(1.0, chk.rhs))
-    results.append(CheckResult("fourth_moment_bound", worst, DEFAULT_TOL))
+        worst = max(worst, max(0.0, chk.lhs - chk.rhs) / tol.scale(chk.rhs))
+    results.append(CheckResult("fourth_moment_bound", worst))
 
     worst = 0.0
     for i in range(10):
         X = _normalized(space.functional(rng.standard_normal(space.shape)))
         dk = mc.exact_kdist(X).value
         worst = max(worst, max(0.0, dk - bounds.master_bound(X).total))
-    results.append(CheckResult("distance_bound", worst, DEFAULT_TOL))
+    results.append(CheckResult("distance_bound", worst))
 
     worst = 0.0
     for i, f in enumerate(kernels[:12]):
         Xd = f.integral()
         v = Xd.variance()
-        if v <= 1e-14:
+        if v <= tol.DROP * tol.scale(Xd.values):
             continue
         Z = Xd * (1.0 / np.sqrt(v))
         dk = mc.exact_kdist(Z).value
@@ -143,6 +138,6 @@ def run_suite(seed: int = 0, n_kernels: int = 50, corrupt: bool = False) -> list
             continue
         for rhs in (first, second, degen):
             worst = max(worst, max(0.0, dk - rhs))
-    results.append(CheckResult("single_order_bounds", worst, DEFAULT_TOL))
+    results.append(CheckResult("single_order_bounds", worst))
 
     return results

@@ -199,7 +199,7 @@ def test_criterion_06_inequality_chains():
             m = Distribution.rademacher().moments()
         else:
             m = diag_laws[i % 3].moments()
-        for step in qform.trace_chain(A, m):
+        for step in qform.trace_chain(qform.analyze(A, m), m):
             rel = step.slack / max(1.0, abs(step.rhs))
             min_slack = min(min_slack, rel)
             if rel < -1e-10:

@@ -295,7 +295,7 @@ def test_trace_chain_holds_on_random_matrices():
         law = laws[trial % 3]
         m = law.moments()
         ok_for_sigma = zero_diag or m.mu[4] >= 2.0 * m.mu[2] ** 2 - 1e-12
-        steps = qform.trace_chain(A, m if ok_for_sigma else None)
+        steps = qform.trace_chain(qform.analyze(A, m), m if ok_for_sigma else None)
         names = [s.name for s in steps]
         assert names[:4] == [
             "influence_vs_row_power",
@@ -313,7 +313,7 @@ def test_sigma_step_needs_its_moment_hypothesis():
     # why trace_chain only appends it when the caller passes a law.
     A = np.array([[2.0, 1.0], [1.0, 0.0]])
     m = Distribution.rademacher().moments()
-    step = qform.trace_chain(A, m)[-1]
+    step = qform.trace_chain(qform.analyze(A, m), m)[-1]
     assert step.name == "frobenius_vs_sigma"
     assert step.lhs > step.rhs
 

@@ -64,19 +64,13 @@ def test_gradient_grid_is_centered_per_coordinate():
     rng = np.random.default_rng(11)
     space = OutcomeSpace.iid(three_point(), 3)
     X = space.functional(rng.standard_normal(space.size))
+    grad = chaos.gradient(X)
     p = three_point().probs_array()
     for k in range(3):
-        acc = np.zeros_like(X.grad_grid(k, 0))
+        acc = np.zeros(space.size)
         for t in range(3):
-            acc = acc + p[t] * X.grad_grid(k, t)
+            acc = acc + p[t] * grad.component(k, t).values
         assert np.max(np.abs(acc)) < 1e-14
-
-
-def test_replace_grid_forces_an_atom():
-    space = OutcomeSpace.iid(Distribution.rademacher(), 2)
-    X = space.coordinate(0) * space.coordinate(1)
-    forced = X.replace_grid(0, 1)  # X_0 pinned to +1
-    assert np.allclose(forced.reshape(-1), space.coordinate(1).grid[0])
 
 
 def test_arithmetic_and_scalar_ops():

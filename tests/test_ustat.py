@@ -131,6 +131,51 @@ def test_weight_json_rejections():
         ustat.WeightTensor.from_json({"n": 2, "order": 3, "entries": []})
 
 
+def _loop_from_json(obj):
+    # The per-entry permutation walk from_json replaced.
+    T = np.zeros((obj["n"],) * obj["order"])
+    for ent in obj["entries"]:
+        for perm in itertools.permutations(ent["subset"]):
+            T[perm] = float(ent["value"])
+    return T
+
+
+def test_weight_json_repeated_subset_keeps_the_last_entry():
+    obj = {
+        "n": 4,
+        "order": 3,
+        "entries": [
+            {"subset": [0, 1, 2], "value": 1.0},
+            {"subset": [1, 2, 3], "value": 4.0},
+            {"subset": [2, 0, 1], "value": -3.0},
+        ],
+    }
+    w = ustat.WeightTensor.from_json(obj)
+    for perm in itertools.permutations([0, 1, 2]):
+        assert w.table[perm] == -3.0
+    assert w.table[3, 2, 1] == 4.0
+    assert np.array_equal(w.table, _loop_from_json(obj))
+    rng = np.random.default_rng(83)
+    for n, d in [(5, 1), (6, 2), (7, 3), (6, 4)]:
+        subsets = [rng.permutation(n)[:d].tolist() for _ in range(40)]
+        obj = {"n": n, "order": d, "entries": [{"subset": s, "value": float(rng.standard_normal())} for s in subsets]}
+        assert np.array_equal(ustat.WeightTensor.from_json(obj).table, _loop_from_json(obj))
+
+
+def test_weight_json_messages_name_the_first_bad_subset():
+    def refusal(subsets):
+        obj = {"n": 4, "order": 3, "entries": [{"subset": s, "value": 1.0} for s in subsets]}
+        with pytest.raises(InputError) as exc:
+            ustat.WeightTensor.from_json(obj)
+        return str(exc.value)
+
+    assert refusal([[0, 1, 2], [1, 3, 1], [0, 1, 7]]) == "weight subset [1, 3, 1] must hold 3 distinct indices"
+    assert refusal([[0, 1, 2], [0, 9, 1], [2, 2, 1]]) == "weight subset [0, 9, 1] out of range for n=4"
+    assert refusal([[0, 1, 2], [-1, 2, 3]]) == "weight subset [-1, 2, 3] out of range for n=4"
+    assert refusal([[0, 1, 2], [0, 10**30, 1]]) == f"weight subset [0, {10**30}, 1] out of range for n=4"
+    assert refusal([[0, 1]]) == "weight subset [0, 1] must hold 3 distinct indices"
+
+
 def test_weight_load(tmp_path):
     path = tmp_path / "w.json"
     path.write_text(json.dumps({"n": 3, "order": 2, "entries": [{"subset": [0, 2], "value": 1.5}]}))
