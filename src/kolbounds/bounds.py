@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import hoeffding, tol
 from .chaos import DiscreteGradient, apply_L_power, gradient
 from .errors import DomainError
-from .space import RandomFunctional
+from .space import RandomFunctional, law_expect
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _shifted_square_factor(g: DiscreteGradient) -> float:
         Z = hoeffding.grade_sweep(space, g.stacks[k] ** 2, coeffs)
         weights = space.joint_probs.sum(axis=k).reshape(-1)
         second = (Z * Z).reshape(Z.shape[0], -1) @ weights
-        total += 2.0 * float(space.probs[k] @ second)
+        total += 2.0 * law_expect(second, [space.probs[k]])
     return total
 
 

@@ -7,7 +7,9 @@ Conventions, fixed once for the whole package:
   "canonical": every slot average under the slot's law vanishes. Admission
   re-centers any table that misses this by more than tol.CENTRING (scaled,
   per slot, applied to every slot), which never changes the value of the
-  multiple sum.
+  multiple sum. decompose admits its Hoeffding terms raw (centred by
+  construction). Slot means, kernel norms and gradients average with
+  space.law_mean / law_expect; only contract's einsum takes laws as operands.
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import hoeffding, tol
 from .errors import DomainError, InputError
-from .space import OutcomeSpace, RandomFunctional
+from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
 
 
 def _subset_shape(space: OutcomeSpace, subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -43,7 +45,7 @@ def _subset_shape(space: OutcomeSpace, subset: tuple[int, ...]) -> tuple[int, ..
 
 def slot_mean_max(table: np.ndarray, probs: list[np.ndarray]) -> float:
     """Largest |average of table over one slot|, slot (axis) k averaged under probs[k]."""
-    means = (np.tensordot(table, p, axes=([axis], [0])) for axis, p in enumerate(probs))
+    means = (law_mean(table, axis, p) for axis, p in enumerate(probs))
     return max((float(np.max(np.abs(m))) for m in means), default=0.0)
 
 
@@ -51,8 +53,7 @@ def center_slots(table: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
     """table with each slot's average under probs[k] removed, slot by slot."""
     out = table
     for axis, p in enumerate(probs):
-        shaped = p.reshape((1,) * axis + (-1,) + (1,) * (table.ndim - axis - 1))
-        out = out - np.sum(out * shaped, axis=axis, keepdims=True)
+        out = out - law_mean(out, axis, p)
     return out
 
 
@@ -109,13 +110,8 @@ class ChaosKernel:
         total = 0.0
         for subset, table in self.tables.items():
             t2 = other.tables.get(subset)
-            if t2 is None:
-                continue
-            # Contract every axis against its coordinate's law.
-            val = table * t2
-            for block in subset:
-                val = np.tensordot(val, self.space.probs[block], axes=([0], [0]))
-            total += float(val)
+            if t2 is not None:
+                total += law_expect(table * t2, self._probs(subset))
         return math.factorial(self.order) * total
 
     def norm_sq(self) -> float:
@@ -193,38 +189,55 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
         d = len(subset)
         index = tuple(slice(None) if k in subset else 0 for k in range(n))
         per_order.setdefault(d, {})[subset] = np.asarray(grid[index]) / math.factorial(d)
-    kernels = {d: ChaosKernel(space, d, tables) for d, tables in per_order.items()}
+    # Hoeffding terms are centred by construction: admission would only find round-off.
+    kernels = {d: ChaosKernel(space, d, tables, raw=True) for d, tables in per_order.items()}
     return ChaosDecomposition(space, mean, kernels)
 
 
 # ------------------------------------------------------------------ gradient
 
+# Largest grid whose gradient integrals take each term whole: beside the result
+# and law_mean's slots a whole term peaks at 3 x 8|Omega| bytes, blocks at 2.
+_WHOLE_TERM_POINTS = 2**14
+
 
 class DiscreteGradient:
-    """All replacement gradients of one functional, stacked per coordinate."""
+    """All replacement gradients of one functional, stacked per coordinate.
+
+    stacks[k][t] is grad_{k,t} X, a grid with axis k of length one: the grid
+    centred along k by law_mean, k moved to a leading atom axis, C-ordered.
+    """
 
     def __init__(self, X: RandomFunctional):
-        self.X = X
         self.space = X.space
         grid = X.grid
         self.stacks: list[np.ndarray] = []
         for k in range(self.space.n):
-            mean_k = X.axis_mean(k)
-            stack = np.stack(
-                [np.take(grid, [t], axis=k) for t in range(self.space.shape[k])]
-            ) - mean_k[None]
-            self.stacks.append(stack)
+            moved = grid[None].swapaxes(0, k + 1)
+            self.stacks.append(np.subtract(moved, law_mean(grid, k, self.space.probs[k])[None], order="C"))
 
     def component(self, k: int, t_index: int) -> RandomFunctional:
         self.space.check_coordinate(k)
         return self.space.expand(self.stacks[k][t_index])
 
+    def _half_integral(self, term) -> RandomFunctional:
+        """sum_k E_t[term(k, rows)] as a functional; term(k, rows) maps stacks[k][:, rows] entrywise.
+
+        Past _WHOLE_TERM_POINTS outcomes every term after coordinate 0's comes
+        a block of coordinate 0's atoms at a time; smaller grids skip the calls.
+        """
+        space = self.space
+        out = np.broadcast_to(law_mean(term(0, slice(None)), 0, space.probs[0])[0], space.shape).copy()
+        blocks = [slice(None)] if space.size <= _WHOLE_TERM_POINTS else [slice(i, i + 1) for i in range(space.shape[0])]
+        for k in range(1, space.n):
+            for rows in blocks:
+                block = out[rows]
+                block += law_mean(term(k, rows), 0, space.probs[k])[0]
+        return RandomFunctional(space, out.reshape(-1))
+
     def power_int_half(self, p: int) -> RandomFunctional:
         """sum_k E_t[(grad_{k,t} X)^p] as a functional (weight 1 per coordinate)."""
-        total = np.zeros((1,) * self.space.n)
-        for k in range(self.space.n):
-            total = total + np.tensordot(self.space.probs[k], self.stacks[k] ** p, axes=(0, 0))
-        return self.space.expand(total)
+        return self._half_integral(lambda k, rows: self.stacks[k][:, rows] ** p)
 
     def power_int_full(self, p: int) -> RandomFunctional:
         """sum_k 2 E_t[(grad_{k,t} X)^p] as a functional (weight 2 per coordinate)."""
@@ -234,12 +247,7 @@ class DiscreteGradient:
         """sum_k E_t[grad_{k,t} X * grad_{k,t} Y] as a functional."""
         if other.space != self.space:
             raise DomainError("gradients live on different spaces")
-        total = np.zeros((1,) * self.space.n)
-        for k in range(self.space.n):
-            total = total + np.tensordot(
-                self.space.probs[k], self.stacks[k] * other.stacks[k], axes=(0, 0)
-            )
-        return self.space.expand(total)
+        return self._half_integral(lambda k, rows: self.stacks[k][:, rows] * other.stacks[k][:, rows])
 
     def expected_power_full(self, p: int) -> float:
         """E of the full-weight integral of (grad)^p over everything."""
@@ -326,10 +334,7 @@ class Contraction:
         weight = mult * 2.0 ** (s + fo + go)
         total = 0.0
         for (S, F, G), val in self.entries.items():
-            sq = val * val
-            for block in tuple(S) + tuple(F) + tuple(G):
-                sq = np.tensordot(sq, self.space.probs[block], axes=([0], [0]))
-            total += float(sq)
+            total += law_expect(val * val, [self.space.probs[block] for block in S + F + G])
         return weight * total
 
 

@@ -6,13 +6,13 @@ and E[W_J | coordinates in K] = 0 whenever J is not contained in K.
 
 One per-axis change of basis serves every term and every grade. _split
 rewrites each coordinate axis in turn as its mean part (the average under
-that coordinate's law) and its centred parts, which is Yates' algorithm for
-factorial designs generalised to any finite law; _join rewrites it back. In
-that basis every grid entry is the coefficient of a product of mean and
-centred factors. The entries whose centred axes are exactly J make up W_J,
-and the number of centred axes is the entry's order. Both directions cost
-O(n |Omega|) time and O(|Omega|) memory, where splitting every axis into both
-parts would keep 2^n branches.
+that coordinate's law, space.law_mean) and its centred parts, which is
+Yates' algorithm for factorial designs generalised to any finite law; _join
+rewrites it back. In that basis every grid entry is the coefficient of a
+product of mean and centred factors. The entries whose centred axes are
+exactly J make up W_J, and the number of centred axes is the entry's order.
+Both directions cost O(n |Omega|) time and O(|Omega|) memory, where
+splitting every axis into both parts would keep 2^n branches.
 
 project keeps that one transformed grid and the order of each entry. A term
 W_J is the sub-block with every other axis at its mean slot, joined back over
@@ -33,7 +33,7 @@ import numpy as np
 
 from . import tol
 from .errors import DomainError, InputError
-from .space import OutcomeSpace, RandomFunctional
+from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
 
 
 def _mask_of(subset: Sequence[int], n: int) -> int:
@@ -49,14 +49,6 @@ def _mask_of(subset: Sequence[int], n: int) -> int:
 
 def _subset_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(k for k in range(n) if mask & (1 << k))
-
-
-def _slot_mean(V: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """sum over t of probs[t] * V[:, t], for V of shape (a, m, b)."""
-    total = probs[0] * V[:, 0]
-    for t in range(1, len(probs)):
-        total += probs[t] * V[:, t]
-    return total
 
 
 def _split(space: OutcomeSpace, T: np.ndarray) -> np.ndarray:
@@ -82,9 +74,9 @@ def _split(space: OutcomeSpace, T: np.ndarray) -> np.ndarray:
         probs = space.probs[k]
         ref = int(probs.argmax())
         V = T.reshape(math.prod(T.shape[:axis]), m, -1)
-        mean = _slot_mean(V, probs)
-        V -= mean[:, None]
-        V[:, ref] = mean
+        mean = law_mean(V, 1, probs)
+        V -= mean
+        V[:, ref : ref + 1] = mean
         order += (np.arange(m) != ref).reshape((m,) + (1,) * (n - 1 - k))
     return order
 
@@ -100,10 +92,10 @@ def _join(space: OutcomeSpace, T: np.ndarray) -> np.ndarray:
         probs = space.probs[k]
         ref = int(probs.argmax())
         V = T.reshape(math.prod(T.shape[:axis]), m, -1)
-        mean = V[:, ref].copy()
+        mean = V[:, ref : ref + 1].copy()
         V[:, ref] = 0.0
-        V[:, ref] = _slot_mean(V, probs) / -probs[ref]
-        V += mean[:, None]
+        V[:, ref : ref + 1] = law_mean(V, 1, probs) / -probs[ref]
+        V += mean
     return T
 
 
@@ -241,7 +233,7 @@ def _family(space: OutcomeSpace, terms: dict[int, np.ndarray], family: list) -> 
             c = space.average(a * b, _subset_of(J, space.n))
             acc = c if acc is None else acc + c
         if acc is not None:
-            total += space.average(acc * acc).item()
+            total += law_expect(acc * acc, space.probs)
     return total
 
 
@@ -320,15 +312,13 @@ def rate_degenerate(H: HoeffdingDecomposition) -> tuple[float, float]:
     if len(orders) != 1:
         raise DomainError(f"degenerate rate needs a single-order input, found orders {orders}")
     space = H.space
-    n = space.n
     grid = H.reconstruct().grid
-    sum_cond = np.zeros((1,) * n)
+    sum_cond = np.zeros((1,) * space.n)
     fourth = 0.0
-    for k in range(n):
-        rest = [j for j in range(n) if j != k]
-        delta = grid - space.average(grid, rest)
-        sum_cond = sum_cond + space.average(delta * delta, rest)
-        fourth += space.average(delta**4).item()
-    mean = space.average(sum_cond).item()
-    var = max(space.average(sum_cond * sum_cond).item() - mean * mean, 0.0)
+    for k in range(space.n):
+        delta = grid - law_mean(grid, k, space.probs[k])
+        sum_cond = sum_cond + law_mean(delta * delta, k, space.probs[k])
+        fourth += law_expect(delta**4, space.probs)
+    mean = law_expect(sum_cond, space.probs)
+    var = max(law_expect(sum_cond * sum_cond, space.probs) - mean * mean, 0.0)
     return var, fourth

@@ -8,7 +8,8 @@ Randomness uses counter-based Philox streams keyed by (seed, stream_id), so
 a stream's output never depends on scheduling or on other streams.
 Monte Carlo rows are drawn in fixed chunks, one stream per chunk, and
 pooled_draws runs the chunks of every row of a sweep through one pool of
-KOLBOUNDS_WORKERS threads; chunked_draws is its one-row case.
+KOLBOUNDS_WORKERS threads (one when unset); chunked_draws is its one-row
+case.
 """
 
 from __future__ import annotations
@@ -109,16 +110,15 @@ def chunked_draws(
     draw: Callable[[np.random.Generator, int], np.ndarray],
     total: int,
     seed: int,
-    first_stream: int = 0,
     chunk: int = DRAW_CHUNK,
 ) -> np.ndarray:
     """Fill a length-total vector by calling draw(rng, size) chunk by chunk.
 
-    Chunk i always draws from stream(seed, first_stream + i), so the output
-    is a pure function of (seed, first_stream, chunk) and does not change
-    with the worker count. This is the one-row case of pooled_draws.
+    Chunk i always draws from stream(seed, i), so the output is a pure
+    function of (seed, chunk) and does not change with the worker count.
+    This is the one-row case of pooled_draws.
     """
-    (out,) = pooled_draws([(draw, total, first_stream)], seed, chunk)
+    (out,) = pooled_draws([(draw, total, 0)], seed, chunk)
     return out
 
 
@@ -131,14 +131,14 @@ def pooled_draws(
 
     Every chunk of every row goes through one pool of worker_count() threads,
     so rows shorter than the pool no longer leave workers idle. Chunk i of a
-    row draws from stream(seed, first_stream + i), exactly as chunked_draws
-    draws that row alone, so each row is a pure function of its triple, the
-    seed and chunk, whatever the worker count. All chunks of a row are queued
-    at once; before queueing a row, the oldest rows are yielded once done, or
-    waited for while more than worker_count() rows are queued, so a sweep
-    holds a few rows' draws at a time even if one chunk straggles. Threads
-    help because the heavy draw paths release the interpreter lock inside the
-    array kernels; with one worker everything runs in the calling thread.
+    row draws from stream(seed, first_stream + i), so each row is a pure
+    function of its triple, the seed and chunk, whatever the worker count.
+    All chunks of a row are queued at once; before queueing a row, the oldest
+    rows are yielded once done, or waited for while more than worker_count()
+    rows are queued, so a sweep holds a few rows' draws at a time even if one
+    chunk straggles. Threads help because the heavy draw paths release the
+    interpreter lock inside the array kernels; one worker is a pool of one
+    thread.
     """
     rows = list(rows)
     if chunk < 1:
@@ -151,13 +151,6 @@ def pooled_draws(
         out[start : start + size] = draw(rng, size)
 
     workers = worker_count()
-    if workers == 1:
-        for draw, total, first in rows:
-            out = np.empty(total)
-            for i, start in enumerate(range(0, total, chunk)):
-                fill(out, start, draw, stream(seed, first + i))
-            yield out
-        return
     pending: deque[tuple[np.ndarray, list[Future]]] = deque()
 
     def finished(out: np.ndarray, futures: list[Future]) -> np.ndarray:

@@ -208,19 +208,15 @@ class QFormAnalysis:
     gamma: float
     alpha_n: float
     beta_n: float
-    degenerate: bool
-
-    @property
-    def fourth_standardized(self) -> float:
-        """E[(Q/sigma)^4]; needs sigma2 > 0."""
-        if self.degenerate:
-            raise DegenerateError("standardized fourth moment of a degenerate form")
-        return self.eq4 / self.sigma2**2
+    fourth_standardized: float  # E[(Q/sigma)^4]
 
 
 def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     """Exact variance, fourth-moment split, trace and influence functionals; with
-    s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i."""
+    s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i.
+
+    A form with zero variance under the law raises DegenerateError: every
+    rate divides by sigma."""
     if not m.centered:
         raise DomainError("quadratic-form analysis needs a centered law")
     if m.mu[2] <= 0.0:
@@ -234,8 +230,11 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     offdiag2 = float(np.sum(B)) - diag2
     total2 = offdiag2 + diag2
     sigma2 = variance_q(M, m)
+    if sigma2 <= 0.0:
+        raise DegenerateError(f"the quadratic form at n={n} has zero variance under this law")
     S = sub_sums(M)
     s1, s2, s3 = s1_term(S, m), s2_term(S, m), s3_term(S, m)
+    eq4 = s1 + 3.0 * s2 + 4.0 * s3
     has_diag = diag2 > 0.0
     return QFormAnalysis(
         n=n,
@@ -243,7 +242,7 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
         s1=s1,
         s2=s2,
         s3=s3,
-        eq4=s1 + 3.0 * s2 + 4.0 * s3,
+        eq4=eq4,
         tr_a4=S["tr_a4"],
         lambda1=largest_abs_eigenvalue(M),
         influence=float(np.max(s)) if n else 0.0,
@@ -254,22 +253,18 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
         gamma=(diag2 / total2) if total2 > 0.0 else 0.0,
         alpha_n=m.mu[2] + (m.mu[4] / m.mu[2] if has_diag else 0.0),
         beta_n=m.mu[4] + (math.sqrt(m.mu[8]) if has_diag else 0.0),
-        degenerate=sigma2 <= 0.0,
+        fourth_standardized=eq4 / sigma2**2,
     )
 
 
 def bound_r1(q: QFormAnalysis) -> float:
     """sqrt(|E[(Q/sigma)^4] - 3|) + (alpha/sigma) sqrt(max_i sum_j a_ij^2)."""
-    if q.degenerate:
-        raise DegenerateError("rate of a zero-variance quadratic form")
     sigma = math.sqrt(q.sigma2)
     return math.sqrt(abs(q.fourth_standardized - 3.0)) + q.alpha_n / sigma * math.sqrt(q.influence)
 
 
 def bound_r2(q: QFormAnalysis) -> float:
     """(beta / sigma^2) sqrt(Tr(A^4))."""
-    if q.degenerate:
-        raise DegenerateError("rate of a zero-variance quadratic form")
     return q.beta_n / q.sigma2 * math.sqrt(q.tr_a4)
 
 
@@ -280,10 +275,7 @@ def rate_gt(q: QFormAnalysis, m: MomentTable) -> float:
     diagonal's share of the squared mass, so cross-method comparisons should
     hold gamma roughly fixed.
     """
-    total2 = q.offdiag2 + q.diag2
-    if total2 <= 0.0:
-        raise DegenerateError("comparison rate of a zero matrix")
-    return (m.abs3**2 + q.gamma * m.mu[6]) * q.lambda1 / math.sqrt(total2)
+    return (m.abs3**2 + q.gamma * m.mu[6]) * q.lambda1 / math.sqrt(q.offdiag2 + q.diag2)
 
 
 @dataclass(frozen=True)
@@ -296,8 +288,6 @@ class DeJongCheck:
 
 
 def dejong_check(q: QFormAnalysis) -> DeJongCheck:
-    if q.degenerate:
-        raise DegenerateError("conditions of a zero-variance quadratic form")
     return DeJongCheck(
         fourth_gap=abs(q.fourth_standardized - 3.0),
         influence_ratio=q.influence / q.sigma2,

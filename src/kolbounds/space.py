@@ -6,12 +6,18 @@ stored densely as one value per outcome in lexicographic (C) order of the atom
 indices. Everything downstream (chaos grades, gradients, bounds, exact
 Kolmogorov distances) reduces to weighted sums over this grid.
 
+law_mean, one axis averaged under its coordinate's law (law_expect: every
+axis), is behind conditionals, the Hoeffding split, gradients, kernel slot
+means and norms and U-kernel moments; only whole-grid joint_probs dots and
+chaos.contract's einsum weight by a law otherwise.
+
 The enumeration cap is 2**18 outcomes; larger spaces raise SpaceTooLargeError
 at construction so the failure happens early and loudly.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
@@ -20,6 +26,31 @@ from .dist import Distribution
 from .errors import DomainError, InputError, SpaceTooLargeError
 
 SIZE_CAP = 2**18
+
+
+def law_mean(T: np.ndarray, axis: int, probs: np.ndarray) -> np.ndarray:
+    """sum over t of probs[t] * T[..., t, ...] along axis, kept as length one.
+
+    T is viewed as (before axis, axis, after axis) and summed slot by slot,
+    so no temporary is larger than one slot; a T that is not C-contiguous is
+    copied by that reshape first. An axis of length one (a reduced grid,
+    constant along it) comes back as is.
+    """
+    m = T.shape[axis]
+    if m == 1:
+        return T
+    V = T.reshape(math.prod(T.shape[:axis]), m, -1)
+    total = probs[0] * V[:, 0]
+    for t in range(1, m):
+        total += probs[t] * V[:, t]
+    return total.reshape(T.shape[:axis] + (1,) + T.shape[axis + 1 :])
+
+
+def law_expect(T: np.ndarray, probs: Sequence[np.ndarray]) -> float:
+    """E of a whole table, axis k averaged under probs[k] by law_mean."""
+    for axis, p in enumerate(probs):
+        T = law_mean(T, axis, p)
+    return T.item()
 
 
 class OutcomeSpace:
@@ -65,12 +96,6 @@ class OutcomeSpace:
             self._joint = p
         return self._joint
 
-    def axis_probs(self, k: int) -> np.ndarray:
-        """probs of coordinate k shaped for broadcasting against the grid."""
-        shape = [1] * self.n
-        shape[k] = self.shape[k]
-        return self.probs[k].reshape(shape)
-
     def evaluate(self, fn: Callable[[np.ndarray], np.ndarray], rows: int) -> np.ndarray:
         """Values of fn at every outcome in enumeration order, a block at a time.
 
@@ -99,8 +124,8 @@ class OutcomeSpace:
         """
         g = grid
         for k in range(self.n):
-            if k not in keep and g.shape[k] > 1:
-                g = np.sum(g * self.axis_probs(k), axis=k, keepdims=True)
+            if k not in keep:
+                g = law_mean(g, k, self.probs[k])
         return g
 
     def check_coordinate(self, k: int) -> None:
@@ -178,11 +203,6 @@ class RandomFunctional:
         return RandomFunctional(self.space, self.values - self.expectation())
 
     # -------------------------------------------------------- conditioning
-
-    def axis_mean(self, k: int) -> np.ndarray:
-        """E over coordinate k only; grid with axis k of length 1 (keepdims)."""
-        self.space.check_coordinate(k)
-        return self.space.average(self.grid, [j for j in range(self.space.n) if j != k])
 
     def conditional(self, subset: Sequence[int]) -> "RandomFunctional":
         """E[X | coordinates in subset], as a functional on the full space."""

@@ -30,7 +30,7 @@ from .chaos import center_slots, slot_mean_max
 from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 from .qform import _Q_BLOCK, multilinear_form
-from .space import OutcomeSpace, RandomFunctional
+from .space import OutcomeSpace, RandomFunctional, law_expect
 
 
 class WeightTensor:
@@ -183,11 +183,7 @@ class UKernel:
         return UKernel(self.law, center_slots(self.table, [self._probs] * self.order))
 
     def moment(self, k: int) -> float:
-        P = self._probs
-        acc = self.table**k
-        for _ in range(self.order):
-            acc = np.tensordot(acc, P, axes=([acc.ndim - 1], [0]))
-        return float(acc)
+        return law_expect(self.table**k, [self._probs] * self.order)
 
     def l2_sq(self) -> float:
         return self.moment(2)
@@ -227,25 +223,23 @@ class UKernel:
         return UKernel(law, arr.reshape((m,) * order))
 
 
-def _check_pair(w: WeightTensor, g: UKernel, law: Distribution | None) -> None:
+def _check_pair(w: WeightTensor, g: UKernel) -> None:
     if w.order != g.order:
         raise InputError(f"weight order {w.order} != kernel order {g.order}")
-    if law is not None and law != g.law:
-        raise InputError("the supplied law disagrees with the kernel's law")
 
 
-def ustat_variance(w: WeightTensor, g: UKernel, law: Distribution | None = None) -> float:
+def ustat_variance(w: WeightTensor, g: UKernel) -> float:
     """binom(n,d)^-2 ||g||_2^2 sum_{sorted tuples} w^2."""
-    _check_pair(w, g, law)
+    _check_pair(w, g)
     return math.comb(w.n, w.order) ** -2 * g.l2_sq() * w.sorted_sq_sum()
 
 
-def ustat_rate(w: WeightTensor, g: UKernel, law: Distribution | None = None) -> float:
+def ustat_rate(w: WeightTensor, g: UKernel) -> float:
     """Rate for U/sigma: (||g||_L4^2 / ||g||_L2^2) times the weight factor.
 
     The order-dependent constant in front is deliberately not applied.
     """
-    _check_pair(w, g, law)
+    _check_pair(w, g)
     if w.order < 2:
         raise DomainError("the rate needs order >= 2; order 1 is a plain weighted sum")
     l2 = g.l2_sq()
@@ -269,7 +263,7 @@ def _subset_sums(w: WeightTensor, g: UKernel, labels: np.ndarray) -> np.ndarray:
 
 def ustat_functional(w: WeightTensor, g: UKernel) -> RandomFunctional:
     """U on the n-fold product space (small n only), at most _Q_BLOCK outcomes at a time."""
-    _check_pair(w, g, None)
+    _check_pair(w, g)
     space = OutcomeSpace.iid(g.law, w.n)
     labels = _labels(g)
     vals = space.evaluate(lambda codes: _subset_sums(w, g, labels[codes]), _Q_BLOCK)
@@ -289,7 +283,7 @@ def ustat_sample(
     Each batch draws its b x n atom labels into one reused 8·b·n-byte buffer
     (a general kernel's one-hot rows take m times that again).
     """
-    _check_pair(w, g, None)
+    _check_pair(w, g)
     cdf = g.law.cdf_array()
     labels = _labels(g)
     drawn = np.empty((min(batch, size), w.n), dtype=labels.dtype)

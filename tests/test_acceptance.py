@@ -224,11 +224,8 @@ def test_criterion_07_convergence_scaling():
         A = cli.sign_matrix(n, mc.stream(2026, 500_000 + idx))
         q = qform.analyze(A, m)
         sig = math.sqrt(q.sigma2)
-        draws = mc.chunked_draws(
-            lambda rng, b: qform.q_samples(A, law, rng, b) / sig,
-            200_000,
-            seed=2026,
-            first_stream=10_000 * idx,
+        (draws,) = mc.pooled_draws(
+            [(lambda rng, b: qform.q_samples(A, law, rng, b) / sig, 200_000, 10_000 * idx)], seed=2026
         )
         rep = mc.empirical_kdist(draws, delta=0.01)
         dks.append(rep.value)
@@ -254,11 +251,8 @@ def test_criterion_08_graph_rate():
     for ci, (n, p) in enumerate(grid):
         rate = graphweigh.rg_rate(G, n, p, law)
         sig = math.sqrt(graphweigh.exact_weight_moments(G, n, p, law)[1])
-        draws = mc.chunked_draws(
-            lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig,
-            samples,
-            seed=8,
-            first_stream=10_000 * ci,
+        (draws,) = mc.pooled_draws(
+            [(lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig, samples, 10_000 * ci)], seed=8
         )
         rep = mc.empirical_kdist(draws, delta=0.01)
         rows.append((n, p, rate, rep.value, rep.dkw_radius))

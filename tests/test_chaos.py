@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kolbounds import chaos, hoeffding
+from kolbounds import chaos, hoeffding, tol
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError
 from kolbounds.space import OutcomeSpace
@@ -270,3 +271,62 @@ def test_contraction_rate_scales_quadratically():
     doubled = chaos.contraction_rate(chaos.decompose(X * 2.0))
     assert base > 0.0
     assert doubled == pytest.approx(4.0 * base, rel=1e-10)
+
+
+@pytest.mark.parametrize("whole_term_points", [chaos._WHOLE_TERM_POINTS, 0])
+def test_gradient_stacks_match_the_per_atom_definition_on_a_mixed_space(whole_term_points, monkeypatch):
+    # grad_{k,t} X = X with coordinate k set to t, minus its average over t:
+    # one np.take per atom against the stack law_mean builds. The integrals
+    # run whole and, with the cut at zero, a block of coordinate 0 at a time.
+    monkeypatch.setattr(chaos, "_WHOLE_TERM_POINTS", whole_term_points)
+    rng = np.random.default_rng(44)
+    space = OutcomeSpace(MIXED)
+    X = space.functional(rng.standard_normal(space.size))
+    g = chaos.gradient(X)
+    for k in range(space.n):
+        takes = [np.take(X.grid, [t], axis=k) for t in range(space.shape[k])]
+        mean = sum(p * take for p, take in zip(space.probs[k], takes))
+        assert g.stacks[k].shape == (space.shape[k],) + mean.shape
+        for t, take in enumerate(takes):
+            assert np.max(np.abs(g.stacks[k][t] - (take - mean))) < 1e-14
+    want = sum(
+        p * (g.component(k, t).values ** 4) for k in range(space.n) for t, p in enumerate(space.probs[k])
+    )
+    assert np.max(np.abs(g.power_int_half(4).values - want)) < 1e-12 * np.max(np.abs(want))
+    h = chaos.gradient(X * X)
+    want = sum(
+        p * g.component(k, t).values * h.component(k, t).values
+        for k in range(space.n)
+        for t, p in enumerate(space.probs[k])
+    )
+    assert np.max(np.abs(g.pair_int_half(h).values - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_gradient_integrals_hold_two_grids_beside_the_stacks():
+    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 16: the
+    # result plus one block's term and law_mean slots (a whole term made 3).
+    space = OutcomeSpace.iid(Distribution.rademacher(), 16)
+    X = space.functional(np.random.default_rng(46).standard_normal(space.size))
+    g = chaos.gradient(X)
+    grid_bytes = 8 * space.size
+    tracemalloc.start()
+    try:
+        for view in (lambda: g.power_int_half(4), lambda: g.pair_int_half(g)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            view()
+            assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * grid_bytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_decompose_kernels_are_canonical_without_admission_on_a_mixed_space():
+    # Hoeffding terms are centred by construction, so decompose admits them raw.
+    rng = np.random.default_rng(45)
+    space = OutcomeSpace(MIXED)
+    X = space.functional(rng.standard_normal(space.size))
+    dec = chaos.decompose(X)
+    assert sorted(dec.kernels) == [1, 2, 3, 4]
+    for kern in dec.kernels.values():
+        assert kern.degeneracy_violation() <= tol.CENTRING * tol.scale(kern.max_abs())
+    assert np.max(np.abs(dec.reconstruct().values - X.values)) < 1e-12

@@ -357,7 +357,7 @@ def _sweep_outputs(argv, out, monkeypatch, capsys):
 
 
 def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
-    # Each row must also equal a lone chunked_draws over that row's streams.
+    # Each row must also equal a lone pooled row over that row's streams.
     out = str(tmp_path / "s.json")
     seed = 4
     (tmp_path / "q.json").write_text(json.dumps({"sizes": [6, 12, 9], "samples": 60_000}))
@@ -367,12 +367,8 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
     for idx, row in enumerate(rows):
         A = cli.sign_matrix(row["n"], mc.stream(seed, cli._MATRIX_STREAM_BASE + idx))
         sig = qform.analyze(A, law.moments()).sigma2 ** 0.5
-        draws = mc.chunked_draws(
-            lambda rng, b: qform.q_samples(A, law, rng, b) / sig,
-            60_000,
-            seed=seed,
-            first_stream=cli._SWEEP_STREAM_STRIDE * idx,
-        )
+        first = cli._SWEEP_STREAM_STRIDE * idx
+        (draws,) = mc.pooled_draws([(lambda rng, b: qform.q_samples(A, law, rng, b) / sig, 60_000, first)], seed)
         assert row["dk_emp"] == mc.empirical_kdist(draws).value
 
     k4 = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
@@ -388,12 +384,9 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
         for idx, row in enumerate(rows):
             n, p = row["n"], row["p"]
             sig = graphweigh.exact_weight_moments(G, n, p, law)[1] ** 0.5
-            draws = mc.chunked_draws(
-                lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig,
-                1000,
-                seed=seed,
-                first_stream=cli._SWEEP_STREAM_STRIDE * idx,
-            )
+            first = cli._SWEEP_STREAM_STRIDE * idx
+            row_draws = (lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig, 1000, first)
+            (draws,) = mc.pooled_draws([row_draws], seed)
             assert row["dk_emp"] == mc.empirical_kdist(draws).value
 
 

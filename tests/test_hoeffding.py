@@ -20,6 +20,13 @@ def _random_functional(space, rng):
     return space.functional(rng.standard_normal(space.size))
 
 
+def _broadcast_probs(space, k):
+    """Coordinate k's probabilities shaped to broadcast against the grid."""
+    shape = [1] * space.n
+    shape[k] = space.shape[k]
+    return space.probs[k].reshape(shape)
+
+
 def _moebius_terms(X):
     """Reference: every W_J in reduced form, keyed by bit mask.
 
@@ -36,7 +43,7 @@ def _moebius_terms(X):
         missing = ~mask & full
         j = (missing & -missing).bit_length() - 1  # lowest coordinate not in mask
         g = cond[mask | (1 << j)]
-        cond[mask] = np.sum(g * space.axis_probs(j), axis=j, keepdims=True)
+        cond[mask] = np.sum(g * _broadcast_probs(space, j), axis=j, keepdims=True)
     # After processing bit j, cond[mask] holds the alternating sum over the
     # j-low bits of mask.
     for j in range(n):
@@ -62,7 +69,7 @@ def _branch_scale_grades(space, grid, coeffs):
     for k in range(space.n):
         nxt = []
         for g, d in items:
-            m = np.sum(g * space.axis_probs(k), axis=k, keepdims=True)
+            m = np.sum(g * _broadcast_probs(space, k), axis=k, keepdims=True)
             nxt.append((m, d))
             nxt.append((g - m, d + 1))
         items = nxt

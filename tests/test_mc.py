@@ -136,7 +136,7 @@ def test_chunked_draws_do_not_depend_on_worker_count(monkeypatch):
     monkeypatch.setenv(mc.WORKERS_ENV, "4")
     threaded = mc.chunked_draws(draw, 120_001, seed=95, chunk=25_000)
     assert np.array_equal(serial, threaded)
-    # Chunk i is pinned to stream(seed, first_stream + i) regardless of layout.
+    # Chunk i is pinned to stream(seed, i) regardless of layout.
     head = draw(mc.stream(95, 0), 25_000)
     assert np.array_equal(serial[:25_000], head)
 
@@ -162,7 +162,8 @@ def test_chunked_draws_edges_and_guards(monkeypatch):
 
 def test_pooled_rows_match_serial_chunked_draws(monkeypatch):
     # Rows of several lengths, with an empty row and rows of one short chunk,
-    # all equal chunked_draws over the same streams at any worker count.
+    # all equal their chunks drawn one after another from the same streams,
+    # at any worker count.
     A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])
     law = three_point()
 
@@ -175,7 +176,13 @@ def test_pooled_rows_match_serial_chunked_draws(monkeypatch):
     rows = [(draw_q, 25_003, 0), (draw_u, 0, 10), (draw_u, 900, 20), (draw_q, 70_000, 30)]
     rows += [(draw_u, 1_000 + i, 40 + 10 * i) for i in range(7)]
     monkeypatch.delenv(mc.WORKERS_ENV, raising=False)
-    serial = [mc.chunked_draws(d, total, seed=96, first_stream=first, chunk=10_000) for d, total, first in rows]
+    serial = [
+        np.concatenate(
+            [d(mc.stream(96, first + i), min(10_000, total - lo)) for i, lo in enumerate(range(0, total, 10_000))]
+            or [np.empty(0)]
+        )
+        for d, total, first in rows
+    ]
     for workers in ("1", "2", "3"):
         monkeypatch.setenv(mc.WORKERS_ENV, workers)
         pooled = list(mc.pooled_draws(rows, seed=96, chunk=10_000))

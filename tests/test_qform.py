@@ -232,13 +232,13 @@ def test_alpha_beta_react_to_the_diagonal():
     assert q_diag.beta_n == pytest.approx(m.mu[4] + math.sqrt(m.mu[8]))
 
 
-def test_degenerate_analysis_raises_on_rate_access():
-    q = qform.analyze(np.zeros((3, 3)), three_point().moments())
-    assert q.degenerate
-    with pytest.raises(DegenerateError):
-        _ = q.fourth_standardized
-    with pytest.raises(DegenerateError):
-        qform.bound_r1(q)
+def test_degenerate_analysis_raises():
+    # Zero variance is refused once, by analyze, with the size in the message;
+    # a diagonal-only form under Rademacher signs is constant, hence zero variance too.
+    with pytest.raises(DegenerateError, match=r"n=3 has zero variance"):
+        qform.analyze(np.zeros((3, 3)), three_point().moments())
+    with pytest.raises(DegenerateError, match=r"n=2 has zero variance"):
+        qform.analyze(np.diag([1.0, 2.0]), Distribution.rademacher().moments())
 
 
 # ------------------------------------------------------------- eigenvalues

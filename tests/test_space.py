@@ -9,7 +9,7 @@ from kolbounds import chaos
 
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError, InputError, SpaceTooLargeError
-from kolbounds.space import OutcomeSpace
+from kolbounds.space import OutcomeSpace, law_expect, law_mean
 
 
 def test_joint_probs_sum_to_one_and_factorize():
@@ -156,3 +156,33 @@ def test_evaluate_walks_the_outcomes_in_enumeration_order():
             assert np.array_equal(np.concatenate(seen), want)
             assert max(len(c) for c in seen) <= max(rows, 1)
             assert np.array_equal(vals, want @ weights)
+
+
+def _loop_law_mean(T, axis, probs):
+    """Reference: sum over t of probs[t] * T[..., t, ...] by nested loops over every index."""
+    out = np.zeros(T.shape[:axis] + (1,) + T.shape[axis + 1 :])
+    for idx in np.ndindex(*out.shape):
+        for t, p in enumerate(probs):
+            out[idx] += p * T[idx[:axis] + (t,) + idx[axis + 1 :]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4), (5, 3, 1, 2), (2, 1, 3), (4,)])
+def test_law_mean_and_law_expect_match_the_brute_force_twins(shape):
+    # Leading batch axes, reduced (length-one) axes and non-C-contiguous views.
+    rng = np.random.default_rng(13)
+    probs = [rng.dirichlet(np.ones(m)) for m in shape]
+    base = rng.standard_normal(tuple(reversed(shape)))
+    for T in (np.ascontiguousarray(base.T), base.T, rng.standard_normal((2,) + shape)[1]):
+        for axis, p in enumerate(probs):
+            got = law_mean(T, axis, p)
+            broadcast = p.reshape((1,) * axis + (-1,) + (1,) * (T.ndim - axis - 1))
+            assert got.shape == T.shape[:axis] + (1,) + T.shape[axis + 1 :]
+            assert np.max(np.abs(got - np.sum(T * broadcast, axis=axis, keepdims=True))) < 1e-14
+            assert np.max(np.abs(got - _loop_law_mean(T, axis, p))) < 1e-14
+        joint = probs[0]
+        for p in probs[1:]:
+            joint = np.multiply.outer(joint, p)
+        assert law_expect(T, probs) == pytest.approx(float(np.sum(T * joint)), abs=1e-14)
+    reduced = rng.standard_normal((3, 1, 2))
+    assert law_mean(reduced, 1, np.array([0.25, 0.75])) is reduced

@@ -282,8 +282,6 @@ def test_rate_guards():
         ustat.ustat_rate(ustat.WeightTensor(np.array([1.0, 0.5])), ustat.UKernel.product(law, 1))
     with pytest.raises(InputError):
         ustat.ustat_rate(_pair_weight_k3(), ustat.UKernel.product(law, 3))
-    with pytest.raises(InputError):
-        ustat.ustat_variance(_pair_weight_k3(), ustat.UKernel.product(law, 2), Distribution.rademacher())
 
 
 def test_sample_moments_agree_with_enumeration():
