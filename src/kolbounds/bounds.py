@@ -3,9 +3,11 @@
 Every function here returns a certified upper bound for the Kolmogorov
 distance between a (near) unit-variance centered functional and the standard
 normal, computed term by term from discrete gradients and gradewise operator
-powers. Constants are fixed by the package's weight convention (each
-coordinate carries weight 2 in full-weight integrals, weight 1 in half-weight
-ones; see the chaos module docstring) and are not adjustable.
+powers. Each bound makes one chaos.gradient_integrals call, one pass over
+the coordinates for all of its gradient integrals. Constants are fixed by the
+package's weight convention (each coordinate carries weight 2 in full-weight
+integrals, weight 1 in half-weight ones, so a full-weight integral is twice
+the half-weight one; see the chaos module docstring) and are not adjustable.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import hoeffding, tol
-from .chaos import DiscreteGradient, apply_L_power, gradient
+from .chaos import apply_L_power, gradient_integrals
 from .errors import DomainError
-from .space import RandomFunctional, law_expect
+from .space import RandomFunctional
 
 
 @dataclass(frozen=True)
@@ -37,10 +41,9 @@ class FourthMomentCheck:
 def fourth_moment_check(X: RandomFunctional) -> FourthMomentCheck:
     """E[X^4] against 36 E[(full-weight grad square integral)^2]
     + 15 E[full-weight grad quartic integral] + 2 (E[X^2])^2."""
-    g = gradient(X)
-    int2 = g.power_int_full(2)
-    a = int2.moment(2)
-    b = g.expected_power_full(4)
+    sq, quartic = gradient_integrals([X], [lambda g: g**2, lambda g: g**4])
+    a = (2.0 * sq).moment(2)
+    b = (2.0 * quartic).expectation()
     c = X.moment(2) ** 2
     return FourthMomentCheck(
         lhs=X.moment(4),
@@ -70,26 +73,6 @@ class MasterBound:
         }
 
 
-def _shifted_square_factor(g: DiscreteGradient) -> float:
-    """Full-weight integral over (k, t) of E[((I + 2 sqrt(number op)) (grad^2))^2].
-
-    The operator acts on the squared gradient component as a functional of the
-    outcome; order d parts pick up a factor 1 + 2 sqrt(d). All atoms t of one
-    coordinate go through one batched grade sweep; the components do not
-    depend on coordinate k, so their grids stay reduced along it.
-    """
-    space = g.space
-    n = space.n
-    coeffs = [1.0 + 2.0 * math.sqrt(d) for d in range(n + 1)]
-    total = 0.0
-    for k in range(n):
-        Z = hoeffding.grade_sweep(space, g.stacks[k] ** 2, coeffs)
-        weights = space.joint_probs.sum(axis=k).reshape(-1)
-        second = (Z * Z).reshape(Z.shape[0], -1) @ weights
-        total += 2.0 * law_expect(second, [space.probs[k]])
-    return total
-
-
 def master_bound(X: RandomFunctional) -> MasterBound:
     """Certified Kolmogorov-distance bound for any centered functional.
 
@@ -104,20 +87,36 @@ def master_bound(X: RandomFunctional) -> MasterBound:
     inverse square-root power.
     """
     tol.check_centred(X.expectation(), X.values, "the master bound needs a centered functional")
+    space = X.space
     Xm1 = apply_L_power(X, -1.0)
-    Xmh = apply_L_power(X, -0.5)
-    gX = gradient(X)
-    gXm1 = gradient(Xm1)
+    shift = [1.0 + 2.0 * math.sqrt(d) for d in range(space.n + 1)]
 
+    def shifted_square(g: np.ndarray) -> np.ndarray:
+        # (I + 2 sqrt(number op)) grad^2 for every atom of the stack at once,
+        # squared; the sweep skips the stack's own (reduced) coordinate axis.
+        Z = hoeffding.grade_sweep(space, g**2, shift)
+        return np.square(Z, out=Z)
+
+    pair, quartic, sq_m1, shifted, shifted_m1 = gradient_integrals(
+        [X, Xm1],
+        [
+            np.multiply,
+            lambda g, h: g**4,
+            lambda g, h: h**2,
+            lambda g, h: shifted_square(g),
+            lambda g, h: shifted_square(h),
+        ],
+    )
     t1 = abs(1.0 - X.moment(2))
-    t2 = math.sqrt(max(gX.pair_int_half(gXm1).variance(), 0.0))
-    q4 = gX.expected_power_full(4)
-    b2 = gXm1.power_int_full(2)
+    t2 = math.sqrt(max(pair.variance(), 0.0))
+    q4 = (2.0 * quartic).expectation()
+    b2 = 2.0 * sq_m1
+    # E[(L^{-1/2} X)^2] = E[X L^{-1} X]: both are sum_d E[X_d^2] / d.
     t3 = 1.5 * math.sqrt(q4) * (
         (X.moment(4) * b2.moment(2)) ** 0.25
-        + (math.sqrt(math.pi) / 2.0) * math.sqrt(Xmh.moment(2))
+        + (math.sqrt(math.pi) / 2.0) * math.sqrt(max((X * Xm1).expectation(), 0.0))
     )
-    t4 = 4.0 * (_shifted_square_factor(gX) * _shifted_square_factor(gXm1)) ** 0.25
+    t4 = 4.0 * ((2.0 * shifted.expectation()) * (2.0 * shifted_m1.expectation())) ** 0.25
     return MasterBound(
         total=t1 + t2 + t3 + t4,
         second_moment_gap=t1,
@@ -136,10 +135,10 @@ def single_order_bounds(X: RandomFunctional, d: int) -> tuple[float, float]:
     """
     if d < 1:
         raise DomainError("order must be at least 1")
-    g = gradient(X)
+    sq, quartic = gradient_integrals([X], [lambda g: g**2, lambda g: g**4])
     gap = abs(1.0 - X.moment(2))
-    var_half = math.sqrt(max(g.power_int_half(2).variance(), 0.0))
-    q4 = math.sqrt(g.expected_power_full(4))
+    var_half = math.sqrt(max(sq.variance(), 0.0))
+    q4 = math.sqrt((2.0 * quartic).expectation())
     first = gap + var_half / d + (12.0 + 5.0 * X.moment(4) ** 0.25) / math.sqrt(d) * q4
     second = gap + var_half + 24.0 * q4
     return first, second
@@ -154,7 +153,5 @@ def degenerate_gradient_bound(X: RandomFunctional) -> float:
     """
     if abs(X.moment(2) - 1.0) > tol.CENTRING:
         raise DomainError("degenerate bound needs a unit-variance input")
-    g = gradient(X)
-    return math.sqrt(max(g.power_int_half(2).variance(), 0.0)) + 24.0 * math.sqrt(
-        g.expected_power_full(4)
-    )
+    sq, quartic = gradient_integrals([X], [lambda g: g**2, lambda g: g**4])
+    return math.sqrt(max(sq.variance(), 0.0)) + 24.0 * math.sqrt((2.0 * quartic).expectation())

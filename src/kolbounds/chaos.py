@@ -21,7 +21,9 @@ Conventions, fixed once for the whole package:
   their output norms integrate free slots with weight 2.
 * The discrete gradient at (k, t) is
   grad_{k,t} X(w) = X(w with coordinate k set to t) - E_{s ~ nu_k} X(w with k set to s),
-  a functional that does not depend on coordinate k itself.
+  a functional that does not depend on coordinate k itself. gradient(X, k)
+  stacks it over the atoms t; gradient_integrals walks the coordinates once,
+  one coordinate's stacks alive at a time, and serves every gradient bound.
 * Operator powers act gradewise: the order-d part of X is scaled by d**alpha.
   Negative powers require a centered input.
 """
@@ -31,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -129,22 +132,6 @@ class ChaosKernel:
         total *= math.factorial(self.order)
         return space.expand(total)
 
-    def evaluated_at(self, k: int, t_index: int) -> "ChaosKernel":
-        """Freeze one slot at coordinate k to atom t; order drops by one.
-
-        Only subsets containing k contribute; the result is the kernel
-        appearing in grad_{k,t} I_d(f) = d * I_{d-1}(f with a slot frozen).
-        """
-        if self.order < 2:
-            raise DomainError("cannot lower a first-order kernel to order zero here")
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for subset, table in self.tables.items():
-            if k not in subset:
-                continue
-            axis = subset.index(k)
-            out[tuple(j for j in subset if j != k)] = np.take(table, t_index, axis=axis)
-        return ChaosKernel(self.space, self.order - 1, out, raw=True)
-
 
 @dataclass
 class ChaosDecomposition:
@@ -196,66 +183,39 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
 
 # ------------------------------------------------------------------ gradient
 
-# Largest grid whose gradient integrals take each term whole: beside the result
-# and law_mean's slots a whole term peaks at 3 x 8|Omega| bytes, blocks at 2.
-_WHOLE_TERM_POINTS = 2**14
 
+def gradient(X: RandomFunctional, k: int) -> np.ndarray:
+    """The stack of grad_{k,t} X over the atoms t of coordinate k.
 
-class DiscreteGradient:
-    """All replacement gradients of one functional, stacked per coordinate.
-
-    stacks[k][t] is grad_{k,t} X, a grid with axis k of length one: the grid
+    Row t is grad_{k,t} X as a grid with axis k of length one: the grid
     centred along k by law_mean, k moved to a leading atom axis, C-ordered.
     """
-
-    def __init__(self, X: RandomFunctional):
-        self.space = X.space
-        grid = X.grid
-        self.stacks: list[np.ndarray] = []
-        for k in range(self.space.n):
-            moved = grid[None].swapaxes(0, k + 1)
-            self.stacks.append(np.subtract(moved, law_mean(grid, k, self.space.probs[k])[None], order="C"))
-
-    def component(self, k: int, t_index: int) -> RandomFunctional:
-        self.space.check_coordinate(k)
-        return self.space.expand(self.stacks[k][t_index])
-
-    def _half_integral(self, term) -> RandomFunctional:
-        """sum_k E_t[term(k, rows)] as a functional; term(k, rows) maps stacks[k][:, rows] entrywise.
-
-        Past _WHOLE_TERM_POINTS outcomes every term after coordinate 0's comes
-        a block of coordinate 0's atoms at a time; smaller grids skip the calls.
-        """
-        space = self.space
-        out = np.broadcast_to(law_mean(term(0, slice(None)), 0, space.probs[0])[0], space.shape).copy()
-        blocks = [slice(None)] if space.size <= _WHOLE_TERM_POINTS else [slice(i, i + 1) for i in range(space.shape[0])]
-        for k in range(1, space.n):
-            for rows in blocks:
-                block = out[rows]
-                block += law_mean(term(k, rows), 0, space.probs[k])[0]
-        return RandomFunctional(space, out.reshape(-1))
-
-    def power_int_half(self, p: int) -> RandomFunctional:
-        """sum_k E_t[(grad_{k,t} X)^p] as a functional (weight 1 per coordinate)."""
-        return self._half_integral(lambda k, rows: self.stacks[k][:, rows] ** p)
-
-    def power_int_full(self, p: int) -> RandomFunctional:
-        """sum_k 2 E_t[(grad_{k,t} X)^p] as a functional (weight 2 per coordinate)."""
-        return 2.0 * self.power_int_half(p)
-
-    def pair_int_half(self, other: "DiscreteGradient") -> RandomFunctional:
-        """sum_k E_t[grad_{k,t} X * grad_{k,t} Y] as a functional."""
-        if other.space != self.space:
-            raise DomainError("gradients live on different spaces")
-        return self._half_integral(lambda k, rows: self.stacks[k][:, rows] * other.stacks[k][:, rows])
-
-    def expected_power_full(self, p: int) -> float:
-        """E of the full-weight integral of (grad)^p over everything."""
-        return self.power_int_full(p).expectation()
+    space = X.space
+    space.check_coordinate(k)
+    grid = X.grid
+    return np.subtract(grid[None].swapaxes(0, k + 1), law_mean(grid, k, space.probs[k])[None], order="C")
 
 
-def gradient(X: RandomFunctional) -> DiscreteGradient:
-    return DiscreteGradient(X)
+def gradient_integrals(
+    Xs: Sequence[RandomFunctional], terms: Sequence[Callable[..., np.ndarray]]
+) -> list[RandomFunctional]:
+    """sum_k E_{t ~ nu_k}[term(*stacks_k)] for each term, at weight 1 per coordinate.
+
+    stacks_k holds gradient(X, k) for every X in Xs; each term maps them
+    entrywise (atoms on the leading axis) to one array of their shape. One
+    pass over the coordinates keeps a single coordinate's stacks alive; the
+    full-weight integral is twice the result.
+    """
+    space = Xs[0].space
+    if any(X.space != space for X in Xs):
+        raise DomainError("gradients live on different spaces")
+    outs = [np.zeros(space.shape) for _ in terms]
+    for k in range(space.n):
+        stacks = [gradient(X, k) for X in Xs]
+        for out, term in zip(outs, terms):
+            out += law_mean(term(*stacks), 0, space.probs[k])[0]
+        del stacks
+    return [RandomFunctional(space, out.reshape(-1)) for out in outs]
 
 
 # ------------------------------------------------------------ operator power
@@ -288,7 +248,7 @@ def covariance_identity_check(X: RandomFunctional, Y: RandomFunctional, alpha: f
         tol.check_centred(Z.expectation(), Z.values, f"covariance identity needs centered input {name}")
     A = apply_L_power(X, alpha - 1.0)
     B = apply_L_power(Y, -alpha)
-    rhs = gradient(A).pair_int_half(gradient(B)).expectation()
+    rhs = gradient_integrals([A, B], [np.multiply])[0].expectation()
     lhs = (X * Y).expectation()
     return abs(lhs - rhs)
 

@@ -379,7 +379,7 @@ def _run_graph(args: argparse.Namespace) -> int:
     rows, draws = [], []
     for n, p in grid:
         rate = graphweigh.rg_rate(G, n, p, law)
-        _, var = graphweigh.exact_weight_moments(G, n, p, law, combine)
+        _, var = graphweigh.exact_weight_moments(G, n, p, law)
         if var <= 0.0:
             raise DegenerateError(f"zero weight variance at n={n}, p={p}")
         if G.kind == "generic":

@@ -3,8 +3,7 @@
 Every edge of the complete graph on n vertices is kept with probability p,
 independently, and each kept edge carries an iid weight. For a template graph
 G the combined weight W is the sum over copies of G whose edges are all kept,
-each copy contributing the product of its edge weights (a sum-of-weights
-convention is available as a switch; reports should say which was used).
+each copy contributing the product of its edge weights.
 
 The normal-approximation rate for the standardized W is
 
@@ -240,19 +239,13 @@ def check_copy_cap(G: GraphSpec, n: int) -> None:
         )
 
 
-def exact_weight_moments(
-    G: GraphSpec, n: int, p: float, law: Distribution, combine: str = "product"
-) -> tuple[float, float]:
-    """Exact (mean, variance) of the combined weight, product convention.
+def exact_weight_moments(G: GraphSpec, n: int, p: float, law: Distribution) -> tuple[float, float]:
+    """Exact (mean, variance) of the combined weight.
 
     Centering kills every cross term between distinct copies (any edge in the
     symmetric difference contributes a factor E[X] = 0), leaving
-    mean 0 and variance copy_count * (p * mu2)^{edges}. The sum convention
-    couples overlapping copies through the kept indicator and has no such
-    closed form, so it is refused here.
+    mean 0 and variance copy_count * (p * mu2)^{edges}.
     """
-    if combine != "product":
-        raise InputError("exact weight moments are only available for the product convention")
     _check_point(G, n, p)
     if not law.is_centered():
         raise DomainError("exact weight moments need a centered weight law")
@@ -300,17 +293,16 @@ class _EdgeDraw:
         padded[:, :-1] = flat
         return np.take(padded, self._cells, axis=1).reshape(-1, self.n, self.n)
 
-    def counts(self, kind: str, combine: str, idx: np.ndarray | None = None) -> np.ndarray:
+    def counts(self, kind: str, idx: np.ndarray | None = None) -> np.ndarray:
         """Combined weight of every draw, evaluated _BLOCK draws at a time.
 
         idx holds the flat edge positions of the copies, one row per template
         edge (shape (n_edges, n_copies)), and is used by the generic counter
-        only. That counter folds the copies' edges in one at a time, so it
+        only. That counter multiplies the copies' edges in one at a time, so it
         holds _BLOCK x n_copies values rather than the full gather.
         """
         b = self.kept.shape[0]
         out = np.empty(b)
-        fold = np.multiply if combine == "product" else np.add
         for lo in range(0, b, _BLOCK):
             kept = self.kept[lo : lo + _BLOCK]
             weights = self.weights[lo : lo + _BLOCK]
@@ -318,15 +310,12 @@ class _EdgeDraw:
                 per_copy = weights[:, idx[0]]
                 complete = kept[:, idx[0]]
                 for col in idx[1:]:
-                    fold(per_copy, weights[:, col], out=per_copy)
+                    per_copy *= weights[:, col]
                     complete &= kept[:, col]
                 counts = (per_copy * complete).sum(axis=1)
             else:
                 flat = np.where(kept, weights, 0.0)
-                if combine == "product":
-                    counts = _product_counts(kind, self, flat)
-                else:
-                    counts = _sum_counts(kind, self, flat, kept)
+                counts = _product_counts(kind, self, flat)
             out[lo : lo + kept.shape[0]] = counts
         return out
 
@@ -352,31 +341,6 @@ def _product_counts(kind: str, draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
     raise InputError(f"no closed-form counter for kind {kind!r}")
 
 
-def _sum_counts(kind: str, draw: _EdgeDraw, flat: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Sum-of-weights convention: each complete copy contributes its edge total.
-
-    Rewritten as sum over kept edges of (weight) times (number of kept copies
-    through that edge), which the four templates admit in closed form.
-    """
-    if kind == "edge":
-        return flat.sum(axis=1)
-    Y = draw.matrices(flat)
-    B = draw.matrices(kept.astype(float))
-    if kind == "two_path":
-        r = B.sum(axis=2)
-        through = r[:, :, None] + r[:, None, :] - 2.0 * B
-        return 0.5 * np.einsum("bij,bij->b", Y, through)
-    if kind == "triangle":
-        return 0.5 * np.einsum("bij,bij->b", Y, B @ B)
-    if kind == "four_cycle":
-        B2 = B @ B
-        B3 = B2 @ B
-        d2 = np.einsum("bii->bi", B2)
-        paths = B3 - B * (d2[:, :, None] + d2[:, None, :]) + B
-        return 0.5 * np.einsum("bij,bij->b", Y, paths)
-    raise InputError(f"no closed-form counter for kind {kind!r}")
-
-
 def simulate_weight(
     G: GraphSpec,
     n: int,
@@ -384,18 +348,14 @@ def simulate_weight(
     law: Distribution,
     rng: np.random.Generator,
     size: int | None = None,
-    combine: str = "product",
     batch: int = 2_000,
 ) -> float | np.ndarray:
     """Draw realizations of the combined template weight.
 
-    With size None a single float comes back. combine is "product" (default,
-    the convention every report should flag) or "sum". Each batch of draws
-    takes its retention indicators and then its weights from rng, so the
-    draws depend on batch but not on the counter blocking.
+    With size None a single float comes back. Each batch of draws takes its
+    retention indicators and then its weights from rng, so the draws depend
+    on batch but not on the counter blocking.
     """
-    if combine not in ("product", "sum"):
-        raise InputError(f"combine must be 'product' or 'sum', got {combine!r}")
     _check_point(G, n, p)
     total = 1 if size is None else int(size)
     if total < 1:
@@ -408,6 +368,6 @@ def simulate_weight(
     done = 0
     while done < total:
         b = min(batch, total - done)
-        out[done : done + b] = _EdgeDraw(n, p, law, rng, b).counts(kind, combine, idx)
+        out[done : done + b] = _EdgeDraw(n, p, law, rng, b).counts(kind, idx)
         done += b
     return float(out[0]) if size is None else out

@@ -171,24 +171,25 @@ def project(X: RandomFunctional) -> HoeffdingDecomposition:
 
 
 def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
-    """Return sum over d of coeffs[d] * (order-d part of grid), axis by axis.
+    """Replace grid in place by sum over d of coeffs[d] * (its order-d part) and return it.
 
-    The last n axes of grid follow the space's coordinates; any leading axes
-    are a batch and are carried through untouched. A coordinate axis of
-    length one (a reduced grid, constant along it) is skipped. Each entry of
-    the _split grid lies in the order counted by its centred axes; it is
-    scaled by that order's coefficient and the axes are joined back. Time
-    O(n |Omega|) and memory O(|Omega|) per batch item; the result has the
-    shape of grid.
+    grid is a C-ordered float array whose last n axes follow the space's
+    coordinates; any leading axes are a batch and are carried through
+    untouched. A coordinate axis of length one (a reduced grid, constant
+    along it) is skipped. Each entry of the _split grid lies in the order
+    counted by its centred axes; it is scaled by that order's coefficient and
+    the axes are joined back. Time O(n |Omega|) and memory O(|Omega|) per
+    batch item beside grid itself; callers that keep the input pass a copy.
     """
     n = space.n
     if len(coeffs) != n + 1:
         raise InputError(f"need {n + 1} grade coefficients, got {len(coeffs)}")
-    T = np.array(grid, dtype=float, order="C")
-    if T.ndim < n:
-        raise InputError(f"grid has {T.ndim} axes, the space needs at least {n}")
-    T *= np.asarray(coeffs, dtype=float)[_split(space, T)]
-    return _join(space, T)
+    if grid.ndim < n:
+        raise InputError(f"grid has {grid.ndim} axes, the space needs at least {n}")
+    if grid.dtype != float or not grid.flags.c_contiguous:
+        raise InputError("grade_sweep scales a C-ordered float array in place")
+    grid *= np.asarray(coeffs, dtype=float)[_split(space, grid)]
+    return _join(space, grid)
 
 
 def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunctional:
@@ -199,7 +200,7 @@ def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunction
     coefficient per entry after a per-axis change of basis (see grade_sweep),
     in O(n |Omega|) time and O(|Omega|) memory.
     """
-    return RandomFunctional(X.space, grade_sweep(X.space, X.grid, coeffs))
+    return RandomFunctional(X.space, grade_sweep(X.space, X.grid.copy(), coeffs))
 
 
 # --------------------------------------------------------------------- rates

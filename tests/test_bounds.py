@@ -1,6 +1,7 @@
 """Explicit-constant distance and moment bounds, checked against enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,19 +63,44 @@ def test_master_bound_reaches_rademacher_fourteen():
 
 
 def test_shifted_square_factor_matches_per_component_projection():
+    # The squared-gradient term is 4 (S(X) S(L^{-1} X))^(1/4), where S(Y) is
+    # sum over (k, t) of 2 nu_k(t) E[((I + 2 sqrt(L)) (grad_{k,t} Y)^2)^2]:
+    # each component built per atom and projected grade by grade.
     rng = np.random.default_rng(56)
     space = OutcomeSpace([three_point(), Distribution.rademacher(), three_point(), Distribution.rademacher()])
     X = _normalized(space.functional(rng.standard_normal(space.size)))
-    g = chaos.gradient(X)
-    want = 0.0
-    for k in range(space.n):
-        for t in range(space.shape[k]):
-            H = hoeffding.project(g.component(k, t) ** 2)
-            Z = space.constant(0.0)
-            for d in range(space.n + 1):
-                Z = Z + (1.0 + 2.0 * math.sqrt(d)) * H.grade(d)
-            want += 2.0 * space.probs[k][t] * Z.moment(2)
-    assert bounds._shifted_square_factor(g) == pytest.approx(want, rel=1e-12)
+    H = hoeffding.project(X)
+    Xm1 = sum((H.grade(d) * (1.0 / d) for d in range(1, space.n + 1)), space.constant(0.0))
+
+    def factor(Y):
+        total = 0.0
+        for k in range(space.n):
+            takes = [np.take(Y.grid, [t], axis=k) for t in range(space.shape[k])]
+            mean = sum(p * take for p, take in zip(space.probs[k], takes))
+            for t, p in enumerate(space.probs[k]):
+                G = hoeffding.project(space.expand(takes[t] - mean) ** 2)
+                Z = space.constant(0.0)
+                for d in range(space.n + 1):
+                    Z = Z + (1.0 + 2.0 * math.sqrt(d)) * G.grade(d)
+                total += 2.0 * p * Z.moment(2)
+        return total
+
+    want = 4.0 * (factor(X) * factor(Xm1)) ** 0.25
+    assert bounds.master_bound(X).squared_gradient_term == pytest.approx(want, rel=1e-12)
+
+
+def test_master_bound_peak_stays_near_eleven_grids():
+    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 16: L^{-1} X,
+    # five integrals, one coordinate's two stacks and the shifted-square sweep.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 16)
+    X = _normalized(space.functional(np.random.default_rng(57).standard_normal(space.size)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bounds.master_bound(X)
+        assert tracemalloc.get_traced_memory()[1] - base <= 12.0 * 8 * space.size
+    finally:
+        tracemalloc.stop()
 
 
 def test_master_bound_requires_centering():

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolbounds import chaos, hoeffding, tol
 from kolbounds.dist import Distribution, three_point
@@ -126,23 +128,28 @@ def test_gradient_square_integral_counts_orders():
     rng = np.random.default_rng(39)
     space = _space(3)
     X = space.functional(rng.standard_normal(space.size)).centered()
-    got = chaos.gradient(X).power_int_half(2).expectation()
+    got = chaos.gradient_integrals([X], [np.square])[0].expectation()
     H = hoeffding.project(X)
     want = sum(len(s) * H.term(s).moment(2) for s in H.subsets())
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_gradient_of_pure_integral_freezes_one_slot():
+    # grad_{k,t} I_2(f) = 2 I_1(f with its slot at k frozen to atom t).
     rng = np.random.default_rng(40)
     space = _space(3)
     f = chaos.random_kernel(space, 2, rng)
     X = f.integral()
-    g = chaos.gradient(X)
     for k in range(space.n):
+        stack = chaos.gradient(X, k)
         for t in range(space.shape[k]):
-            frozen = f.evaluated_at(k, t)
-            want = 2.0 * frozen.integral()
-            got = g.component(k, t)
+            frozen = {
+                tuple(j for j in subset if j != k): np.take(table, t, axis=subset.index(k))
+                for subset, table in f.tables.items()
+                if k in subset
+            }
+            want = 2.0 * chaos.ChaosKernel(space, 1, frozen, raw=True).integral()
+            got = space.expand(stack[t])
             assert np.max(np.abs(got.values - want.values)) < 1e-11
 
 
@@ -273,49 +280,99 @@ def test_contraction_rate_scales_quadratically():
     assert doubled == pytest.approx(4.0 * base, rel=1e-10)
 
 
-@pytest.mark.parametrize("whole_term_points", [chaos._WHOLE_TERM_POINTS, 0])
-def test_gradient_stacks_match_the_per_atom_definition_on_a_mixed_space(whole_term_points, monkeypatch):
-    # grad_{k,t} X = X with coordinate k set to t, minus its average over t:
-    # one np.take per atom against the stack law_mean builds. The integrals
-    # run whole and, with the cut at zero, a block of coordinate 0 at a time.
-    monkeypatch.setattr(chaos, "_WHOLE_TERM_POINTS", whole_term_points)
-    rng = np.random.default_rng(44)
-    space = OutcomeSpace(MIXED)
-    X = space.functional(rng.standard_normal(space.size))
-    g = chaos.gradient(X)
+def _per_atom_gradients(X):
+    """grad_{k,t} X for every (k, t): one np.take per atom minus the law's average."""
+    space = X.space
+    grads = {}
     for k in range(space.n):
         takes = [np.take(X.grid, [t], axis=k) for t in range(space.shape[k])]
         mean = sum(p * take for p, take in zip(space.probs[k], takes))
-        assert g.stacks[k].shape == (space.shape[k],) + mean.shape
         for t, take in enumerate(takes):
-            assert np.max(np.abs(g.stacks[k][t] - (take - mean))) < 1e-14
-    want = sum(
-        p * (g.component(k, t).values ** 4) for k in range(space.n) for t, p in enumerate(space.probs[k])
-    )
-    assert np.max(np.abs(g.power_int_half(4).values - want)) < 1e-12 * np.max(np.abs(want))
-    h = chaos.gradient(X * X)
-    want = sum(
-        p * g.component(k, t).values * h.component(k, t).values
+            grads[k, t] = take - mean
+    return grads
+
+
+def _per_atom_integral(space, grads, term):
+    """sum over (k, t) of nu_k(t) * term(components at (k, t)), on full grids."""
+    return sum(
+        p * term(*(space.expand(g[k, t]).values for g in grads))
         for k in range(space.n)
         for t, p in enumerate(space.probs[k])
     )
-    assert np.max(np.abs(g.pair_int_half(h).values - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_gradient_stacks_match_the_per_atom_definition_on_a_mixed_space():
+    # grad_{k,t} X = X with coordinate k set to t, minus its average over t.
+    rng = np.random.default_rng(44)
+    space = OutcomeSpace(MIXED)
+    X = space.functional(rng.standard_normal(space.size))
+    grads = _per_atom_gradients(X)
+    for k in range(space.n):
+        stack = chaos.gradient(X, k)
+        assert stack.shape == (space.shape[k],) + grads[k, 0].shape
+        assert stack.flags.c_contiguous
+        for t in range(space.shape[k]):
+            assert np.max(np.abs(stack[t] - grads[k, t])) < 1e-14
+    with pytest.raises(DomainError):
+        chaos.gradient(X, space.n)
+    Y = X * X
+    quartic, pair = chaos.gradient_integrals([X, Y], [lambda g, h: g**4, np.multiply])
+    both = [grads, _per_atom_gradients(Y)]
+    want = _per_atom_integral(space, both, lambda g, h: g**4)
+    assert np.max(np.abs(quartic.values - want)) < 1e-12 * np.max(np.abs(want))
+    want = _per_atom_integral(space, both, np.multiply)
+    assert np.max(np.abs(pair.values - want)) < 1e-12 * np.max(np.abs(want))
+    with pytest.raises(DomainError):
+        chaos.gradient_integrals([X, _space().functional(np.zeros(81))], [np.multiply])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=st.lists(st.integers(2, 4), min_size=1, max_size=4),
+    count=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gradient_integrals_match_the_per_atom_sum_on_random_laws(atoms, count, seed):
+    # Random 2-4 atom laws per coordinate, n <= 4, one or two functionals:
+    # each term integrated in one coordinate pass equals the per-atom sum.
+    rng = np.random.default_rng(seed)
+    laws = []
+    for m in atoms:
+        values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False)) / 4.0
+        probs = rng.integers(1, 10, size=m)
+        laws.append(Distribution.finite(zip(values.tolist(), (probs / probs.sum()).tolist())))
+    space = OutcomeSpace(laws)
+    Xs = [space.functional(rng.standard_normal(space.size)) for _ in range(count)]
+    terms = [lambda *g: g[0] ** 2, lambda *g: g[-1] ** 3, lambda *g: g[0] * g[-1]]
+    got = chaos.gradient_integrals(Xs, terms)
+    grads = [_per_atom_gradients(X) for X in Xs]
+    for term, integral in zip(terms, got):
+        want = _per_atom_integral(space, grads, term)
+        assert np.max(np.abs(integral.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_inverse_square_root_power_moment_is_the_inverse_pairing_on_a_mixed_space():
+    # E[(L^{-1/2} X)^2] = E[X L^{-1} X]: both are sum_d E[X_d^2] / d.
+    rng = np.random.default_rng(47)
+    space = OutcomeSpace(MIXED)
+    X = space.functional(rng.standard_normal(space.size)).centered()
+    half = chaos.apply_L_power(X, -0.5).moment(2)
+    assert half == pytest.approx((X * chaos.apply_L_power(X, -1.0)).expectation(), rel=1e-13)
+    H = hoeffding.project(X)
+    assert half == pytest.approx(sum(H.grade(d).moment(2) / d for d in range(1, space.n + 1)), rel=1e-12)
 
 
 def test_gradient_integrals_hold_two_grids_beside_the_stacks():
-    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 16: the
-    # result plus one block's term and law_mean slots (a whole term made 3).
-    space = OutcomeSpace.iid(Distribution.rademacher(), 16)
+    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 18: one
+    # coordinate's stack (one grid), the result, the term and law_mean's slots.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 18)
     X = space.functional(np.random.default_rng(46).standard_normal(space.size))
-    g = chaos.gradient(X)
     grid_bytes = 8 * space.size
     tracemalloc.start()
     try:
-        for view in (lambda: g.power_int_half(4), lambda: g.pair_int_half(g)):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            view()
-            assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * grid_bytes
+        base = tracemalloc.get_traced_memory()[0]
+        chaos.gradient_integrals([X], [lambda g: g**4])
+        assert tracemalloc.get_traced_memory()[1] - base <= 4.1 * grid_bytes
     finally:
         tracemalloc.stop()
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,7 +99,7 @@ def test_reports_are_byte_identical(files, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv(mc.WORKERS_ENV, "3")
     assert cli.main(argv + ["--out", out2]) == 0
     capsys.readouterr()
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_samples_zero_is_analytic_only(files, capsys):
@@ -235,11 +236,11 @@ def test_qform_sweep_csv(files, capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    rep = json.loads(open(out).read())
+    rep = json.loads(Path(out).read_text())
     rows = rep["results"]["rows"]
     assert [r["n"] for r in rows] == [6, 12]
     assert rows[0]["rate_r2"] > rows[1]["rate_r2"]
-    lines = open(out + ".csv").read().splitlines()
+    lines = Path(out + ".csv").read_text().splitlines()
     assert lines[0] == "n,rate_r1,rate_r2,dk_emp,dkw"
     assert len(lines) == 3
     first = lines[1].split(",")
@@ -266,10 +267,10 @@ def test_graph_sweep_csv_and_empty_grid(files, capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    rows = json.loads(open(out).read())["results"]["rows"]
+    rows = json.loads(Path(out).read_text())["results"]["rows"]
     assert [(r["n"], r["p"]) for r in rows] == [(8, 0.4), (12, 0.4)]
     assert rows[0]["rg_rate"] > rows[1]["rg_rate"]
-    lines = open(out + ".csv").read().splitlines()
+    lines = Path(out + ".csv").read_text().splitlines()
     assert lines[0] == "n,p,rg_rate,dk_emp,dkw"
     assert len(lines) == 3
 
@@ -289,7 +290,7 @@ def test_graph_sweep_csv_and_empty_grid(files, capsys, tmp_path):
         capsys,
     )
     assert code == 0
-    assert open(out2 + ".csv").read() == "n,p,rg_rate,dk_emp,dkw\n"
+    assert Path(out2 + ".csv").read_text() == "n,p,rg_rate,dk_emp,dkw\n"
 
 
 def test_graph_sweep_refuses_before_any_row_runs(files, capsys, tmp_path, monkeypatch):
@@ -350,7 +351,7 @@ def _sweep_outputs(argv, out, monkeypatch, capsys):
         monkeypatch.setenv(mc.WORKERS_ENV, workers)
         code, _, _ = _run(argv + ["--out", out], capsys)
         assert code == 0
-        texts.append((open(out, "rb").read(), open(out + ".csv", "rb").read()))
+        texts.append((Path(out).read_bytes(), Path(out + ".csv").read_bytes()))
     assert texts[0] == texts[1] == texts[2]
     monkeypatch.setenv(mc.WORKERS_ENV, "1")
     return json.loads(texts[0][0])
@@ -420,7 +421,7 @@ def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):
     (tmp_path / "q50.json").write_text(json.dumps({"sizes": [3] * 50, "samples": 100}))
     code, _, _ = _run(["qform", "--sweep", str(tmp_path / "q50.json"), "--law", "rademacher", "--out", out], capsys)
     assert code == 0
-    assert len(json.loads(open(out).read())["results"]["rows"]) == 50
+    assert len(json.loads(Path(out).read_text())["results"]["rows"]) == 50
 
 
 def test_ustat_report(files, capsys):
@@ -446,7 +447,7 @@ def test_ustat_reports_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
         monkeypatch.setenv(mc.WORKERS_ENV, workers)
         out = str(tmp_path / f"u{len(texts)}.json")
         assert cli.main(argv + ["--out", out]) == 0
-        texts.append(open(out, "rb").read())
+        texts.append(Path(out).read_bytes())
     capsys.readouterr()
     assert len(set(texts)) == 1
     assert json.loads(texts[0])["results"]["empirical"]["n"] == 120_000
@@ -474,14 +475,14 @@ def test_chaos_verify_clean_and_corrupt(files, capsys, tmp_path):
     assert code == 4
     assert "identity failure:" in err
     assert "multiplication" in err
-    rep = json.loads(open(report).read())
+    rep = json.loads(Path(report).read_text())
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
     assert "multiplication" in failed
 
 
 def test_config_hash_tracks_content_not_path(files, capsys, tmp_path):
     alias = tmp_path / "renamed.csv"
-    alias.write_text(open(files["A.csv"]).read())
+    alias.write_text(Path(files["A.csv"]).read_text())
     argv = ["qform", "--law", "rademacher", "--samples", "0", "--matrix"]
     _, out1, _ = _run(argv + [files["A.csv"]], capsys)
     _, out2, _ = _run(argv + [str(alias)], capsys)

@@ -134,7 +134,7 @@ def test_json_roundtrip(tmp_path):
 # ---------------------------------------------------------- counters vs brute
 
 
-def _brute_from_draw(G, draw, combine):
+def _brute_from_draw(G, draw):
     copies = G.copies_in(draw.n)
     b = draw.kept.shape[0]
     out = np.zeros(b)
@@ -142,18 +142,13 @@ def _brute_from_draw(G, draw, combine):
         total = 0.0
         for copy in copies:
             idx = gw._edge_positions(draw.n, copy)
-            if not draw.kept[row, idx].all():
-                continue
-            if combine == "product":
+            if draw.kept[row, idx].all():
                 total += float(np.prod(draw.weights[row, idx]))
-            else:
-                total += float(np.sum(draw.weights[row, idx]))
         out[row] = total
     return out
 
 
-@pytest.mark.parametrize("combine", ["product", "sum"])
-def test_closed_form_counters_match_copy_enumeration(combine):
+def test_closed_form_counters_match_copy_enumeration():
     # simulate_weight builds one edge draw per batch from the rng, so seeding
     # a twin generator reproduces the exact weights the closed forms saw.
     templates = [
@@ -166,13 +161,13 @@ def test_closed_form_counters_match_copy_enumeration(combine):
     for t_idx, G in enumerate(templates):
         law = laws[t_idx % 3]
         seed = 80 + t_idx
-        got = gw.simulate_weight(G, 7, 0.45, law, mc.stream(seed, 0), size=50, combine=combine)
+        got = gw.simulate_weight(G, 7, 0.45, law, mc.stream(seed, 0), size=50)
         draw = gw._EdgeDraw(7, 0.45, law, mc.stream(seed, 0), 50)
-        want = _brute_from_draw(G, draw, combine)
-        assert np.allclose(got, want, rtol=1e-10, atol=1e-10), (G.kind, combine)
+        want = _brute_from_draw(G, draw)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10), G.kind
 
 
-def _whole_batch_counts(G, draw, combine):
+def _whole_batch_counts(G, draw):
     """Reference counters: one dense evaluation of the whole batch."""
     n = draw.n
     iu, ju = np.triu_indices(n, k=1)
@@ -189,35 +184,22 @@ def _whole_batch_counts(G, draw, combine):
         copies = G.copies_in(n)
         idx = gw._edge_positions(n, copies)
         wvals = draw.weights[:, idx]
-        per_copy = wvals.prod(axis=2) if combine == "product" else wvals.sum(axis=2)
-        return (per_copy * draw.kept[:, idx].all(axis=2)).sum(axis=1)
+        return (wvals.prod(axis=2) * draw.kept[:, idx].all(axis=2)).sum(axis=1)
     if kind == "edge":
         return flat.sum(axis=1)
     Y = dense(flat)
-    if combine == "product":
-        if kind == "two_path":
-            r = Y.sum(axis=2)
-            return 0.5 * (r * r - (Y * Y).sum(axis=2)).sum(axis=1)
-        if kind == "triangle":
-            return np.einsum("bij,bji->b", Y @ Y, Y) / 6.0
-        Y2 = Y @ Y
-        s = np.einsum("bii->bi", Y2)
-        tr4 = np.einsum("bij,bij->b", Y2, Y2)
-        return (tr4 - 2.0 * (s * s).sum(axis=1) + (Y**4).sum(axis=(1, 2))) / 8.0
-    B = dense(draw.kept.astype(float))
     if kind == "two_path":
-        r = B.sum(axis=2)
-        return 0.5 * np.einsum("bij,bij->b", Y, r[:, :, None] + r[:, None, :] - 2.0 * B)
+        r = Y.sum(axis=2)
+        return 0.5 * (r * r - (Y * Y).sum(axis=2)).sum(axis=1)
     if kind == "triangle":
-        return 0.5 * np.einsum("bij,bij->b", Y, B @ B)
-    B2 = B @ B
-    d2 = np.einsum("bii->bi", B2)
-    paths = B2 @ B - B * (d2[:, :, None] + d2[:, None, :]) + B
-    return 0.5 * np.einsum("bij,bij->b", Y, paths)
+        return np.einsum("bij,bji->b", Y @ Y, Y) / 6.0
+    Y2 = Y @ Y
+    s = np.einsum("bii->bi", Y2)
+    tr4 = np.einsum("bij,bij->b", Y2, Y2)
+    return (tr4 - 2.0 * (s * s).sum(axis=1) + (Y**4).sum(axis=(1, 2))) / 8.0
 
 
-@pytest.mark.parametrize("combine", ["product", "sum"])
-def test_blocked_counters_match_whole_batch_evaluation(combine):
+def test_blocked_counters_match_whole_batch_evaluation():
     # Sizes and batches off the block: one batch of four blocks (the last
     # holding 5 draws), and batches of _BLOCK + 1 draws with a 2-draw tail.
     size = 3 * gw._BLOCK + 5
@@ -232,14 +214,12 @@ def test_blocked_counters_match_whole_batch_evaluation(combine):
         for law_idx, law in enumerate((ZERO_ATOM, ASYM)):
             seed = 90 + law_idx
             for batch in (2_000, gw._BLOCK + 1):
-                got = gw.simulate_weight(
-                    G, 9, 0.55, law, mc.stream(seed, 0), size=size, combine=combine, batch=batch
-                )
+                got = gw.simulate_weight(G, 9, 0.55, law, mc.stream(seed, 0), size=size, batch=batch)
                 rng = mc.stream(seed, 0)
                 parts = []
                 for lo in range(0, size, batch):
                     draw = gw._EdgeDraw(9, 0.55, law, rng, min(batch, size - lo))
-                    parts.append(_whole_batch_counts(G, draw, combine))
+                    parts.append(_whole_batch_counts(G, draw))
                 want = np.concatenate(parts)
                 assert np.abs(want).max() > 0.0
                 np.testing.assert_allclose(
@@ -314,8 +294,6 @@ def test_exact_weight_moments_match_simulation():
 def test_exact_weight_moments_refusals():
     G = gw.GraphSpec.triangle()
     law = Distribution.rademacher()
-    with pytest.raises(InputError):
-        gw.exact_weight_moments(G, 10, 0.4, law, combine="sum")
     with pytest.raises(DomainError):
         gw.exact_weight_moments(G, 10, 1.2, law)
     with pytest.raises(DomainError):
@@ -363,8 +341,6 @@ def test_simulate_weight_guards():
     G = gw.GraphSpec.edge()
     law = Distribution.rademacher()
     rng = mc.stream(86, 0)
-    with pytest.raises(InputError):
-        gw.simulate_weight(G, 5, 0.5, law, rng, combine="mean")
     with pytest.raises(DomainError):
         gw.simulate_weight(G, 5, 1.5, law, rng)
     with pytest.raises(DomainError):

@@ -243,7 +243,7 @@ def test_grade_sweep_carries_a_batch_axis_and_reduced_grids():
     coeffs = rng.standard_normal(space.n + 1)
     # Three functionals constant along coordinate 2, stored reduced there.
     batch = rng.standard_normal((3, 3, 3, 1, 3))
-    got = hoeffding.grade_sweep(space, batch, coeffs)
+    got = hoeffding.grade_sweep(space, batch.copy(), coeffs)
     assert got.shape == batch.shape
     for b in range(3):
         full = np.broadcast_to(batch[b], space.shape)
@@ -257,6 +257,10 @@ def test_grade_sweep_checks_its_inputs():
         hoeffding.grade_sweep(space, np.zeros(space.shape), [1.0, 2.0])
     with pytest.raises(InputError):
         hoeffding.grade_sweep(space, np.zeros((3, 3)), [1.0] * 4)
+    with pytest.raises(InputError):
+        hoeffding.grade_sweep(space, np.zeros((3, 3, 3)).T, [1.0] * 4)
+    with pytest.raises(InputError):
+        hoeffding.grade_sweep(space, np.zeros((3, 3, 3), dtype=int), [1.0] * 4)
 
 
 def test_grade_of_additive_sum_is_pure_order_one():

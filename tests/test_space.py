@@ -64,12 +64,12 @@ def test_gradient_grid_is_centered_per_coordinate():
     rng = np.random.default_rng(11)
     space = OutcomeSpace.iid(three_point(), 3)
     X = space.functional(rng.standard_normal(space.size))
-    grad = chaos.gradient(X)
     p = three_point().probs_array()
     for k in range(3):
+        stack = chaos.gradient(X, k)
         acc = np.zeros(space.size)
         for t in range(3):
-            acc = acc + p[t] * grad.component(k, t).values
+            acc = acc + p[t] * space.expand(stack[t]).values
         assert np.max(np.abs(acc)) < 1e-14
 
 
@@ -111,12 +111,12 @@ def test_expand_spreads_a_reduced_grid_into_a_fresh_functional():
 
 
 def test_gradient_component_and_conditional_copy_at_most_once():
-    # In units of one full grid, 8 |Omega| bytes, at the cap.
+    # In units of one full grid, 8 |Omega| bytes, at the cap: one coordinate's
+    # stack of gradients holds one grid, its law_mean half of one.
     space = OutcomeSpace.iid(Distribution.rademacher(), 18)
     X = space.functional(np.random.default_rng(12).standard_normal(space.size))
-    G = chaos.gradient(X)
     grid_bytes = 8 * space.size
-    views = [(lambda: G.component(5, 1), 1.05), (lambda: X.conditional([0, 3, 17]), 1.55)]
+    views = [(lambda: chaos.gradient(X, 5), 1.55), (lambda: X.conditional([0, 3, 17]), 1.55)]
     tracemalloc.start()
     try:
         for view, limit in views:
