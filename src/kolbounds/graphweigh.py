@@ -19,7 +19,11 @@ template on up to five vertices. The generic counter lists the copies once per
 call, as every k-vertex subset of the n vertices carrying each distinct
 labelling of the template; copy_count predicts their number before anything is
 allocated, and more than _GENERIC_COPY_CAP copies are refused. Both counters
-evaluate a batch of draws _BLOCK draws at a time.
+draw and evaluate _BLOCK draws at a time into buffers allocated once per
+call, so memory does not grow with the batch: one block of retention flags,
+weights and dense n x n matrices (about 3.5 x 8·_BLOCK·n² bytes at n = 80,
+11 MB). A counter-based jump (mc.jump_ahead) reads each block's weights
+from where a whole-batch draw would, so the draws are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mc
 from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 
@@ -264,79 +269,103 @@ def _edge_positions(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 class _EdgeDraw:
-    """One batch of retention indicators and edge weights, in flat form.
+    """Reused one-block buffers that draw and count batches of edge draws.
 
-    The batch's retention uniforms are drawn before its weights, whatever the
-    blocking of the counters, and both go through draw_atoms, so a batch of b
-    draws holds 9·b·m bytes (m edges) and never its uniforms. Edges are the
-    upper-triangle pairs in row-major order. Keeping the retention mask separate from the weights matters for
-    laws with an atom at zero, where a kept weight-zero edge still completes
-    copies.
+    A batch of b draws takes b·m retention uniforms (m edges) and then b·m
+    weight uniforms from rng, as one whole-batch draw of each would. The
+    flags of each _BLOCK of draws come from rng and their weights from a twin
+    that mc.jump_ahead puts b·m uniforms ahead, and rng ends where the twin
+    does, so the draws are those of the whole-batch layout bit for bit. Both
+    go through draw_atoms into the buffers allocated here, the masked weights
+    are gathered into the dense matrices by np.take(..., out=), and their
+    products reuse one more buffer, so the closed-form counters allocate no
+    block-sized temporary of their own and nothing holds a batch or its
+    uniforms. Edges are the upper-triangle pairs in row-major order. Keeping
+    the retention mask separate from the weights matters for laws with an atom
+    at zero, where a kept weight-zero edge still completes copies.
     """
 
-    def __init__(self, n: int, p: float, law: Distribution, rng: np.random.Generator, b: int):
-        self.n = n
+    def __init__(self, n: int, p: float, law: Distribution, kind: str, rows: int):
+        self.n, self.kind = n, kind
         iu, ju = np.triu_indices(n, k=1)
         m = iu.size
         # u < p is the two-atom law (True, False) with its step at p.
-        self.kept = draw_atoms(rng, np.array([p, 1.0]), np.array([True, False]), np.empty((b, m), dtype=bool))
-        self.weights = law.sample(rng, b * m).reshape(b, m)
-        # Flat position of every matrix cell; the diagonal reads a zero
-        # column appended after the m edges.
-        cells = np.full((n, n), m)
-        cells[iu, ju] = cells[ju, iu] = np.arange(m)
-        self._cells = cells.ravel()
+        self._flags = (np.array([p, 1.0]), np.array([True, False]))
+        self._law = (law.cdf_array(), law.values_array())
+        self.kept = np.empty((rows, m), dtype=bool)
+        self.weights = np.empty((rows, m))
+        if kind != "generic":
+            # Masked weights, then a zero column that the diagonal cells read.
+            self.padded = np.zeros((rows, m + 1))
+        if kind not in ("edge", "generic"):
+            # Dense matrices, their product or elementwise square, and the
+            # flat position each matrix cell reads in padded.
+            self.dense = np.empty((rows, n * n))
+            self.square = np.empty((rows, n, n))
+            cells = np.full((n, n), m)
+            cells[iu, ju] = cells[ju, iu] = np.arange(m)
+            self._cells = cells.ravel()
 
-    def matrices(self, flat: np.ndarray) -> np.ndarray:
-        """Dense symmetric n x n matrices holding one row of edge values each."""
-        padded = np.zeros((flat.shape[0], flat.shape[1] + 1))
-        padded[:, :-1] = flat
-        return np.take(padded, self._cells, axis=1).reshape(-1, self.n, self.n)
+    def matrices(self, rows: int) -> np.ndarray:
+        """Dense symmetric n x n matrices of the first rows masked-weight rows.
 
-    def counts(self, kind: str, idx: np.ndarray | None = None) -> np.ndarray:
-        """Combined weight of every draw, evaluated _BLOCK draws at a time.
-
-        idx holds the flat edge positions of the copies, one row per template
-        edge (shape (n_edges, n_copies)), and is used by the generic counter
-        only. That counter multiplies the copies' edges in one at a time, so it
-        holds _BLOCK x n_copies values rather than the full gather.
+        mode="clip" (the cells are in range) lets np.take write straight into
+        the buffer; the default mode="raise" would copy through a temporary.
         """
-        b = self.kept.shape[0]
-        out = np.empty(b)
-        for lo in range(0, b, _BLOCK):
-            kept = self.kept[lo : lo + _BLOCK]
-            weights = self.weights[lo : lo + _BLOCK]
-            if kind == "generic":
+        dense = np.take(self.padded[:rows], self._cells, axis=1, out=self.dense[:rows], mode="clip")
+        return dense.reshape(-1, self.n, self.n)
+
+    def counts(self, rng: np.random.Generator, out: np.ndarray, idx: np.ndarray | None = None) -> None:
+        """Fill out with the combined weights of one batch of out.size draws.
+
+        The draws are made and evaluated _BLOCK at a time. idx holds the flat
+        edge positions of the copies, one row per template edge (shape
+        (n_edges, n_copies)), and is used by the generic counter only. That
+        counter multiplies the copies' edges in one at a time, so it holds
+        _BLOCK x n_copies values rather than the full gather.
+        """
+        m = self.weights.shape[1]
+        ahead = mc.jump_ahead(rng, out.size * m)
+        for lo in range(0, out.size, _BLOCK):
+            rows = min(_BLOCK, out.size - lo)
+            kept = draw_atoms(rng, *self._flags, self.kept[:rows])
+            weights = draw_atoms(ahead, *self._law, self.weights[:rows])
+            if self.kind == "generic":
                 per_copy = weights[:, idx[0]]
                 complete = kept[:, idx[0]]
                 for col in idx[1:]:
                     per_copy *= weights[:, col]
                     complete &= kept[:, col]
-                counts = (per_copy * complete).sum(axis=1)
+                out[lo : lo + rows] = (per_copy * complete).sum(axis=1)
             else:
-                flat = np.where(kept, weights, 0.0)
-                counts = _product_counts(kind, self, flat)
-            out[lo : lo + kept.shape[0]] = counts
-        return out
+                # np.where(kept, weights, 0.0) in place, except that a dropped
+                # negative weight reads -0.0; no count sees that sign, because
+                # every counter ends in a sum, which starts from +0.0.
+                flat = np.multiply(weights, kept, out=self.padded[:rows, :m])
+                out[lo : lo + rows] = _product_counts(self, flat)
+        rng.bit_generator.state = ahead.bit_generator.state
 
 
-def _product_counts(kind: str, draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
+def _product_counts(draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
+    kind, rows = draw.kind, flat.shape[0]
     if kind == "edge":
         return flat.sum(axis=1)
-    Y = draw.matrices(flat)
+    Y, Y2 = draw.matrices(rows), draw.square[:rows]
     if kind == "two_path":
         r = Y.sum(axis=2)
-        q = (Y * Y).sum(axis=2)
+        q = np.multiply(Y, Y, out=Y2).sum(axis=2)
         return 0.5 * (r * r - q).sum(axis=1)
+    np.matmul(Y, Y, out=Y2)
     if kind == "triangle":
-        return np.einsum("bij,bji->b", Y @ Y, Y) / 6.0
+        return np.einsum("bij,bji->b", Y2, Y) / 6.0
     if kind == "four_cycle":
-        Y2 = Y @ Y
         tr4 = np.einsum("bij,bij->b", Y2, Y2)
         s = np.einsum("bii->bi", Y2)
-        # Sum of Y^4 over the n x n matrix, in which every edge appears twice.
-        sq = flat * flat
-        q4 = 2.0 * (sq * sq).sum(axis=1)
+        # Sum of Y^4 over the n x n matrix, in which every edge appears twice;
+        # the weights buffer is free once they are masked into padded.
+        sq = np.multiply(flat, flat, out=draw.weights[:rows])
+        sq *= sq
+        q4 = 2.0 * sq.sum(axis=1)
         return (tr4 - 2.0 * (s * s).sum(axis=1) + q4) / 8.0
     raise InputError(f"no closed-form counter for kind {kind!r}")
 
@@ -354,20 +383,21 @@ def simulate_weight(
 
     With size None a single float comes back. Each batch of draws takes its
     retention indicators and then its weights from rng, so the draws depend
-    on batch but not on the counter blocking.
+    on batch but not on the counter blocking; batch fixes that stream layout,
+    not the memory, which _EdgeDraw's one-block buffers bound.
     """
     _check_point(G, n, p)
     total = 1 if size is None else int(size)
     if total < 1:
         raise InputError("size must be positive")
+    if batch < 1:
+        raise InputError("batch must be positive")
     kind = G.kind
     idx = None
     if kind == "generic":
         idx = _edge_positions(n, G.copies_in(n).transpose(1, 0, 2))
+    draw = _EdgeDraw(n, p, law, kind, min(_BLOCK, batch, total))
     out = np.empty(total)
-    done = 0
-    while done < total:
-        b = min(batch, total - done)
-        out[done : done + b] = _EdgeDraw(n, p, law, rng, b).counts(kind, idx)
-        done += b
+    for lo in range(0, total, batch):
+        draw.counts(rng, out[lo : lo + batch], idx)
     return float(out[0]) if size is None else out

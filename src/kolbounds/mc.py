@@ -5,7 +5,9 @@ Cody's (1969) rational approximations. Its absolute error is about 1e-16,
 far below the 1e-12 budget documented here; the tests check it against a
 large trapezoid quadrature and against scipy.special.ndtr.
 Randomness uses counter-based Philox streams keyed by (seed, stream_id), so
-a stream's output never depends on scheduling or on other streams.
+a stream's output never depends on scheduling or on other streams, and
+jump_ahead skips k uniforms of one in O(1), which lets a sampler read two
+parts of its stream block by block.
 Monte Carlo rows are drawn in fixed chunks, one stream per chunk, and
 pooled_draws runs the chunks of every row of a sweep through one pool of
 KOLBOUNDS_WORKERS threads (one when unset); chunked_draws is its one-row
@@ -54,6 +56,36 @@ _CDF_BLOCK = 16_384
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """A reproducible generator: same (seed, stream_id) means same draws."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+
+
+def jump_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
+    """A generator whose uniforms are those rng gives after its next k; rng is untouched.
+
+    Philox is counter-based, so the jump costs O(1) (Salmon et al., SC 2011):
+    the 4 - buffer_pos values left in rng's 4-value buffer are skipped,
+    advance() moves the counter past whole buffers of the rest, and the last
+    (rest mod 4) are drawn and dropped. The cached 32-bit half is kept as
+    rng has it, so the result equals drawing k uniforms and discarding them.
+    """
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.Philox):
+        raise InputError(f"jump_ahead needs a Philox generator, got {type(bits).__name__}")
+    if k < 0:
+        raise InputError("cannot jump a generator backwards")
+    state = bits.state
+    twin = np.random.Philox(key=state["state"]["key"])
+    twin.state = state
+    left = 4 - state["buffer_pos"]
+    if k <= left:
+        state["buffer_pos"] += k
+    else:
+        twin.advance((k - left) // 4)
+        np.random.Generator(twin).random((k - left) % 4)
+        moved = twin.state
+        moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+        state = moved
+    twin.state = state
+    return np.random.Generator(twin)
 
 
 def _rational(z: np.ndarray, coeffs: tuple[tuple[float, ...], tuple[float, ...]]) -> np.ndarray:

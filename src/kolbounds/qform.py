@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tol
-from .dist import Distribution, MomentTable
+from .dist import Distribution, MomentTable, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
@@ -69,9 +69,12 @@ def load_matrix_csv(path: str) -> np.ndarray:
     return symmetrize(np.asarray(rows, dtype=float))
 
 
-def largest_abs_eigenvalue(A: np.ndarray) -> float:
-    """|lambda_1| = max(|lambda_min|, |lambda_max|) from LAPACK eigvalsh; 0 for 0x0."""
-    vals = np.linalg.eigvalsh(symmetrize(A))
+def largest_abs_eigenvalue(M: np.ndarray) -> float:
+    """|lambda_1| = max(|lambda_min|, |lambda_max|) from LAPACK eigvalsh; 0 for 0x0.
+
+    M must be symmetric, as symmetrize returns it: eigvalsh reads one triangle.
+    """
+    vals = np.linalg.eigvalsh(M)
     return max(abs(float(vals[0])), abs(float(vals[-1]))) if vals.size else 0.0
 
 
@@ -385,26 +388,24 @@ def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
     return RandomFunctional(space, vals)
 
 
-def q_samples(
-    A: np.ndarray,
-    law: Distribution,
-    rng: np.random.Generator,
-    size: int,
-    batch: int = 50_000,
-) -> np.ndarray:
-    """Monte Carlo draws of Q (unnormalized), batched for memory.
+def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Monte Carlo draws of Q (unnormalized), drawn and evaluated in blocks.
 
-    Each batch of b draws holds its b x n law draws (8·b·n bytes) and is
-    evaluated by multilinear_form, _Q_BLOCK rows and one BLAS matrix product
-    at a time.
+    Each block of _Q_BLOCK draws goes through draw_atoms into one reused
+    buffer of _Q_BLOCK x n floats (8·_Q_BLOCK·n bytes) and is evaluated by
+    multilinear_form in one BLAS matrix product, so a call holds that buffer
+    and its 8·size-byte output whatever the size. The draws are those of one
+    whole law.sample(rng, size * n) bit for bit.
     """
     M = symmetrize(A)
     n = M.shape[0]
     mu2 = law.moments().mu[2]
     shift = mu2 * float(np.trace(M))
+    cdf, values = law.cdf_array(), law.values_array()
+    drawn = np.empty((min(_Q_BLOCK, size), n))
     out = np.empty(size)
-    for lo in range(0, size, batch):
-        b = min(batch, size - lo)
-        out[lo : lo + b] = multilinear_form(M, law.sample(rng, b * n).reshape(b, n))
+    for lo in range(0, size, _Q_BLOCK):
+        rows = min(_Q_BLOCK, size - lo)
+        out[lo : lo + rows] = multilinear_form(M, draw_atoms(rng, cdf, values, drawn[:rows]))
     out -= shift
     return out

@@ -134,23 +134,38 @@ def test_json_roundtrip(tmp_path):
 # ---------------------------------------------------------- counters vs brute
 
 
-def _brute_from_draw(G, draw):
-    copies = G.copies_in(draw.n)
-    b = draw.kept.shape[0]
-    out = np.zeros(b)
-    for row in range(b):
+def _whole_batch_draw(n, p, law, rng, b):
+    """Oracle: the (b, m) retention flags and then the (b, m) weights, each one
+    whole-array draw from rng (u < p keeps an edge; weights by searchsorted)."""
+    m = n * (n - 1) // 2
+    kept = rng.random((b, m)) < p
+    cdf = np.cumsum(law.probs_array())
+    cdf[-1] = 1.0
+    idx = np.minimum(np.searchsorted(cdf, rng.random(b * m), side="right"), law.n_atoms - 1)
+    return kept, law.values_array()[idx].reshape(b, m)
+
+
+def _oracle_batches(n, p, law, rng, size, batch):
+    for lo in range(0, size, batch):
+        yield _whole_batch_draw(n, p, law, rng, min(batch, size - lo))
+
+
+def _brute_counts(G, n, kept, weights):
+    copies = G.copies_in(n)
+    out = np.zeros(kept.shape[0])
+    for row in range(kept.shape[0]):
         total = 0.0
         for copy in copies:
-            idx = gw._edge_positions(draw.n, copy)
-            if draw.kept[row, idx].all():
-                total += float(np.prod(draw.weights[row, idx]))
+            idx = gw._edge_positions(n, copy)
+            if kept[row, idx].all():
+                total += float(np.prod(weights[row, idx]))
         out[row] = total
     return out
 
 
 def test_closed_form_counters_match_copy_enumeration():
-    # simulate_weight builds one edge draw per batch from the rng, so seeding
-    # a twin generator reproduces the exact weights the closed forms saw.
+    # The oracle redraws the batch from a twin generator, so the copy-by-copy
+    # enumeration sees the exact weights the closed forms saw.
     templates = [
         gw.GraphSpec.edge(),
         gw.GraphSpec.two_path(),
@@ -162,16 +177,14 @@ def test_closed_form_counters_match_copy_enumeration():
         law = laws[t_idx % 3]
         seed = 80 + t_idx
         got = gw.simulate_weight(G, 7, 0.45, law, mc.stream(seed, 0), size=50)
-        draw = gw._EdgeDraw(7, 0.45, law, mc.stream(seed, 0), 50)
-        want = _brute_from_draw(G, draw)
+        want = _brute_counts(G, 7, *_whole_batch_draw(7, 0.45, law, mc.stream(seed, 0), 50))
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10), G.kind
 
 
-def _whole_batch_counts(G, draw):
+def _whole_batch_counts(G, n, kept, weights):
     """Reference counters: one dense evaluation of the whole batch."""
-    n = draw.n
     iu, ju = np.triu_indices(n, k=1)
-    flat = np.where(draw.kept, draw.weights, 0.0)
+    flat = np.where(kept, weights, 0.0)
 
     def dense(vals):
         M = np.zeros((vals.shape[0], n, n))
@@ -183,8 +196,8 @@ def _whole_batch_counts(G, draw):
     if kind == "generic":
         copies = G.copies_in(n)
         idx = gw._edge_positions(n, copies)
-        wvals = draw.weights[:, idx]
-        return (wvals.prod(axis=2) * draw.kept[:, idx].all(axis=2)).sum(axis=1)
+        wvals = weights[:, idx]
+        return (wvals.prod(axis=2) * kept[:, idx].all(axis=2)).sum(axis=1)
     if kind == "edge":
         return flat.sum(axis=1)
     Y = dense(flat)
@@ -214,49 +227,73 @@ def test_blocked_counters_match_whole_batch_evaluation():
         for law_idx, law in enumerate((ZERO_ATOM, ASYM)):
             seed = 90 + law_idx
             for batch in (2_000, gw._BLOCK + 1):
-                got = gw.simulate_weight(G, 9, 0.55, law, mc.stream(seed, 0), size=size, batch=batch)
-                rng = mc.stream(seed, 0)
-                parts = []
-                for lo in range(0, size, batch):
-                    draw = gw._EdgeDraw(9, 0.55, law, rng, min(batch, size - lo))
-                    parts.append(_whole_batch_counts(G, draw))
+                rng, ref = mc.stream(seed, 0), mc.stream(seed, 0)
+                got = gw.simulate_weight(G, 9, 0.55, law, rng, size=size, batch=batch)
+                parts = [_whole_batch_counts(G, 9, *draw) for draw in _oracle_batches(9, 0.55, law, ref, size, batch)]
                 want = np.concatenate(parts)
                 assert np.abs(want).max() > 0.0
                 np.testing.assert_allclose(
                     got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f"{G.kind} {batch}"
                 )
+                assert np.array_equal(rng.random(4), ref.random(4))
 
 
-def test_edge_draw_matches_the_whole_batch_draw():
-    # The batch's flags and weights equal one whole-array draw of each, in
-    # that order, and the generator ends where that draw leaves it.
-    n, p, b = 12, 0.35, 700  # 46 200 edge draws: more than one sampling block
-    m = n * (n - 1) // 2
+def test_dropped_negative_weights_leave_the_counts_bit_identical():
+    # The counters mask by weights * kept, which leaves -0.0 where np.where
+    # puts 0.0. Integer weights keep every sum exact, whatever its order, so
+    # with every weight negative and many zero counts only the sign of a zero
+    # could tell the two apart, and it must not.
+    law = Distribution.finite([(-2.0, 0.5), (-1.0, 0.5)])
+    templates = [gw.GraphSpec.edge(), gw.GraphSpec.two_path(), gw.GraphSpec.triangle(), gw.GraphSpec.four_cycle()]
+    for G in templates:
+        for n in (4, 5):
+            rng, ref = mc.stream(92, n), mc.stream(92, n)
+            got = gw.simulate_weight(G, n, 0.3, law, rng, size=300)
+            want = _whole_batch_counts(G, n, *_whole_batch_draw(n, 0.3, law, ref, 300))
+            assert (want == 0.0).any() and (want != 0.0).any(), G.kind
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), G.kind
+
+
+def test_edge_draw_matches_the_whole_batch_draw(monkeypatch):
+    # The blocks' flags and weights, recorded as draw_atoms fills them, equal
+    # one whole-array draw of each per batch, in that order, and the generator
+    # ends where those draws leave it.
+    n, p, size = 12, 0.35, 700  # 46 200 edge draws: more than one sampling block
+    blocks = []
+    draw_atoms = gw.draw_atoms
+
+    def recorded(*args):
+        out = draw_atoms(*args)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(gw, "draw_atoms", recorded)
     for law_idx, law in enumerate((ZERO_ATOM, ASYM, Distribution.rademacher())):
-        ours, ref = mc.stream(93, law_idx), mc.stream(93, law_idx)
-        draw = gw._EdgeDraw(n, p, law, ours, b)
-        kept = ref.random((b, m)) < p
-        cdf = np.cumsum(law.probs_array())
-        cdf[-1] = 1.0
-        idx = np.minimum(np.searchsorted(cdf, ref.random(b * m), side="right"), law.n_atoms - 1)
-        assert np.array_equal(draw.kept, kept)
-        assert np.array_equal(draw.weights, law.values_array()[idx].reshape(b, m))
-        assert np.array_equal(ours.random(4), ref.random(4))
+        for batch in (size, 300, gw._BLOCK + 1):
+            blocks.clear()
+            ours, ref = mc.stream(93, law_idx), mc.stream(93, law_idx)
+            gw.simulate_weight(gw.GraphSpec.triangle(), n, p, law, ours, size=size, batch=batch)
+            kept, weights = (np.concatenate(parts) for parts in zip(*_oracle_batches(n, p, law, ref, size, batch)))
+            assert np.array_equal(np.concatenate([x for x in blocks if x.dtype == bool]), kept)
+            assert np.array_equal(np.concatenate([x for x in blocks if x.dtype != bool]), weights)
+            assert np.array_equal(ours.random(4), ref.random(4))
 
 
-def test_edge_draw_holds_nine_bytes_per_edge_draw():
-    n, b = 80, 2_000
-    m = n * (n - 1) // 2
-    rng = mc.stream(94, 0)
-    tracemalloc.start()
-    try:
-        gw._EdgeDraw(n, 0.5, three_point(), rng, b)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # One flag byte and one 8-byte weight per edge draw; the whole-array draw
-    # of the uniforms, indices and values peaked near 25 bytes.
-    assert peak <= 1.1 * 9 * b * m
+@pytest.mark.parametrize("G", [gw.GraphSpec.triangle(), gw.GraphSpec.four_cycle()], ids=lambda G: G.kind)
+def test_simulate_weight_holds_one_block_of_draws(G):
+    # A few one-block buffers of 8·_BLOCK·n² bytes, whatever the size; the
+    # whole-batch draw of 2 000 x 3 160 edges held 57 MB beside them.
+    n = 80
+    peaks = []
+    for size in (2_000, 4_000):
+        tracemalloc.start()
+        try:
+            gw.simulate_weight(G, n, 0.5, three_point(), mc.stream(94, size), size=size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 5 * 8 * gw._BLOCK * n * n
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_generic_template_matches_exact_moments():
@@ -347,4 +384,6 @@ def test_simulate_weight_guards():
         gw.simulate_weight(gw.GraphSpec.triangle(), 2, 0.5, law, rng)
     with pytest.raises(InputError):
         gw.simulate_weight(G, 5, 0.5, law, rng, size=0)
+    with pytest.raises(InputError):
+        gw.simulate_weight(G, 5, 0.5, law, rng, size=3, batch=0)
     assert isinstance(gw.simulate_weight(G, 5, 0.5, law, rng), float)

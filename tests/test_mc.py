@@ -124,6 +124,43 @@ def test_streams_are_reproducible_and_independent():
     assert not np.array_equal(a, d)
 
 
+# Offsets 0-9, around whole 4-value buffers, and one n = 80 graph batch (b·m).
+JUMPS = [*range(10), 4 * 25 - 1, 4 * 25, 4 * 25 + 1, 2_000 * (80 * 79 // 2)]
+
+
+@pytest.mark.parametrize("used", range(4))
+def test_jump_ahead_equals_draw_and_discard(used):
+    # used uniforms leave buffer_pos at used (0 reads as a fresh, empty buffer).
+    for k in JUMPS:
+        rng, ref = mc.stream(95, used), mc.stream(95, used)
+        rng.random(used + 4)
+        ref.random(used + 4)
+        before = rng.bit_generator.state
+        assert before["buffer_pos"] == (used if used else 4)
+        ahead = mc.jump_ahead(rng, k)
+        after = rng.bit_generator.state
+        assert after["buffer_pos"] == before["buffer_pos"]
+        assert np.array_equal(after["state"]["counter"], before["state"]["counter"])
+        assert np.array_equal(after["buffer"], before["buffer"])
+        for lo in range(0, k, 1 << 20):  # draw and discard, 8 MiB at a time
+            ref.random(min(1 << 20, k - lo))
+        assert np.array_equal(ahead.random(11), ref.random(11)), k
+        assert np.array_equal(rng.random(3), mc.stream(95, used).random(used + 7)[-3:])
+
+
+def test_jump_ahead_keeps_the_cached_half_word_and_refuses_other_generators():
+    rng, ref = mc.stream(96, 0), mc.stream(96, 0)
+    rng.integers(0, 10, dtype=np.uint32)
+    ref.integers(0, 10, dtype=np.uint32)
+    ahead = mc.jump_ahead(rng, 6)
+    ref.random(6)
+    assert np.array_equal(ahead.integers(0, 1 << 31, 5, dtype=np.uint32), ref.integers(0, 1 << 31, 5, dtype=np.uint32))
+    with pytest.raises(InputError):
+        mc.jump_ahead(np.random.Generator(np.random.PCG64(0)), 4)
+    with pytest.raises(InputError):
+        mc.jump_ahead(rng, -1)
+
+
 def test_chunked_draws_do_not_depend_on_worker_count(monkeypatch):
     law = three_point()
     A = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]])

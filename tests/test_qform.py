@@ -241,6 +241,19 @@ def test_degenerate_analysis_raises():
         qform.analyze(np.diag([1.0, 2.0]), Distribution.rademacher().moments())
 
 
+def test_analyze_symmetrizes_once(monkeypatch):
+    # The matrix is validated once; the eigenvalue step reads the symmetric part.
+    calls = []
+    symmetrize = qform.symmetrize
+    monkeypatch.setattr(qform, "symmetrize", lambda A: calls.append(A.shape) or symmetrize(A))
+    A = _random_sym(np.random.default_rng(72), 9)
+    m = three_point().moments()
+    for k in range(1, 4):
+        q = qform.analyze(A, m)
+        assert len(calls) == k
+    assert q.lambda1 == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+
 # ------------------------------------------------------------- eigenvalues
 
 
@@ -347,44 +360,58 @@ def _einsum_q_samples(A, law, rng, size, batch):
 
 
 def test_q_samples_match_the_einsum_expression():
-    # Sizes and batches off multiples of the row block, n = 1 included; both
-    # sides read the same stream, so only the summation order differs.
+    # Sizes off multiples of the row block, n = 1 included, against references
+    # drawn in batches on and off the block; both sides read the same stream,
+    # so only the summation order differs.
     block = qform._Q_BLOCK
     law = three_point()
     for n, size, batch in [(1, 2 * block + 17, 3000), (7, 3 * block + 5, block + 1), (33, block + 999, 50_000)]:
         A = _random_sym(np.random.default_rng(n), n)
-        got = qform.q_samples(A, law, mc.stream(69, n), size, batch=batch)
+        got = qform.q_samples(A, law, mc.stream(69, n), size)
         want = _einsum_q_samples(A, law, mc.stream(69, n), size, batch)
         assert got.shape == (size,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _row_blocked_q_samples(A, law, rng, size, batch):
-    # The row-blocked loop q_samples ran before multilinear_form took it over.
+def _row_blocked_q_samples(A, law, rng, size):
+    # The row-blocked loop q_samples ran before multilinear_form took it over,
+    # on one whole draw of the size x n law values.
     M = qform.symmetrize(A)
     n = M.shape[0]
     shift = law.moments().mu[2] * float(np.trace(M))
     out = np.empty(size)
-    done = 0
-    while done < size:
-        b = min(batch, size - done)
-        X = law.sample(rng, b * n).reshape(b, n)
-        for lo in range(0, b, qform._Q_BLOCK):
-            Xb = X[lo : lo + qform._Q_BLOCK]
-            Y = Xb @ M
-            Y *= Xb
-            out[done + lo : done + lo + Xb.shape[0]] = Y.sum(axis=1) - shift
-        done += b
+    X = law.sample(rng, size * n).reshape(size, n)
+    for lo in range(0, size, qform._Q_BLOCK):
+        Xb = X[lo : lo + qform._Q_BLOCK]
+        Y = Xb @ M
+        Y *= Xb
+        out[lo : lo + Xb.shape[0]] = Y.sum(axis=1) - shift
     return out
 
 
 def test_q_samples_are_bit_identical_to_the_row_blocked_loop():
     block = qform._Q_BLOCK
     for law in (three_point(), ASYM.centered()):
-        for n, size, batch in [(1, block + 3, 3000), (5, 2 * block + 17, block + 1), (40, block + 999, 50_000)]:
+        for n, size in [(1, block + 3), (5, 2 * block + 17), (40, block + 999)]:
             A = _random_sym(np.random.default_rng(n), n)
-            got = qform.q_samples(A, law, mc.stream(70, n), size, batch=batch)
-            assert np.array_equal(got, _row_blocked_q_samples(A, law, mc.stream(70, n), size, batch))
+            rng, ref = mc.stream(70, n), mc.stream(70, n)
+            got = qform.q_samples(A, law, rng, size)
+            assert np.array_equal(got, _row_blocked_q_samples(A, law, ref, size))
+            assert np.array_equal(rng.random(4), ref.random(4))
+
+
+def test_q_samples_hold_one_block_of_draws():
+    # One reused _Q_BLOCK x n buffer plus the output, whatever the size; a
+    # whole-batch draw of the 50 000 x 128 law values held 51 MB.
+    n, size = 128, 50_000
+    A = _random_sym(np.random.default_rng(71), n)
+    tracemalloc.start()
+    try:
+        qform.q_samples(A, three_point(), mc.stream(71, 0), size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * qform._Q_BLOCK * n + 8 * size
 
 
 def _meshgrid_q_functional(A, law):
