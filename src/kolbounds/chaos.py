@@ -9,7 +9,8 @@ Conventions, fixed once for the whole package:
   per slot, applied to every slot), which never changes the value of the
   multiple sum. decompose admits its Hoeffding terms raw (centred by
   construction). Slot means, kernel norms and gradients average with
-  space.law_mean / law_expect; only contract's einsum takes laws as operands.
+  space.law_mean / law_expect; only contract's einsum and the expectations
+  gradient_integrals keeps as floats take laws (the joint law) as operands.
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -197,25 +198,36 @@ def gradient(X: RandomFunctional, k: int) -> np.ndarray:
 
 
 def gradient_integrals(
-    Xs: Sequence[RandomFunctional], terms: Sequence[Callable[..., np.ndarray]]
-) -> list[RandomFunctional]:
+    Xs: Sequence[RandomFunctional],
+    terms: Sequence[Callable[..., np.ndarray]],
+    expected: Sequence[Callable[..., np.ndarray]] = (),
+) -> list:
     """sum_k E_{t ~ nu_k}[term(*stacks_k)] for each term, at weight 1 per coordinate.
 
     stacks_k holds gradient(X, k) for every X in Xs; each term maps them
-    entrywise (atoms on the leading axis) to one array of their shape. One
-    pass over the coordinates keeps a single coordinate's stacks alive; the
-    full-weight integral is twice the result.
+    entrywise (atoms on the leading axis) to one array of their shape. The
+    integrals of terms come back as functionals; of each expected term only
+    the expectation of its integral is kept, as a float, so it holds no grid.
+    One pass over the coordinates keeps a single coordinate's stacks alive;
+    the full-weight integral is twice the result.
     """
     space = Xs[0].space
     if any(X.space != space for X in Xs):
         raise DomainError("gradients live on different spaces")
     outs = [np.zeros(space.shape) for _ in terms]
+    means = [0.0 for _ in expected]
     for k in range(space.n):
         stacks = [gradient(X, k) for X in Xs]
         for out, term in zip(outs, terms):
             out += law_mean(term(*stacks), 0, space.probs[k])[0]
+        m, rest = space.shape[k], math.prod(space.shape[k + 1 :])
+        for i, term in enumerate(expected):
+            # E_t E[T[t]] weighs stack row t at the outcomes with coordinate k
+            # at atom t: the joint law with axis k read as the stack's atom axis.
+            weights = space.joint_probs.reshape(-1, m, rest)
+            means[i] += float(np.einsum("tab,atb->", term(*stacks).reshape(m, -1, rest), weights))
         del stacks
-    return [RandomFunctional(space, out.reshape(-1)) for out in outs]
+    return [RandomFunctional(space, out.reshape(-1)) for out in outs] + means
 
 
 # ------------------------------------------------------------ operator power

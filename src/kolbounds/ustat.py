@@ -30,7 +30,7 @@ from .chaos import center_slots, slot_mean_max
 from .dist import Distribution, draw_atoms
 from .errors import DegenerateError, DomainError, InputError
 from .qform import _Q_BLOCK, multilinear_form
-from .space import OutcomeSpace, RandomFunctional, law_expect
+from .space import OutcomeSpace, RandomFunctional, law_expect, power
 
 
 class WeightTensor:
@@ -183,7 +183,7 @@ class UKernel:
         return UKernel(self.law, center_slots(self.table, [self._probs] * self.order))
 
     def moment(self, k: int) -> float:
-        return law_expect(self.table**k, [self._probs] * self.order)
+        return law_expect(power(self.table, k), [self._probs] * self.order)
 
     def l2_sq(self) -> float:
         return self.moment(2)

@@ -89,16 +89,18 @@ def test_shifted_square_factor_matches_per_component_projection():
     assert bounds.master_bound(X).squared_gradient_term == pytest.approx(want, rel=1e-12)
 
 
-def test_master_bound_peak_stays_near_eleven_grids():
+def test_master_bound_peak_stays_within_eight_grids():
     # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 16: L^{-1} X,
-    # five integrals, one coordinate's two stacks and the shifted-square sweep.
+    # the two integrals kept as grids (the other three are scalars), one
+    # coordinate's two stacks, a term's output and the shifted-square sweep's
+    # spare buffer; 7.4 measured, with the change-of-basis plan built cold.
     space = OutcomeSpace.iid(Distribution.rademacher(), 16)
     X = _normalized(space.functional(np.random.default_rng(57).standard_normal(space.size)))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         bounds.master_bound(X)
-        assert tracemalloc.get_traced_memory()[1] - base <= 12.0 * 8 * space.size
+        assert tracemalloc.get_traced_memory()[1] - base <= 8.0 * 8 * space.size
     finally:
         tracemalloc.stop()
 

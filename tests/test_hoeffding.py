@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kolbounds import hoeffding
+from kolbounds import chaos, hoeffding
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError, InputError
 from kolbounds.space import OutcomeSpace
@@ -151,7 +151,9 @@ def test_terms_and_grades_match_the_moebius_twin(laws):
 
 def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
     # Rademacher n = 18 is the size cap: the Moebius twin would hold 3^18
-    # entries (3 GiB), the split grid and its order array 2 x 8 * 2^18 bytes.
+    # entries (3 GiB). project holds the split grid, the spare buffer of the
+    # change of basis and the int8 order grid (2.13 grids measured); a view
+    # its input, the spare and its result, one of the two (2.01).
     n = 18
     space = OutcomeSpace.iid(Distribution.rademacher(), n)
     X = _random_functional(space, np.random.default_rng(34))
@@ -159,18 +161,24 @@ def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
     tracemalloc.start()
     try:
         H = hoeffding.project(X)
-        assert tracemalloc.get_traced_memory()[1] <= 4 * grid_bytes
+        assert tracemalloc.get_traced_memory()[1] <= 2.25 * grid_bytes
         for view in (lambda: H.term(range(n)), lambda: H.grade(3), H.reconstruct):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             view()
-            assert tracemalloc.get_traced_memory()[1] - base <= 8 * grid_bytes
+            assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * grid_bytes
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
     for subset in [(), (4,), (0, 17), (2, 9, 13)]:
         want = _inclusion_exclusion_term(X, subset)
         assert np.max(np.abs(H.term(subset).values - want)) < 1e-12
+
+
+def _random_law(m, rng):
+    values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False)) / 4.0
+    probs = rng.integers(1, 10, size=m)
+    return Distribution.finite(zip(values.tolist(), (probs / probs.sum()).tolist()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,12 +190,7 @@ def test_decomposition_properties_on_random_laws(atoms, seed):
     # Random 2-4 atom laws per coordinate, n <= 5: the terms sum back to X,
     # are pairwise orthogonal and vanish on averaging out any one member.
     rng = np.random.default_rng(seed)
-    laws = []
-    for m in atoms:
-        values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False)) / 4.0
-        probs = rng.integers(1, 10, size=m)
-        laws.append(Distribution.finite(zip(values.tolist(), (probs / probs.sum()).tolist())))
-    space = OutcomeSpace(laws)
+    space = OutcomeSpace([_random_law(m, rng) for m in atoms])
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
     terms = {s: H.term(s) for s in H.subsets()}
@@ -201,6 +204,89 @@ def test_decomposition_properties_on_random_laws(atoms, seed):
         for k in subset:
             rest = [j for j in range(space.n) if j != k]
             assert np.max(np.abs(term.conditional(rest).values)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+    batch=st.integers(1, 3),
+    reduced=st.integers(0, 2**5 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(atoms=[2, 3, 2, 6, 1], batch=2, reduced=0b00010, seed=0)  # blocks (0, 1, 2), (3,); 4 is one-atom
+@example(atoms=[4, 4, 4, 2, 2], batch=3, reduced=0b10001, seed=1)  # blocks (0, 1), (2, 3, 4)
+def test_kronecker_blocks_match_the_branch_and_moebius_twins(atoms, batch, reduced, seed):
+    # Random 1-6 atom laws, not iid, so the blocks of at most BLOCK entries
+    # split unevenly and one-atom coordinates sit among them. grade_sweep on
+    # a batch with the axes in `reduced` (a bit mask) stored at length one,
+    # and project's terms and grades, against the two loop twins.
+    rng = np.random.default_rng(seed)
+    space = OutcomeSpace([_random_law(m, rng) for m in atoms])
+    n = space.n
+    shape = tuple(1 if reduced >> k & 1 else m for k, m in enumerate(space.shape))
+    grids = rng.standard_normal((batch,) + shape)
+    coeffs = rng.standard_normal(n + 1)
+    got = hoeffding.grade_sweep(space, grids.copy(), coeffs)
+    assert got.shape == grids.shape
+    for b in range(batch):
+        want = _branch_scale_grades(space, np.broadcast_to(grids[b], space.shape), coeffs)
+        assert np.max(np.abs(np.broadcast_to(got[b], space.shape) - want)) < 1e-12
+    X = _random_functional(space, rng)
+    H = hoeffding.project(X)
+    grades = [np.zeros(space.shape) for _ in range(n + 1)]
+    for mask, w in _moebius_terms(X).items():
+        term = H.term_grid(mask)
+        assert term.shape == w.shape
+        assert np.max(np.abs(term - w)) < 1e-12
+        grades[bin(mask).count("1")] += w
+    for d, w in enumerate(grades):
+        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
+    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
+
+
+def test_a_coordinate_wider_than_a_block_takes_the_rank_one_step():
+    # 300 atoms beside two Rademacher coordinates: the wide axis never gets a
+    # 300 x 300 matrix. Terms and grades against the Moebius twin, and
+    # grade_sweep on every coordinate's gradient stack (a batch of 300 atoms,
+    # or a wide axis inside a batch of 2) against the branch twin.
+    rng = np.random.default_rng(36)
+    wide = Distribution.finite(zip(np.arange(300.0).tolist(), rng.dirichlet(np.ones(300)).tolist()))
+    space = OutcomeSpace([Distribution.rademacher(), wide, Distribution.rademacher()])
+    assert hoeffding.BLOCK < 300
+    X = _random_functional(space, rng)
+    H = hoeffding.project(X)
+    grades = [np.zeros(space.shape) for _ in range(space.n + 1)]
+    for mask, w in _moebius_terms(X).items():
+        assert np.max(np.abs(H.term_grid(mask) - w)) < 1e-12
+        grades[bin(mask).count("1")] += w
+    for d, w in enumerate(grades):
+        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
+    coeffs = rng.standard_normal(space.n + 1)
+    for k in range(space.n):
+        stack = chaos.gradient(X, k)
+        got = hoeffding.grade_sweep(space, stack.copy(), coeffs)
+        for t in range(space.shape[k]):
+            want = _branch_scale_grades(space, np.broadcast_to(stack[t], space.shape), coeffs)
+            assert np.max(np.abs(np.broadcast_to(got[t], space.shape) - want)) < 1e-12
+
+
+def test_scale_grades_on_one_wide_coordinate_holds_three_grids():
+    # One coordinate with 2^17 atoms: a 2^17 x 2^17 matrix would take 128 GiB.
+    # The sweep holds its input copy, one spare buffer and the int8 order grid.
+    m = 2**17
+    rng = np.random.default_rng(37)
+    law = Distribution(tuple(np.arange(m, dtype=float).tolist()), tuple(rng.dirichlet(np.ones(m)).tolist()))
+    space = OutcomeSpace([law])
+    X = _random_functional(space, rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        Y = hoeffding.scale_grades(X, [2.0, -3.0])
+        assert tracemalloc.get_traced_memory()[1] - base <= 3 * 8 * space.size
+    finally:
+        tracemalloc.stop()
+    mean = np.dot(X.values, space.probs[0])
+    assert np.max(np.abs(Y.values - (2.0 * mean - 3.0 * (X.values - mean)))) < 1e-12
 
 
 def test_grades_sum_back_and_scale_grades_matches():
@@ -261,6 +347,8 @@ def test_grade_sweep_checks_its_inputs():
         hoeffding.grade_sweep(space, np.zeros((3, 3, 3)).T, [1.0] * 4)
     with pytest.raises(InputError):
         hoeffding.grade_sweep(space, np.zeros((3, 3, 3), dtype=int), [1.0] * 4)
+    with pytest.raises(InputError):
+        hoeffding.grade_sweep(space, np.zeros((3, 2, 3)), [1.0] * 4)
 
 
 def test_grade_of_additive_sum_is_pure_order_one():

@@ -4,12 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolbounds import chaos
 
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError, InputError, SpaceTooLargeError
-from kolbounds.space import OutcomeSpace, law_expect, law_mean
+from kolbounds.space import OutcomeSpace, law_expect, law_mean, power
 
 
 def test_joint_probs_sum_to_one_and_factorize():
@@ -186,3 +188,25 @@ def test_law_mean_and_law_expect_match_the_brute_force_twins(shape):
         assert law_expect(T, probs) == pytest.approx(float(np.sum(T * joint)), abs=1e-14)
     reduced = rng.standard_normal((3, 1, 2))
     assert law_mean(reduced, 1, np.array([0.25, 0.75])) is reduced
+
+
+@settings(max_examples=40, deadline=None)
+@given(atoms=st.lists(st.integers(1, 6), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
+def test_moments_and_powers_match_libm_pow(atoms, seed):
+    # power (squarings and products) against numpy's pow, k = 0...8. The
+    # round-off allowance scales with E|X|^k, the size of the summed terms,
+    # since odd moments of a centred functional can cancel to near zero.
+    rng = np.random.default_rng(seed)
+    laws = [Distribution.finite(zip(rng.standard_normal(m).tolist(), rng.dirichlet(np.ones(m)).tolist())) for m in atoms]
+    space = OutcomeSpace(laws)
+    X = space.functional(3.0 * rng.standard_normal(space.size))
+    p = space.joint_probs.reshape(-1)
+    for k in range(9):
+        want = np.dot(X.values**k, p)
+        assert abs(X.moment(k) - want) <= 1e-13 * np.dot(np.abs(X.values) ** k, p)
+        assert np.allclose((X**k).values, X.values**k, rtol=1e-14, atol=0.0)
+    grid = X.grid.copy()
+    power(grid, 4)
+    assert np.array_equal(grid, X.grid)
+    with pytest.raises(InputError):
+        power(grid, -1)
