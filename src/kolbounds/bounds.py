@@ -92,10 +92,9 @@ def master_bound(X: RandomFunctional) -> MasterBound:
     shift = [1.0 + 2.0 * math.sqrt(d) for d in range(space.n + 1)]
 
     def shifted_square(g: np.ndarray) -> np.ndarray:
-        # (I + 2 sqrt(number op)) grad^2 for every atom of the stack at once,
-        # squared; the sweep skips the stack's own (reduced) coordinate axis.
-        Z = hoeffding.grade_sweep(space, g**2, shift)
-        return np.square(Z, out=Z)
+        # E[((I + 2 sqrt(number op)) grad^2)^2] for every atom of the stack at
+        # once; the split skips the stack's own (reduced) coordinate axis.
+        return hoeffding.grade_energy(space, np.square(g), shift)
 
     pair, sq_m1, quartic, shifted, shifted_m1 = gradient_integrals(
         [X, Xm1],

@@ -10,7 +10,8 @@ Conventions, fixed once for the whole package:
   multiple sum. decompose admits its Hoeffding terms raw (centred by
   construction). Slot means, kernel norms and gradients average with
   space.law_mean / law_expect; only contract's einsum and the expectations
-  gradient_integrals keeps as floats take laws (the joint law) as operands.
+  gradient_integrals keeps as floats take laws as operands (the joint law,
+  or coordinate k's law over per-atom expectations).
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -197,6 +198,17 @@ def gradient(X: RandomFunctional, k: int) -> np.ndarray:
     return np.subtract(grid[None].swapaxes(0, k + 1), law_mean(grid, k, space.probs[k])[None], order="C")
 
 
+def _atom_average(space: OutcomeSpace, k: int, T: np.ndarray) -> float:
+    """E_{t ~ nu_k} E[T[t]] for per-atom grids T (atoms leading, axis k of length one) or per-atom expectations."""
+    if T.ndim == 1:
+        return float(np.dot(T, space.probs[k]))
+    # Stack row t weighs the outcomes with coordinate k at atom t: the joint
+    # law with axis k read as the stack's atom axis.
+    m, rest = space.shape[k], math.prod(space.shape[k + 1 :])
+    weights = space.joint_probs.reshape(-1, m, rest)
+    return float(np.einsum("tab,atb->", T.reshape(m, -1, rest), weights))
+
+
 def gradient_integrals(
     Xs: Sequence[RandomFunctional],
     terms: Sequence[Callable[..., np.ndarray]],
@@ -208,8 +220,10 @@ def gradient_integrals(
     entrywise (atoms on the leading axis) to one array of their shape. The
     integrals of terms come back as functionals; of each expected term only
     the expectation of its integral is kept, as a float, so it holds no grid.
-    One pass over the coordinates keeps a single coordinate's stacks alive;
-    the full-weight integral is twice the result.
+    An expected term returns, atoms on the leading axis, either arrays of the
+    stacks' shape or their expectations (one value per atom). One pass over
+    the coordinates keeps a single coordinate's stacks alive; the full-weight
+    integral is twice the result.
     """
     space = Xs[0].space
     if any(X.space != space for X in Xs):
@@ -220,12 +234,8 @@ def gradient_integrals(
         stacks = [gradient(X, k) for X in Xs]
         for out, term in zip(outs, terms):
             out += law_mean(term(*stacks), 0, space.probs[k])[0]
-        m, rest = space.shape[k], math.prod(space.shape[k + 1 :])
         for i, term in enumerate(expected):
-            # E_t E[T[t]] weighs stack row t at the outcomes with coordinate k
-            # at atom t: the joint law with axis k read as the stack's atom axis.
-            weights = space.joint_probs.reshape(-1, m, rest)
-            means[i] += float(np.einsum("tab,atb->", term(*stacks).reshape(m, -1, rest), weights))
+            means[i] += _atom_average(space, k, term(*stacks))
         del stacks
     return [RandomFunctional(space, out.reshape(-1)) for out in outs] + means
 

@@ -180,7 +180,19 @@ class Distribution:
         return out if size is not None else float(out[0])
 
 
-def draw_atoms(rng: np.random.Generator, cdf: np.ndarray, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def draw_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uniform, comparison and code buffers of draw_atoms for draws of at most size values."""
+    rows = min(_DRAW_BLOCK, size)
+    return np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint8)
+
+
+def draw_atoms(
+    rng: np.random.Generator,
+    cdf: np.ndarray,
+    values: np.ndarray,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Fill out with inverse-CDF draws of the atoms values and return it.
 
     cdf holds the cumulative probabilities of the atoms; its last entry is
@@ -191,13 +203,13 @@ def draw_atoms(rng: np.random.Generator, cdf: np.ndarray, values: np.ndarray, ou
     step; above it, by a searchsorted on the block.
     The uniforms come _DRAW_BLOCK at a time and the codes go through np.take
     straight into out, so nothing of size out is allocated. out must be
-    C-contiguous with the dtype of values.
+    C-contiguous with the dtype of values. A caller that draws repeatedly
+    passes scratch, draw_scratch(k) for some k >= out.size, and reuses it;
+    without it the buffers are allocated here.
     """
     steps = np.asarray(cdf, dtype=float)[: len(values) - 1]
     flat = out.reshape(-1)
-    u = np.empty(min(_DRAW_BLOCK, flat.size))
-    at_or_above = np.empty(u.size, dtype=bool)
-    codes = np.empty(u.size, dtype=np.uint8)
+    u, at_or_above, codes = draw_scratch(flat.size) if scratch is None else scratch
     for lo in range(0, flat.size, _DRAW_BLOCK):
         ub = rng.random(out=u[: flat.size - lo])
         if len(values) <= _COMPARE_MAX_ATOMS:

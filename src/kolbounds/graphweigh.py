@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .dist import Distribution, draw_atoms
+from .dist import Distribution, draw_atoms, draw_scratch
 from .errors import DegenerateError, DomainError, InputError
 
 _GENERIC_COPY_CAP = 200_000
@@ -276,13 +276,14 @@ class _EdgeDraw:
     flags of each _BLOCK of draws come from rng and their weights from a twin
     that mc.jump_ahead puts b·m uniforms ahead, and rng ends where the twin
     does, so the draws are those of the whole-batch layout bit for bit. Both
-    go through draw_atoms into the buffers allocated here, the masked weights
-    are gathered into the dense matrices by np.take(..., out=), and their
-    products reuse one more buffer, so the closed-form counters allocate no
-    block-sized temporary of their own and nothing holds a batch or its
-    uniforms. Edges are the upper-triangle pairs in row-major order. Keeping
-    the retention mask separate from the weights matters for laws with an atom
-    at zero, where a kept weight-zero edge still completes copies.
+    go through draw_atoms, with one set of its scratch buffers, into the
+    buffers allocated here, the masked weights are gathered into the dense
+    matrices by np.take(..., out=), and their products reuse one more buffer,
+    so the closed-form counters allocate no block-sized temporary of their
+    own and nothing holds a batch or its uniforms. Edges are the
+    upper-triangle pairs in row-major order. Keeping the retention mask
+    separate from the weights matters for laws with an atom at zero, where a
+    kept weight-zero edge still completes copies.
     """
 
     def __init__(self, n: int, p: float, law: Distribution, kind: str, rows: int):
@@ -294,6 +295,7 @@ class _EdgeDraw:
         self._law = (law.cdf_array(), law.values_array())
         self.kept = np.empty((rows, m), dtype=bool)
         self.weights = np.empty((rows, m))
+        self._scratch = draw_scratch(rows * m)
         if kind != "generic":
             # Masked weights, then a zero column that the diagonal cells read.
             self.padded = np.zeros((rows, m + 1))
@@ -328,8 +330,8 @@ class _EdgeDraw:
         ahead = mc.jump_ahead(rng, out.size * m)
         for lo in range(0, out.size, _BLOCK):
             rows = min(_BLOCK, out.size - lo)
-            kept = draw_atoms(rng, *self._flags, self.kept[:rows])
-            weights = draw_atoms(ahead, *self._law, self.weights[:rows])
+            kept = draw_atoms(rng, *self._flags, self.kept[:rows], self._scratch)
+            weights = draw_atoms(ahead, *self._law, self.weights[:rows], self._scratch)
             if self.kind == "generic":
                 per_copy = weights[:, idx[0]]
                 complete = kept[:, idx[0]]

@@ -6,35 +6,40 @@ and E[W_J | coordinates in K] = 0 whenever J is not contained in K.
 
 One per-axis change of basis serves every term and every grade, which is
 Yates' algorithm for factorial designs generalised to any finite law. The
-split matrix S_k of coordinate k puts the average under its law at the slot
-of its most likely atom r (the mean slot) and value_t minus that average at
-every other slot t; the centred part at r is implied, since the centred
-parts average to zero. The join J_k = S_k^-1 has the closed form
-J_k[t] = e_t + e_r (t != r) and J_k[r] = e_r - sum_{t != r} (p_t / p_r) e_t.
-In the split basis every grid entry is the coefficient of a product of mean
-and centred factors; the entries whose centred axes are exactly J make up
-W_J, and the number of centred axes is the entry's order.
+basis of coordinate k is orthonormal under its law p: the constant function
+and m - 1 centred functionals. With H_k the Householder reflector that swaps
+e_r and -sqrt(p) (r the most likely atom, the mean slot), the split is
+A_k = -H_k diag(sqrt p): row r is p, so the mean slot holds the average under
+the law, and every other row pairs the grid with one centred basis function.
+A_k diag(1/p) A_k^T = I, and the join is A_k^-1 = -diag(1/sqrt p) H_k. In the
+split basis every grid entry is the coefficient of a product of basis
+functions; the entries whose non-mean axes are exactly J make up W_J, the
+number of non-mean axes is the entry's order, and by Parseval the second
+moment of any sum of entries is the sum of their squared coefficients.
 
 The matrices act on tensor factors of their own, so consecutive coordinates
 whose atom counts multiply to at most BLOCK form one Kronecker block and
-kron(S_a, ..., S_b) is applied to the whole grid as one gemm: the grid,
+kron(A_a, ..., A_b) is applied to the whole grid as one gemm: the grid,
 flattened, is read as (rest, block), multiplied from the left and written
 back block-first (Van Loan's Kronecker-vector product). Each step so rotates
 the block it treats to the front, between the grid and one spare buffer,
 and after every block, and a leading batch (an identity block, a transposed
 copy), has had its turn the layout is the original one. A coordinate with
 more than BLOCK atoms is a block of its own and never gets a matrix: it takes
-the rank-one step (its law's average out, then the centred parts). An axis
-of length one (a reduced grid, constant along it) is skipped. A direction
-costs at most 2 BLOCK |Omega| flops per block and one spare grid of memory.
-The plan (blocks, their matrices and the int8 order of every entry) is built
-once per space.
+the reflector as a rank-one step on sqrt(p) times the grid, with sqrt(p)
+written into whichever buffer is free at the time. An axis of length one (a
+reduced grid, constant along it) is skipped. A direction costs at most
+2 BLOCK |Omega| flops per block and one spare grid of memory. The plan
+(blocks, their matrices and the int8 order of every entry) is built once per
+sequence of laws and shared by every space with those laws; the plans of the
+last _PLANS_KEPT sequences are kept.
 
 project keeps the split grid and reads each order from the plan. A term W_J
 is the sub-block with every other axis at its mean slot, joined back over the
 axes in J alone; the order-d part is the grid masked to order d and joined
 back; grade_sweep scales each entry by its order's coefficient between the
-split and the join. Terms come out in reduced (keepdims) form, one axis per
+split and the join, and grade_energy sums the squared, weighted entries after
+the split alone. Terms come out in reduced (keepdims) form, one axis per
 coordinate with non-member axes collapsed to length one, and are expanded to
 full functionals (OutcomeSpace.expand) on demand.
 """
@@ -48,14 +53,15 @@ from typing import Sequence
 import numpy as np
 
 from . import tol
+from .dist import Distribution
 from .errors import DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
 
 # Largest Kronecker block, in grid entries along the block (the gemm's inner
-# size). grade_sweep on one gradient stack (2 cores, one BLAS thread) takes
-# 0.07 / 1.3 / 4.4 ms at Rademacher n = 12 / 16 / 18 and 0.23 / 2.9 ms at
-# three-point n = 9 / 11 with 16; 8, 32 and 64 are within 10% at n <= 16 and
-# 11-55% slower at Rademacher n = 18 and three-point.
+# size). With 16, grade_energy on one gradient stack (2 cores, one BLAS
+# thread) takes 0.05 / 0.42 / 4.4 ms at Rademacher n = 12 / 16 / 18 and
+# 0.14 / 1.6 ms at three-point n = 9 / 11; 32 and 64 are within 8% of that,
+# up to 11% faster at three-point n = 11, and 8 is 5-110% slower.
 BLOCK = 16
 
 
@@ -75,45 +81,60 @@ def _subset_of(mask: int, n: int) -> tuple[int, ...]:
 
 
 def _axis_matrix(p: np.ndarray, r: int, join: bool) -> np.ndarray:
-    """S_k (split) or J_k = S_k^-1 (join) for a law p with mean slot r."""
-    if join:
-        J = np.eye(len(p))
-        J[:, r] = 1.0
-        J[r] = -p / p[r]
-        J[r, r] = 1.0
-        return J
-    S = np.eye(len(p)) - p
-    S[r] = p
-    return S
+    """A = -H diag(sqrt p) (split) or A^-1 = -diag(1/sqrt p) H (join) for a law p with mean slot r.
 
-
-def _rank_one(p: np.ndarray, r: int, V: np.ndarray, W: np.ndarray, join: bool) -> None:
-    """W = S_k V (split) or J_k V (join) for one wide axis, leading in V, without forming S_k.
-
-    V may be overwritten.
+    -H = u u^T / u_r - I with u = sqrt(p) + e_r, so -H e_r = sqrt(p).
     """
+    root = np.sqrt(p)
+    u = root.copy()
+    u[r] += 1.0
+    U = np.outer(u, u / u[r])
+    U[np.diag_indices(len(p))] -= 1.0
+    return U / root[:, None] if join else U * root
+
+
+def _wide_step(p: np.ndarray, r: int, src: np.ndarray, dst: np.ndarray, join: bool) -> None:
+    """One wide axis, last in src, split (or joined) into dst block-first, without forming A.
+
+    With V = src read as (atoms, rest), the split row r is the mean p V and
+    row t != r is sqrt(p_t) (c - V_t), c = (p V + sqrt(p_r) V_r) / (1 + sqrt(p_r)).
+    The join row r is a / sqrt(p_r) and row t != r is d - V_t / sqrt(p_t),
+    a = sqrt(p) V and d = (a + V_r) / (1 + sqrt(p_r)). sqrt(p) goes into the
+    head of src once the split has read it, or of dst before the join writes
+    it, so no atom-sized array is allocated; src is overwritten.
+    """
+    m = len(p)
+    V = src.reshape(-1, m).T
+    W = dst.reshape(m, -1)
     if join:
-        mean = V[r].copy()
-        V[r] = 0.0
-        np.add(V, mean, out=W)
-        W[r] = mean - (p @ V) / p[r]
+        root = np.sqrt(p, out=dst.reshape(-1)[:m])
+        root_r = float(root[r])
+        a = root @ V
+        d = (a + V[r]) / (1.0 + root_r)
+        V /= root[:, None]
+        np.subtract(d, V, out=W)
+        W[r] = a / root_r
     else:
+        root_r = math.sqrt(p[r])
         mean = p @ V
-        np.subtract(V, mean, out=W)
+        np.subtract((mean + root_r * V[r]) / (1.0 + root_r), V, out=W)
+        W *= np.sqrt(p, out=src.reshape(-1)[:m])[:, None]
         W[r] = mean
 
 
 class _Basis:
-    """The change-of-basis plan of one space; OutcomeSpace.basis caches it.
+    """The change-of-basis plan of one sequence of laws; _basis shares it.
 
     blocks lists the Kronecker blocks, consecutive coordinates with more than
     one atom; order is the order of every entry of a full split grid, int8
     and read-only. A kron matrix is built once per direction and sequence of
-    laws along the block's kept axes, so iid blocks share theirs.
+    laws along the block's kept axes, so iid blocks share theirs; law_ids
+    numbers the distinct laws, so that sequence is keyed by small integers.
     """
 
     def __init__(self, space: OutcomeSpace):
-        self.laws = space.laws
+        ids: dict[Distribution, int] = {}
+        self.law_ids = tuple(ids.setdefault(law, len(ids)) for law in space.laws)
         self.probs = space.probs
         self.refs = tuple(int(p.argmax()) for p in space.probs)
         self.blocks: list[list[int]] = []
@@ -139,7 +160,7 @@ class _Basis:
         return self.order[tuple(slice(None) if m > 1 else slice(r, r + 1) for m, r in zip(shape, self.refs))]
 
     def _matrix(self, axes: tuple[int, ...], join: bool) -> np.ndarray:
-        key = (tuple(self.laws[k] for k in axes), join)
+        key = (tuple(self.law_ids[k] for k in axes), join)
         K = self._kron.get(key)
         if K is None:
             K = np.ones((1, 1))
@@ -164,13 +185,11 @@ class _Basis:
             if not axes:
                 continue
             size = math.prod(shape[k] for k in axes)
-            V = src.reshape(-1, size).T
-            W = dst.reshape(size, -1)
             if size > BLOCK:
                 (k,) = axes
-                _rank_one(self.probs[k], self.refs[k], V, W, join)
+                _wide_step(self.probs[k], self.refs[k], src, dst, join)
             else:
-                np.matmul(self._matrix(axes, join), V, out=W)
+                np.matmul(self._matrix(axes, join), src.reshape(-1, size).T, out=dst.reshape(size, -1))
             src, dst = dst, src
             moved = True
         batch = T.size // math.prod(shape)
@@ -184,17 +203,27 @@ class _Basis:
         return self.apply(T, np.empty_like(T), join=True)[0]
 
 
+# Plans by sequence of laws, oldest first; _PLANS_KEPT bounds what they hold
+# (an int8 order grid of at most SIZE_CAP bytes each, and their matrices).
+_plans: dict[tuple[Distribution, ...], _Basis] = {}
+_PLANS_KEPT = 8
+
+
 def _basis(space: OutcomeSpace) -> _Basis:
-    if space.basis is None:
-        space.basis = _Basis(space)
-    return space.basis
+    """The plan of space's laws, built on first use and shared by every space with equal laws."""
+    plan = _plans.get(space.laws)
+    if plan is None:
+        if len(_plans) >= _PLANS_KEPT:
+            del _plans[next(iter(_plans))]
+        plan = _plans[space.laws] = _Basis(space)
+    return plan
 
 
 class HoeffdingDecomposition:
     """The full subset decomposition of one functional.
 
     coef is the functional's grid in the split basis; every term and grade
-    is read back from it with the space's change-of-basis plan.
+    is read back from it with the change-of-basis plan of the space's laws.
     """
 
     def __init__(self, space: OutcomeSpace, coef: np.ndarray):
@@ -242,8 +271,9 @@ class HoeffdingDecomposition:
         return RandomFunctional(self.space, self._basis.join(masked).reshape(-1))
 
     def second_moment(self) -> float:
-        """E[X^2], the sum of the terms' second moments by orthogonality."""
-        return self.reconstruct().moment(2)
+        """E[X^2], the sum of the squared coefficients (Parseval in the orthonormal basis)."""
+        c = self._coef.reshape(-1)
+        return float(np.dot(c, c))
 
     def scaled(self, c: float) -> "HoeffdingDecomposition":
         return HoeffdingDecomposition(self.space, c * self._coef)
@@ -260,6 +290,33 @@ def project(X: RandomFunctional) -> HoeffdingDecomposition:
     return HoeffdingDecomposition(X.space, coef)
 
 
+def _check_grid(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> tuple[int, ...]:
+    """The coordinate shape of a grid that grade_sweep and grade_energy accept."""
+    n = space.n
+    if len(coeffs) != n + 1:
+        raise InputError(f"need {n + 1} grade coefficients, got {len(coeffs)}")
+    if grid.ndim < n:
+        raise InputError(f"grid has {grid.ndim} axes, the space needs at least {n}")
+    if grid.dtype != float or not grid.flags.c_contiguous:
+        raise InputError("grade_sweep and grade_energy take a C-ordered float array and overwrite it")
+    shape = grid.shape[grid.ndim - n :]
+    if any(m not in (1, full) for m, full in zip(shape, space.shape)):
+        raise InputError(f"grid axes {shape} do not fit the space's {space.shape}")
+    return shape
+
+
+def _by_order(basis: _Basis, shape: Sequence[int], table: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """table[order] for every entry of a grid of this shape, written into the head of spare."""
+    order = basis.order_of(shape)
+    out = spare.reshape(-1)[: order.size].reshape(order.shape)
+    # np.take casts its indices to intp, so it gets them one nditer buffer
+    # at a time rather than as a grid of its own.
+    with np.nditer([order, out], ["external_loop", "buffered"], [["readonly"], ["writeonly"]]) as chunks:
+        for index, chunk in chunks:
+            np.take(table, index, out=chunk, mode="clip")
+    return out
+
+
 def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
     """Replace grid in place by sum over d of coeffs[d] * (its order-d part) and return it.
 
@@ -267,8 +324,8 @@ def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) 
     coordinates, each of its coordinate's length or of length one (a reduced
     grid, constant along it, skipped); any leading axes are a batch and are
     carried through untouched. Each entry of the split grid lies in the order
-    counted by its centred axes; it is scaled by that order's coefficient and
-    the axes are joined back.
+    counted by its non-mean axes; it is scaled by that order's coefficient
+    and the axes are joined back.
 
     Cost: each direction is one gemm per Kronecker block (see the module
     docstring), 2 M N flops for a block of M entries on a grid of N, so
@@ -277,29 +334,31 @@ def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) 
     which also holds the per-entry coefficients; callers that keep the input
     pass a copy.
     """
-    n = space.n
-    if len(coeffs) != n + 1:
-        raise InputError(f"need {n + 1} grade coefficients, got {len(coeffs)}")
-    if grid.ndim < n:
-        raise InputError(f"grid has {grid.ndim} axes, the space needs at least {n}")
-    if grid.dtype != float or not grid.flags.c_contiguous:
-        raise InputError("grade_sweep scales a C-ordered float array in place")
-    shape = grid.shape[grid.ndim - n :]
-    if any(m not in (1, full) for m, full in zip(shape, space.shape)):
-        raise InputError(f"grid axes {shape} do not fit the space's {space.shape}")
+    shape = _check_grid(space, grid, coeffs)
     basis = _basis(space)
     coef, free = basis.apply(grid, np.empty_like(grid), join=False)
-    order = basis.order_of(shape)
-    scale = free.reshape(-1)[: order.size].reshape(order.shape)
-    # np.take casts its indices to intp, so it gets them one nditer buffer
-    # at a time rather than as a grid of its own.
-    table = np.asarray(coeffs, dtype=float)
-    with np.nditer([order, scale], ["external_loop", "buffered"], [["readonly"], ["writeonly"]]) as chunks:
-        for index, out in chunks:
-            np.take(table, index, out=out, mode="clip")
-    coef *= scale
+    coef *= _by_order(basis, shape, np.asarray(coeffs, dtype=float), free)
     # The join takes as many steps as the split, so the result is back in grid.
     return basis.apply(coef, free, join=True)[0]
+
+
+def grade_energy(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+    """sum over d of coeffs[d]^2 E[(order-d part)^2] for each batch row of grid, overwriting grid.
+
+    This is E[Y^2] for Y = grade_sweep(space, grid, coeffs), row by row, from
+    the split alone: the grades are orthogonal and the basis orthonormal, so
+    E[Y^2] is the sum over entries of (coeffs[order] * coefficient)^2. grid is
+    as for grade_sweep; the result has one entry per batch row (the product
+    of the leading axes, 1 without a batch). Cost: one direction of
+    grade_sweep and one gemv. Memory: one spare buffer of grid's size, which
+    also holds the per-entry weights.
+    """
+    shape = _check_grid(space, grid, coeffs)
+    basis = _basis(space)
+    coef, free = basis.apply(grid, np.empty_like(grid), join=False)
+    weights = _by_order(basis, shape, np.square(np.asarray(coeffs, dtype=float)), free)
+    np.square(coef, out=coef)
+    return coef.reshape(-1, weights.size) @ weights.reshape(-1)
 
 
 def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunctional:

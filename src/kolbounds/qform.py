@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tol
-from .dist import Distribution, MomentTable, draw_atoms
+from .dist import Distribution, MomentTable, draw_atoms, draw_scratch
 from .errors import DegenerateError, DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
@@ -391,11 +391,12 @@ def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
 def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
     """Monte Carlo draws of Q (unnormalized), drawn and evaluated in blocks.
 
-    Each block of _Q_BLOCK draws goes through draw_atoms into one reused
-    buffer of _Q_BLOCK x n floats (8·_Q_BLOCK·n bytes) and is evaluated by
-    multilinear_form in one BLAS matrix product, so a call holds that buffer
-    and its 8·size-byte output whatever the size. The draws are those of one
-    whole law.sample(rng, size * n) bit for bit.
+    Each block of _Q_BLOCK draws goes through draw_atoms, with one set of its
+    scratch buffers, into one reused buffer of _Q_BLOCK x n floats
+    (8·_Q_BLOCK·n bytes) and is evaluated by multilinear_form in one BLAS
+    matrix product, so a call holds that buffer and its 8·size-byte output
+    whatever the size. The draws are those of one whole
+    law.sample(rng, size * n) bit for bit.
     """
     M = symmetrize(A)
     n = M.shape[0]
@@ -403,9 +404,10 @@ def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: 
     shift = mu2 * float(np.trace(M))
     cdf, values = law.cdf_array(), law.values_array()
     drawn = np.empty((min(_Q_BLOCK, size), n))
+    scratch = draw_scratch(drawn.size)
     out = np.empty(size)
     for lo in range(0, size, _Q_BLOCK):
         rows = min(_Q_BLOCK, size - lo)
-        out[lo : lo + rows] = multilinear_form(M, draw_atoms(rng, cdf, values, drawn[:rows]))
+        out[lo : lo + rows] = multilinear_form(M, draw_atoms(rng, cdf, values, drawn[:rows], scratch))
     out -= shift
     return out

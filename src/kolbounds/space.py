@@ -9,9 +9,10 @@ Kolmogorov distances) reduces to weighted sums over this grid.
 law_mean, one axis averaged under its coordinate's law (law_expect: every
 axis), is behind conditionals, gradients and their integrals, kernel slot
 means and norms and U-kernel moments; only whole-grid joint_probs dots,
-chaos.contract's einsum and the Hoeffding change of basis (its per-axis
-matrices) weight by a law otherwise. power is the one integer power of a
-grid: squarings and products, never libm pow.
+chaos.contract's einsum, chaos.gradient_integrals' per-atom expectations and
+the Hoeffding change of basis (its per-axis matrices) weight by a law
+otherwise. power is the one integer power of a grid: squarings and products,
+never libm pow.
 
 The enumeration cap is 2**18 outcomes; larger spaces raise SpaceTooLargeError
 at construction so the failure happens early and loudly.
@@ -104,7 +105,6 @@ class OutcomeSpace:
         self.values: tuple[np.ndarray, ...] = tuple(law.values_array() for law in self.laws)
         self.probs: tuple[np.ndarray, ...] = tuple(law.probs_array() for law in self.laws)
         self._joint: np.ndarray | None = None
-        self.basis = None  # hoeffding's change-of-basis plan, built on first use
 
     @staticmethod
     def iid(law: Distribution, n: int) -> "OutcomeSpace":

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import tol
 from .chaos import center_slots, slot_mean_max
-from .dist import Distribution, draw_atoms
+from .dist import Distribution, draw_atoms, draw_scratch
 from .errors import DegenerateError, DomainError, InputError
 from .qform import _Q_BLOCK, multilinear_form
 from .space import OutcomeSpace, RandomFunctional, law_expect, power
@@ -280,16 +280,18 @@ def ustat_sample(
 ) -> np.ndarray:
     """Monte Carlo draws of U (unnormalized), batched over samples.
 
-    Each batch draws its b x n atom labels into one reused 8·b·n-byte buffer
-    (a general kernel's one-hot rows take m times that again).
+    Each batch draws its b x n atom labels, through one set of draw_atoms'
+    scratch buffers, into one reused 8·b·n-byte buffer (a general kernel's
+    one-hot rows take m times that again).
     """
     _check_pair(w, g)
     cdf = g.law.cdf_array()
     labels = _labels(g)
     drawn = np.empty((min(batch, size), w.n), dtype=labels.dtype)
+    scratch = draw_scratch(drawn.size)
     out = np.empty(size)
     for lo in range(0, size, batch):
         b = min(batch, size - lo)
-        out[lo : lo + b] = _subset_sums(w, g, draw_atoms(rng, cdf, labels, drawn[:b]))
+        out[lo : lo + b] = _subset_sums(w, g, draw_atoms(rng, cdf, labels, drawn[:b], scratch))
     out *= 1.0 / math.comb(w.n, w.order)
     return out

@@ -222,6 +222,22 @@ def test_only_laws_above_the_cut_binary_search(monkeypatch, n_atoms, searches):
     assert _CUT < 256  # comparison codes are uint8
 
 
+@pytest.mark.parametrize("n_atoms", [2, 3, _CUT + 1])
+def test_draws_through_one_reused_scratch_match_fresh_buffers(n_atoms):
+    # One draw_scratch set serves draws of every size up to its own, block
+    # tails included: the values and the generator's end state are those of
+    # law.sample, which allocates its buffers per call.
+    law = _law_with(n_atoms)
+    block = dist._DRAW_BLOCK
+    scratch = dist.draw_scratch(3 * block)
+    assert scratch[0].size == block
+    ours, ref = mc.stream(36, n_atoms), mc.stream(36, n_atoms)
+    for size in (1, 7, block + 1, 2 * block + 17, 5):
+        got = dist.draw_atoms(ours, law.cdf_array(), law.values_array(), np.empty(size), scratch)
+        assert np.array_equal(got, law.sample(ref, size))
+    assert np.array_equal(ours.random(5), ref.random(5))
+
+
 def test_draw_atoms_writes_any_dtype_in_place():
     # Retention flags are u < p, drawn as the two atoms (True, False).
     out = np.empty((4, 9), dtype=bool)

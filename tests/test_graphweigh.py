@@ -279,6 +279,30 @@ def test_edge_draw_matches_the_whole_batch_draw(monkeypatch):
             assert np.array_equal(ours.random(4), ref.random(4))
 
 
+def test_simulate_weight_allocates_the_draw_scratch_once(monkeypatch):
+    # Every flag and weight block of a call goes through one set of
+    # draw_atoms buffers, made once per simulate_weight call.
+    made, seen = [], []
+    draw_atoms, draw_scratch = gw.draw_atoms, gw.draw_scratch
+
+    def scratch(size):
+        made.append(draw_scratch(size))
+        return made[-1]
+
+    def recorded(*args):
+        seen.append(args[4])
+        return draw_atoms(*args)
+
+    monkeypatch.setattr(gw, "draw_scratch", scratch)
+    monkeypatch.setattr(gw, "draw_atoms", recorded)
+    for G in (gw.GraphSpec.triangle(), gw.GraphSpec.complete(4)):
+        made.clear()
+        seen.clear()
+        gw.simulate_weight(G, 9, 0.4, ASYM, mc.stream(95, 0), size=3 * gw._BLOCK + 5, batch=gw._BLOCK + 1)
+        assert len(made) == 1 and len(seen) > 4
+        assert all(s is made[0] for s in seen)
+
+
 @pytest.mark.parametrize("G", [gw.GraphSpec.triangle(), gw.GraphSpec.four_cycle()], ids=lambda G: G.kind)
 def test_simulate_weight_holds_one_block_of_draws(G):
     # A few one-block buffers of 8·_BLOCK·n² bytes, whatever the size; the

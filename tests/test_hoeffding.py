@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kolbounds import chaos, hoeffding
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError, InputError
-from kolbounds.space import OutcomeSpace
+from kolbounds.space import OutcomeSpace, law_expect
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()]
@@ -287,6 +287,103 @@ def test_scale_grades_on_one_wide_coordinate_holds_three_grids():
         tracemalloc.stop()
     mean = np.dot(X.values, space.probs[0])
     assert np.max(np.abs(Y.values - (2.0 * mean - 3.0 * (X.values - mean)))) < 1e-12
+
+
+def _wide_law(m, rng):
+    probs = rng.integers(1, 10, size=m)
+    return Distribution.finite(zip(np.arange(m, dtype=float).tolist(), (probs / probs.sum()).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.integers(1, 6), min_size=0, max_size=4),
+    wide=st.integers(hoeffding.BLOCK + 1, hoeffding.BLOCK + 8),
+    at=st.integers(0, 4),
+    batch=st.integers(1, 3),
+    reduced=st.integers(0, 2**5 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(atoms=[2, 3, 2, 6], wide=17, at=2, batch=2, reduced=0b00101, seed=0)
+def test_grade_energy_is_the_mean_square_of_grade_sweep(atoms, wide, at, batch, reduced, seed):
+    # Random 1-6 atom laws, not iid, with one coordinate wider than a block
+    # (the rank-one step) among them: grade_energy, from the split alone,
+    # against grade_sweep followed by each batch row's mean square.
+    rng = np.random.default_rng(seed)
+    laws = [_random_law(m, rng) for m in atoms]
+    laws.insert(min(at, len(laws)), _wide_law(wide, rng))
+    space = OutcomeSpace(laws)
+    shape = tuple(1 if reduced >> k & 1 else m for k, m in enumerate(space.shape))
+    grids = rng.standard_normal((batch,) + shape)
+    coeffs = rng.standard_normal(space.n + 1)
+    got = hoeffding.grade_energy(space, grids.copy(), coeffs)
+    swept = hoeffding.grade_sweep(space, grids.copy(), coeffs)
+    assert got.shape == (batch,)
+    for b in range(batch):
+        want = law_expect(np.square(swept[b]), space.probs)
+        assert abs(got[b] - want) <= 1e-12 * max(1.0, want)
+
+
+@pytest.mark.parametrize(
+    "laws",
+    [[Distribution.rademacher()] * 6, [three_point()] * 4, MIXED, [ASYM, three_point(), ASYM, Distribution.rademacher(), ASYM]],
+    ids=["rademacher-6", "three-point-4", "mixed-4", "mixed-5"],
+)
+def test_every_kronecker_block_is_orthonormal_under_its_laws(laws):
+    # A diag(1/p) A^T = I for each block's split matrix A, p the product law
+    # along the block, and the join is its inverse.
+    space = OutcomeSpace(laws)
+    basis = hoeffding._basis(space)
+    for block in basis.blocks:
+        axes = tuple(block)
+        A = basis._matrix(axes, join=False)
+        p = np.ones(1)
+        for k in axes:
+            p = np.kron(p, space.probs[k])
+        assert np.max(np.abs(A @ np.diag(1.0 / p) @ A.T - np.eye(len(p)))) < 1e-12
+        assert np.max(np.abs(basis._matrix(axes, join=True) @ A - np.eye(len(p)))) < 1e-12
+
+
+def test_spaces_with_equal_laws_share_one_plan_and_the_cache_stays_bounded():
+    law = Distribution.finite([(-1.0, 0.3), (0.5, 0.2), (2.0, 0.5)])
+    a, b = OutcomeSpace.iid(law, 4), OutcomeSpace.iid(law, 4)
+    assert a is not b
+    assert hoeffding._basis(a) is hoeffding._basis(b)
+    assert hoeffding._basis(OutcomeSpace.iid(law, 4)) is hoeffding._basis(a)
+    assert hoeffding._basis(OutcomeSpace.iid(law, 3)) is not hoeffding._basis(a)
+    assert hoeffding._basis(OutcomeSpace([law, law, law, three_point()])) is not hoeffding._basis(a)
+    for n in range(1, 2 * hoeffding._PLANS_KEPT + 1):
+        hoeffding._basis(OutcomeSpace.iid(Distribution.rademacher(), n))
+        assert len(hoeffding._plans) <= hoeffding._PLANS_KEPT
+
+
+def test_grade_energy_holds_one_spare_grid_beside_its_input():
+    # One gradient stack at Rademacher n = 16, with the plan built beforehand:
+    # the split needs one spare buffer of the input's size, which then holds
+    # the per-entry weights, and nothing else of grid size. np.take's indices
+    # come one nditer buffer (8192 entries) at a time, as int8 and as intp.
+    n = 16
+    space = OutcomeSpace.iid(Distribution.rademacher(), n)
+    X = _random_functional(space, np.random.default_rng(38))
+    square = np.square(chaos.gradient(X, 5))
+    shift = [1.0 + 2.0 * np.sqrt(d) for d in range(n + 1)]
+    want = hoeffding.grade_energy(space, square.copy(), shift)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = hoeffding.grade_energy(space, square, shift)
+        assert tracemalloc.get_traced_memory()[1] - base <= square.nbytes + 12 * 8192
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - want)) == 0.0
+
+
+def test_second_moment_is_the_sum_of_squared_coefficients():
+    # Parseval in the orthonormal basis, with no join: on a mixed-law space
+    # and at the 2^18 cap.
+    rng = np.random.default_rng(39)
+    for space in (OutcomeSpace(MIXED), OutcomeSpace.iid(Distribution.rademacher(), 18)):
+        X = _random_functional(space, rng)
+        assert hoeffding.project(X).second_moment() == pytest.approx(X.moment(2), rel=1e-12)
 
 
 def test_grades_sum_back_and_scale_grades_matches():
