@@ -16,6 +16,7 @@ seed, a sha256 over the resolved configuration (file contents, not paths)
 and a constant_free flag per reported quantity. Identical inputs produce
 byte-identical reports; Monte Carlo sections draw from counter-based
 streams in fixed chunks, so KOLBOUNDS_WORKERS changes speed, never output.
+A report that draws records the layout of its draws as stream_scheme.
 
 Exit codes: 0 success, 2 bad input, 3 degenerate variance, 4 an identity
 check failed.
@@ -174,7 +175,10 @@ def _sweep_delta(cfg: dict, args: argparse.Namespace) -> float:
 
 
 def sign_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix with zero diagonal and entries +-1/sqrt(n)."""
+    """Symmetric matrix with zero diagonal and entries +-1/sqrt(n).
+
+    A + A.T is exactly symmetric, so the sweep passes it on unvalidated.
+    """
     if n < 2:
         raise InputError("sign matrices need n >= 2")
     A = np.zeros((n, n))
@@ -201,6 +205,7 @@ def _emit_distances(
     if args.samples:
         draws = mc.chunked_draws(functools.partial(_scaled_draw, sample, scale), args.samples, seed=args.seed)
         results["empirical"] = mc.empirical_kdist(draws, delta=args.delta, seed=(args.seed, 0)).to_json()
+        results["stream_scheme"] = mc.STREAM_SCHEME
     return _emit(args, config, flags, results)
 
 
@@ -217,7 +222,7 @@ def _run_sweep(args: argparse.Namespace, config: dict, flags: dict, fields: list
         row.update(dk_emp=rep.value, dkw=rep.dkw_radius)
     columns = fields + ["dk_emp", "dkw"]
     _write_csv(args.out + ".csv", columns, rows)
-    return _emit(args, config, flags, {"csv_columns": columns, "rows": rows})
+    return _emit(args, config, flags, {"csv_columns": columns, "rows": rows, "stream_scheme": mc.STREAM_SCHEME})
 
 
 # ------------------------------------------------------------------- qform

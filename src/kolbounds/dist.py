@@ -4,14 +4,17 @@ A Distribution is a finite list of (value, probability) atoms in strictly
 increasing value order. Moments up to order eight are computed exactly by
 direct summation; they feed every closed-form rate in the package.
 
-Sampling is inverse-CDF through draw_atoms: uniforms are drawn a fixed block
-at a time and mapped to atom codes by counting the cdf steps at or below
-them, so a draw of N values holds the N outputs plus one block of
-temporaries, and is bit-identical to one searchsorted over all N uniforms.
+Sampling goes through draw_atoms, a fixed block of values at a time, so a
+draw of N values holds the N outputs plus one block of temporaries. A law
+whose cdf steps are all multiples of 2^-b, b in (1, 2, 4, 8), is dyadic: its
+values read b-bit fields of raw Philox words, 64 / b values per word, in the
+spirit of Knuth & Yao (1976). Every other law is inverse-CDF on one uniform
+per value, and is bit-identical to one searchsorted over all N uniforms.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -23,14 +26,19 @@ import numpy as np
 from . import tol
 from .errors import InputError
 
-# Uniforms per draw_atoms block. Successive rng.random calls continue one
-# stream, so the blocking never changes the draws or the generator state.
+# Values per draw_atoms block. Successive rng.random calls continue one
+# stream, and a dyadic block of _DRAW_BLOCK values fills whole words for every
+# field width, so the blocking never changes the draws or the generator state.
 _DRAW_BLOCK = 32_768
 
-# Laws with at most this many atoms turn a block into codes by one comparison
-# pass per cdf step; larger laws binary-search the steps. Timed per 32 768-
-# uniform block (np.take included; 2 cores, numpy 2.4.6), the passes take
-# about 0.06 ms at 3 atoms, 0.4 ms at 40 and 1.2-1.6 ms at 128, the search
+# Field widths of dyadic laws, tried in this order; a field of b bits draws
+# from a law whose cdf steps are multiples of 2^-b exactly.
+_PACKED_BITS = (1, 2, 4, 8)
+
+# Laws with at most this many atoms turn a block of uniforms into codes by one
+# comparison pass per cdf step; larger laws binary-search the steps. Timed per
+# 32 768-uniform block (np.take included; 2 cores, numpy 2.4.6), the passes
+# take about 0.06 ms at 3 atoms, 0.4 ms at 40 and 1.2-1.6 ms at 128, the search
 # 0.46, 1.6 and 2.1-2.4 ms. The two cross between 208 atoms (passes still
 # faster in every run) and 224. The cut keeps the codes within a byte.
 _COMPARE_MAX_ATOMS = 208
@@ -175,15 +183,57 @@ class Distribution:
     # ----------------------------------------------------------------- sample
 
     def sample(self, rng: np.random.Generator, size: int | tuple[int, ...] | None = None):
-        """Inverse-CDF draw(s) through draw_atoms; deterministic given the generator state."""
+        """Draw(s) through draw_atoms; deterministic given the generator state."""
         out = draw_atoms(rng, self.cdf_array(), self.values_array(), np.empty(1 if size is None else size))
         return out if size is not None else float(out[0])
 
 
-def draw_scratch(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The uniform, comparison and code buffers of draw_atoms for draws of at most size values."""
+def draw_scratch(size: int) -> tuple[np.ndarray, ...]:
+    """The uniform, comparison, code and index buffers of draw_atoms for draws of at most size values.
+
+    The comparison passes count codes in uint8, which is three times faster
+    than counting them in intp at 40 atoms and more; the codes then go once
+    into the intp index that np.take reads without a copy of its own.
+    """
     rows = min(_DRAW_BLOCK, size)
-    return np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint8)
+    return np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint8), np.empty(rows, dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=64)
+def _byte_table(steps: bytes, values: bytes, dtype: str) -> tuple[int, np.ndarray] | None:
+    """(b, table) for a dyadic law, None otherwise; the arguments are arrays' bytes.
+
+    b is the first width in _PACKED_BITS at which every cdf step times 2^b is
+    an integer t_j. Row k of the (256, 8 // b) table holds the atoms that the
+    8 // b fields of the byte k take, low bits first: a field f becomes atom
+    #{j : f >= t_j}.
+    """
+    cuts, atoms = np.frombuffer(steps), np.frombuffer(values, dtype=dtype)
+    for b in _PACKED_BITS:
+        scaled = cuts * (1 << b)
+        if np.array_equal(scaled, np.floor(scaled)):
+            shifts = b * np.arange(8 // b)
+            fields = (np.arange(256)[:, None] >> shifts) & ((1 << b) - 1)
+            table = atoms[(fields[..., None] >= scaled).sum(axis=-1)]
+            table.flags.writeable = False
+            return b, table
+    return None
+
+
+def _packing(cdf: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, tuple[int, np.ndarray] | None]:
+    """The cdf steps draw_atoms reads and the byte table of the law, if it is dyadic."""
+    steps = np.ascontiguousarray(cdf, dtype=float)[: len(values) - 1]
+    return steps, _byte_table(steps.tobytes(), values.tobytes(), values.dtype.str)
+
+
+def draw_words(cdf: np.ndarray, values: np.ndarray, size: int) -> int:
+    """The 64-bit words draw_atoms takes from its generator for size values.
+
+    A dyadic law of field width b takes ceil(size * b / 64) words; any other
+    law takes one word per value.
+    """
+    _, packed = _packing(cdf, np.asarray(values))
+    return size if packed is None else -(-size * packed[0] // 64)
 
 
 def draw_atoms(
@@ -191,37 +241,69 @@ def draw_atoms(
     cdf: np.ndarray,
     values: np.ndarray,
     out: np.ndarray,
-    scratch: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    scratch: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
-    """Fill out with inverse-CDF draws of the atoms values and return it.
+    """Fill out with draws of the atoms values and return it.
 
     cdf holds the cumulative probabilities of the atoms; its last entry is
-    never read. The k-th element of out (in C order) takes the k-th uniform u
-    of rng and becomes values[c] with c = #{j < len(values) - 1 : u >= cdf[j]},
-    which is searchsorted(cdf, u, side="right") clipped to the last atom.
-    Up to _COMPARE_MAX_ATOMS atoms, c is counted by one comparison pass per
-    step; above it, by a searchsorted on the block.
-    The uniforms come _DRAW_BLOCK at a time and the codes go through np.take
-    straight into out, so nothing of size out is allocated. out must be
-    C-contiguous with the dtype of values. A caller that draws repeatedly
-    passes scratch, draw_scratch(k) for some k >= out.size, and reuses it;
-    without it the buffers are allocated here.
+    never read. The values come _DRAW_BLOCK at a time, in C order of out.
+    - A dyadic law (every step a multiple of 2^-b, b the first of
+      _PACKED_BITS that works) gives value i of a block bits
+      [b*i, b*i + b) of the block's rng.bit_generator.random_raw words, read
+      as one little-endian bit string. The field f becomes values[c] with
+      c = #{j : f >= cdf[j] * 2^b}. A block starts on a fresh word and
+      takes ceil(size * b / 64) of them (draw_words), so a draw split into
+      calls of multiples of 64 values equals one whole draw bit for bit.
+    - Any other law gives value i the i-th uniform u of rng and becomes
+      values[c] with c = #{j < len(values) - 1 : u >= cdf[j]}, which is
+      searchsorted(cdf, u, side="right") clipped to the last atom. Up to
+      _COMPARE_MAX_ATOMS atoms, c is counted by one comparison pass per
+      step; above it, by a searchsorted on the block.
+    The atoms go through np.take straight into out, so nothing of size out
+    is allocated. out must be C-contiguous with the dtype of values. A
+    caller that draws repeatedly passes scratch, draw_scratch(k) for some
+    k >= out.size, and reuses it; without it the buffers are allocated here.
     """
-    steps = np.asarray(cdf, dtype=float)[: len(values) - 1]
+    values = np.asarray(values)
+    steps, packed = _packing(cdf, values)
     flat = out.reshape(-1)
-    u, at_or_above, codes = draw_scratch(flat.size) if scratch is None else scratch
+    u, at_or_above, codes, index = draw_scratch(flat.size) if scratch is None else scratch
     for lo in range(0, flat.size, _DRAW_BLOCK):
-        ub = rng.random(out=u[: flat.size - lo])
+        block = flat[lo : lo + _DRAW_BLOCK]
+        if packed is not None:
+            _packed_block(rng, *packed, block, index)
+            continue
+        ub = rng.random(out=u[: block.size])
         if len(values) <= _COMPARE_MAX_ATOMS:
-            cb = codes[: ub.size]
-            cb.fill(0)
+            counted = codes[: ub.size]
+            counted.fill(0)
             for step in steps:
                 np.greater_equal(ub, step, out=at_or_above[: ub.size])
-                cb += at_or_above[: ub.size]
+                counted += at_or_above[: ub.size]
+            cb = index[: ub.size]
+            np.copyto(cb, counted)
         else:
             cb = np.searchsorted(steps, ub, side="right")
-        np.take(values, cb, out=flat[lo : lo + ub.size], mode="clip")
+        np.take(values, cb, out=block, mode="clip")
     return out
+
+
+def _packed_block(rng: np.random.Generator, b: int, table: np.ndarray, block: np.ndarray, index: np.ndarray) -> None:
+    """Fill block from ceil(block.size * b / 64) raw words through the byte table of its law.
+
+    Each byte of the words, as little-endian bytes, is one row of the table
+    (8 // b values); the bytes pass through the intp index buffer so np.take
+    makes no index copy, and a last partial byte gives its leading fields.
+    """
+    per_byte = 8 // b
+    words = rng.bit_generator.random_raw(-(-block.size * b // 64))
+    octets = words.astype("<u8", copy=False).view(np.uint8)[: -(-block.size // per_byte)]
+    rows = index[: octets.size]
+    np.copyto(rows, octets)
+    whole = block.size - block.size % per_byte
+    np.take(table, rows[: whole // per_byte], axis=0, out=block[:whole].reshape(-1, per_byte), mode="clip")
+    if whole < block.size:
+        block[whole:] = table[rows[-1], : block.size - whole]
 
 
 def _as_float(x: object) -> float:

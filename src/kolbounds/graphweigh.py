@@ -24,6 +24,9 @@ call, so memory does not grow with the batch: one block of retention flags,
 weights and dense n x n matrices (about 3.5 x 8·_BLOCK·n² bytes at n = 80,
 11 MB). A counter-based jump (mc.jump_ahead) reads each block's weights
 from where a whole-batch draw would, so the draws are the same bit for bit.
+A block of _BLOCK draws holds a multiple of 64 edge values, so dyadic laws
+(p = 1/2, Rademacher or three-point weights), which read several values
+from one generator word, block the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .dist import Distribution, draw_atoms, draw_scratch
+from .dist import Distribution, draw_atoms, draw_scratch, draw_words
 from .errors import DegenerateError, DomainError, InputError
 
 _GENERIC_COPY_CAP = 200_000
@@ -271,10 +274,11 @@ def _edge_positions(n: int, edges: np.ndarray) -> np.ndarray:
 class _EdgeDraw:
     """Reused one-block buffers that draw and count batches of edge draws.
 
-    A batch of b draws takes b·m retention uniforms (m edges) and then b·m
-    weight uniforms from rng, as one whole-batch draw of each would. The
+    A batch of b draws takes the words of b·m retention flags and then those
+    of b·m weights from rng, as one whole-batch draw of each would. The
     flags of each _BLOCK of draws come from rng and their weights from a twin
-    that mc.jump_ahead puts b·m uniforms ahead, and rng ends where the twin
+    that mc.jump_ahead puts the flags' words ahead (dist.draw_words: b·m
+    words, or fewer at a dyadic p such as 1/2), and rng ends where the twin
     does, so the draws are those of the whole-batch layout bit for bit. Both
     go through draw_atoms, with one set of its scratch buffers, into the
     buffers allocated here, the masked weights are gathered into the dense
@@ -327,7 +331,7 @@ class _EdgeDraw:
         _BLOCK x n_copies values rather than the full gather.
         """
         m = self.weights.shape[1]
-        ahead = mc.jump_ahead(rng, out.size * m)
+        ahead = mc.jump_ahead(rng, draw_words(*self._flags, out.size * m))
         for lo in range(0, out.size, _BLOCK):
             rows = min(_BLOCK, out.size - lo)
             kept = draw_atoms(rng, *self._flags, self.kept[:rows], self._scratch)

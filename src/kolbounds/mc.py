@@ -6,8 +6,9 @@ far below the 1e-12 budget documented here; the tests check it against a
 large trapezoid quadrature and against scipy.special.ndtr.
 Randomness uses counter-based Philox streams keyed by (seed, stream_id), so
 a stream's output never depends on scheduling or on other streams, and
-jump_ahead skips k uniforms of one in O(1), which lets a sampler read two
-parts of its stream block by block.
+jump_ahead skips k words of one in O(1), which lets a sampler read two
+parts of its stream block by block. STREAM_SCHEME names the layout of the
+draws, and every report that draws records it.
 Monte Carlo rows are drawn in fixed chunks, one stream per chunk, and
 pooled_draws runs the chunks of every row of a sweep through one pool of
 KOLBOUNDS_WORKERS threads (one when unset); chunked_draws is its one-row
@@ -31,6 +32,10 @@ from .space import RandomFunctional
 WORKERS_ENV = "KOLBOUNDS_WORKERS"
 
 DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
+
+# Version of the draw layout. Scheme 1 spent one uniform on every value;
+# scheme 2 reads dyadic laws from b-bit fields of raw words (dist.draw_atoms).
+STREAM_SCHEME = 2
 
 # Cody's rational approximations P/Q (np.polyval order, Q monic) to erf(x)/x
 # in x^2 for |x| <= 0.46875, to erfc(x) exp(x^2) in x up to 4 and to the
@@ -59,13 +64,14 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
 
 
 def jump_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
-    """A generator whose uniforms are those rng gives after its next k; rng is untouched.
+    """A generator whose words are those rng gives after its next k; rng is untouched.
 
-    Philox is counter-based, so the jump costs O(1) (Salmon et al., SC 2011):
+    A word is one uniform of rng.random or one value of random_raw. Philox is
+    counter-based, so the jump costs O(1) (Salmon et al., SC 2011):
     the 4 - buffer_pos values left in rng's 4-value buffer are skipped,
     advance() moves the counter past whole buffers of the rest, and the last
     (rest mod 4) are drawn and dropped. The cached 32-bit half is kept as
-    rng has it, so the result equals drawing k uniforms and discarding them.
+    rng has it, so the result equals drawing k words and discarding them.
     """
     bits = rng.bit_generator
     if not isinstance(bits, np.random.Philox):

@@ -376,15 +376,18 @@ def multilinear_form(W: np.ndarray, X: np.ndarray, coef: np.ndarray | None = Non
 
 
 def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
-    """Q on the n-fold product space, evaluated at most _Q_BLOCK outcomes at a time."""
-    M = symmetrize(A)
-    n = M.shape[0]
+    """Q on the n-fold product space, evaluated at most _Q_BLOCK outcomes at a time.
+
+    A must be symmetric, as symmetrize returns it: the matrix is validated
+    where it enters (load_matrix_csv, analyze) and passed on as it is.
+    """
+    n = A.shape[0]
     if not law.is_centered():
         raise DomainError("quadratic forms are defined over a centered law")
     space = OutcomeSpace.iid(law, n)
     v = law.values_array()
-    vals = space.evaluate(lambda codes: multilinear_form(M, v[codes]), _Q_BLOCK)
-    vals -= law.moments().mu[2] * float(np.trace(M))
+    vals = space.evaluate(lambda codes: multilinear_form(A, v[codes]), _Q_BLOCK)
+    vals -= law.moments().mu[2] * float(np.trace(A))
     return RandomFunctional(space, vals)
 
 
@@ -395,19 +398,19 @@ def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: 
     scratch buffers, into one reused buffer of _Q_BLOCK x n floats
     (8·_Q_BLOCK·n bytes) and is evaluated by multilinear_form in one BLAS
     matrix product, so a call holds that buffer and its 8·size-byte output
-    whatever the size. The draws are those of one whole
-    law.sample(rng, size * n) bit for bit.
+    whatever the size. A block holds _Q_BLOCK·n values, a multiple of 64, so
+    the draws are those of one whole law.sample(rng, size * n) bit for bit,
+    dyadic laws included. A must be symmetric, as for q_functional.
     """
-    M = symmetrize(A)
-    n = M.shape[0]
+    n = A.shape[0]
     mu2 = law.moments().mu[2]
-    shift = mu2 * float(np.trace(M))
+    shift = mu2 * float(np.trace(A))
     cdf, values = law.cdf_array(), law.values_array()
     drawn = np.empty((min(_Q_BLOCK, size), n))
     scratch = draw_scratch(drawn.size)
     out = np.empty(size)
     for lo in range(0, size, _Q_BLOCK):
         rows = min(_Q_BLOCK, size - lo)
-        out[lo : lo + rows] = multilinear_form(M, draw_atoms(rng, cdf, values, drawn[:rows], scratch))
+        out[lo : lo + rows] = multilinear_form(A, draw_atoms(rng, cdf, values, drawn[:rows], scratch))
     out -= shift
     return out

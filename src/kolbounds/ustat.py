@@ -276,13 +276,15 @@ def ustat_sample(
     g: UKernel,
     rng: np.random.Generator,
     size: int,
-    batch: int = 20_000,
+    batch: int = 20_480,
 ) -> np.ndarray:
     """Monte Carlo draws of U (unnormalized), batched over samples.
 
     Each batch draws its b x n atom labels, through one set of draw_atoms'
     scratch buffers, into one reused 8·b·n-byte buffer (a general kernel's
-    one-hot rows take m times that again).
+    one-hot rows take m times that again). The default batch is a multiple
+    of 64, so the labels are those of one whole law.sample(rng, size * n)
+    bit for bit, dyadic laws included.
     """
     _check_pair(w, g)
     cdf = g.law.cdf_array()

@@ -77,6 +77,7 @@ def test_qform_report_oracles(files, capsys):
     emp = rep["results"]["empirical"]
     assert emp["n"] == 2000
     assert abs(emp["value"] - exact) <= emp["dkw"] + 0.01
+    assert rep["results"]["stream_scheme"] == mc.STREAM_SCHEME == 2
     assert rep["constant_free"]["r1"] is False
     assert rep["constant_free"]["exact"] is True
 
@@ -109,6 +110,7 @@ def test_samples_zero_is_analytic_only(files, capsys):
     assert code == 0
     rep = json.loads(out)
     assert "empirical" not in rep["results"]
+    assert "stream_scheme" not in rep["results"]  # nothing was drawn
     assert "exact" in rep["results"]
 
 
@@ -363,7 +365,9 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
     seed = 4
     (tmp_path / "q.json").write_text(json.dumps({"sizes": [6, 12, 9], "samples": 60_000}))
     argv = ["qform", "--sweep", str(tmp_path / "q.json"), "--law", "three-point", "--seed", str(seed)]
-    rows = _sweep_outputs(argv, out, monkeypatch, capsys)["results"]["rows"]
+    results = _sweep_outputs(argv, out, monkeypatch, capsys)["results"]
+    assert results["stream_scheme"] == mc.STREAM_SCHEME
+    rows = results["rows"]
     law = cli.three_point()
     for idx, row in enumerate(rows):
         A = cli.sign_matrix(row["n"], mc.stream(seed, cli._MATRIX_STREAM_BASE + idx))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from draw_oracles import bit_reading_draw, dyadic_width, same_state
 from kolbounds import dist, mc
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import InputError
@@ -126,8 +127,8 @@ def test_sample_scalar_and_array_shapes():
 
 
 def _reference_sample(law, rng, size):
-    # The whole-array inverse CDF that draw_atoms replaces: every uniform,
-    # its searchsorted index and a clipped copy of it exist at once.
+    # The whole-array inverse CDF that draw_atoms replaces for non-dyadic laws:
+    # every uniform, its searchsorted index and a clipped copy of it exist at once.
     cdf = np.cumsum(law.probs_array())
     cdf[-1] = 1.0
     u = rng.random(size if size is not None else 1)
@@ -137,10 +138,26 @@ def _reference_sample(law, rng, size):
     return out if size is not None else float(out[0])
 
 
+def _oracle_sample(law, rng, size):
+    # _reference_sample for non-dyadic laws, the plain bit-reading draw for dyadic ones.
+    if dyadic_width(law.cdf_array()[:-1]) is None:
+        return _reference_sample(law, rng, size)
+    out = bit_reading_draw(law.cdf_array(), law.values_array(), rng, 1 if size is None else size)
+    return out if size is not None else float(out[0])
+
+
 def _law_with(n_atoms):
     weights = np.arange(1, n_atoms + 1, dtype=float)
     return Distribution(tuple(np.linspace(-2.0, 3.0, n_atoms)), tuple(weights / weights.sum()))
 
+
+# Dyadic laws whose smallest field width is 1, 2, 4 and 8 bits.
+_DYADIC = {
+    1: Distribution.rademacher(),
+    2: three_point(),
+    4: Distribution((-3.0, -1.0, 0.5, 2.0), (1 / 16, 3 / 16, 5 / 16, 7 / 16)),
+    8: Distribution((-1.0, 0.0, 4.0), (3 / 256, 100 / 256, 153 / 256)),
+}
 
 # Both sides of the cut between the comparison passes and the binary search.
 _CUT = dist._COMPARE_MAX_ATOMS
@@ -148,12 +165,14 @@ _CUT = dist._COMPARE_MAX_ATOMS
 
 @pytest.mark.parametrize("n_atoms", [1, 2, 3, 10, 40, _CUT, _CUT + 1, 256, 300])
 def test_blocked_sample_matches_the_whole_array_reference(n_atoms):
+    # One atom is a dyadic law (no cdf steps); the others take a uniform each.
     law = _law_with(n_atoms)
+    assert (dyadic_width(law.cdf_array()[:-1]) is None) == (n_atoms > 1)
     block = dist._DRAW_BLOCK
     sizes = [0, 1, 7, block - 1, block, block + 1, 2 * block + 17, (3, block // 2 + 5), (2, 0)]
     for i, size in enumerate(sizes):
         ours, ref = mc.stream(31, i), mc.stream(31, i)
-        got, want = law.sample(ours, size), _reference_sample(law, ref, size)
+        got, want = law.sample(ours, size), _oracle_sample(law, ref, size)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         # The blocked draw leaves the generator exactly where one big draw does.
@@ -162,8 +181,73 @@ def test_blocked_sample_matches_the_whole_array_reference(n_atoms):
     for _ in range(3):
         got = law.sample(ours)
         assert isinstance(got, float)
-        assert got == _reference_sample(law, ref, None)
+        assert got == _oracle_sample(law, ref, None)
     assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("width", sorted(_DYADIC))
+def test_dyadic_sample_matches_the_bit_reading_oracle(width):
+    # Blocked packed draws, block tails and calls that end inside a word
+    # included, equal the plain bit-reading draw, and leave the generator
+    # where its one random_raw call does.
+    law = _DYADIC[width]
+    assert dyadic_width(law.cdf_array()[:-1]) == width
+    block = dist._DRAW_BLOCK
+    for i, size in enumerate([1, 3, 63, 64, 65, 1000, block + 1, 2 * block + 17, (3, 5)]):
+        ours, ref = mc.stream(37, i), mc.stream(37, i)
+        got, want = law.sample(ours, size), _oracle_sample(law, ref, size)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert same_state(ours, ref)
+        assert np.array_equal(ours.random(5), ref.random(5))
+    ours, ref = mc.stream(38, width), mc.stream(38, width)
+    for _ in range(3):
+        assert law.sample(ours) == _oracle_sample(law, ref, None)
+    assert same_state(ours, ref)
+
+
+class _FixedWords:
+    """Stands in for a generator and its bit generator and hands out prescribed raw words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.pos = 0
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        chunk = self.words[self.pos : self.pos + size]
+        self.pos += size
+        return chunk.copy()
+
+
+def _words_of(fields, b):
+    # The raw words whose b-bit fields, low bits of word 0 first, are fields.
+    words = [0] * -(-len(fields) * b // 64)
+    for i, f in enumerate(fields):
+        words[b * i // 64] |= int(f) << (b * i % 64)
+    return words
+
+
+@pytest.mark.parametrize("width", sorted(_DYADIC))
+def test_every_field_of_a_dyadic_law_takes_its_atom(width):
+    # The packed twin of test_uniforms_on_a_cdf_step_take_the_next_atom: all
+    # 2^b fields, each once, give each atom exactly mass * 2^b of them, and a
+    # field on a threshold cdf_j * 2^b takes atom j + 1.
+    law = _DYADIC[width]
+    fields = np.arange(2**width)
+    got = dist.draw_atoms(_FixedWords(_words_of(fields, width)), law.cdf_array(), law.values_array(), np.empty(fields.size))
+    codes = np.searchsorted(law.values_array(), got)
+    counts = np.bincount(codes, minlength=law.n_atoms)
+    assert counts.tolist() == [round(p * 2**width) for p in law.probs]
+    cuts = [round(c * 2**width) for c in law.cdf_array()[:-1]]
+    for j, t in enumerate(cuts):
+        assert codes[t] == j + 1
+        assert codes[t - 1] == j
+    # In reverse order, spread over more words than one block holds, the
+    # same fields take the same atoms.
+    many = np.tile(fields[::-1], 3 * dist._DRAW_BLOCK // fields.size)
+    got = dist.draw_atoms(_FixedWords(_words_of(many, width)), law.cdf_array(), law.values_array(), np.empty(many.size))
+    assert np.array_equal(got, np.tile(law.values_array()[codes][::-1], many.size // fields.size))
 
 
 class _FixedUniforms:
@@ -184,26 +268,30 @@ class _FixedUniforms:
 
 
 def test_uniforms_on_a_cdf_step_take_the_next_atom():
-    law = Distribution((-1.0, 0.0, 2.0, 5.0), (0.25, 0.5, 0.125, 0.125))
+    # Non-dyadic laws take one uniform per value; a uniform on a step takes
+    # the next atom.
+    law = Distribution((-1.0, 0.0, 2.0, 5.0), (0.2, 0.5, 0.2, 0.1))
     cdf = law.cdf_array()
-    assert cdf.tolist() == [0.25, 0.75, 0.875, 1.0]
+    assert dyadic_width(cdf[:-1]) is None
     below_one = np.nextafter(1.0, 0.0)
-    u = [0.0, 0.25, 0.75, 0.875, np.nextafter(0.25, 0.0), np.nextafter(0.75, 1.0), below_one, 1.0]
+    u = [0.0, cdf[0], cdf[1], cdf[2], np.nextafter(cdf[0], 0.0), np.nextafter(cdf[1], 1.0), below_one, 1.0]
     u = np.tile(u, dist._DRAW_BLOCK // 4)  # spans several blocks
     got = law.sample(_FixedUniforms(u), u.size)
     want = _reference_sample(law, _FixedUniforms(u), u.size)
     assert np.array_equal(got, want)
     assert got[:8].tolist() == [-1.0, 0.0, 2.0, 5.0, -1.0, 2.0, 5.0, 5.0]
-    # The same on a law above the cut, whose cdf steps k/512 are exact.
+    # The same on a law above the cut, whose cdf steps k/512 are exact but
+    # finer than the 2^-8 grid of the widest field.
     big = Distribution(tuple(float(k) for k in range(300)), (1 / 512,) * 299 + (213 / 512,))
+    assert dyadic_width(big.cdf_array()[:-1]) is None
     u = np.repeat(np.arange(0, 300) / 512, 2)
     u[1::2] = np.nextafter(u[1::2], 0.0)
     got = big.sample(_FixedUniforms(u), u.size)
     assert np.array_equal(got, _reference_sample(big, _FixedUniforms(u), u.size))
     assert got[2:6].tolist() == [1.0, 0.0, 2.0, 1.0]
     # A cdf that reaches 1 before its last step: both clip to the last atom.
-    steps = np.array([0.5, 1.0, 1.0])
-    codes = dist.draw_atoms(_FixedUniforms([0.5, 1.0, 0.2]), steps, np.arange(3), np.empty(3, dtype=int))
+    steps = np.array([0.3, 1.0, 1.0])
+    codes = dist.draw_atoms(_FixedUniforms([0.3, 1.0, 0.2]), steps, np.arange(3), np.empty(3, dtype=int))
     assert codes.tolist() == [1, 2, 0]
 
 
@@ -222,16 +310,21 @@ def test_only_laws_above_the_cut_binary_search(monkeypatch, n_atoms, searches):
     assert _CUT < 256  # comparison codes are uint8
 
 
-@pytest.mark.parametrize("n_atoms", [2, 3, _CUT + 1])
-def test_draws_through_one_reused_scratch_match_fresh_buffers(n_atoms):
+@pytest.mark.parametrize(
+    "law",
+    [_law_with(2), _law_with(3), _law_with(_CUT + 1), _DYADIC[1], _DYADIC[4]],
+    ids=["2", "3", str(_CUT + 1), "packed-1", "packed-4"],
+)
+def test_draws_through_one_reused_scratch_match_fresh_buffers(law):
     # One draw_scratch set serves draws of every size up to its own, block
-    # tails included: the values and the generator's end state are those of
-    # law.sample, which allocates its buffers per call.
-    law = _law_with(n_atoms)
+    # tails included, on the float and the packed path: the values and the
+    # generator's end state are those of law.sample, which allocates its
+    # buffers per call.
     block = dist._DRAW_BLOCK
     scratch = dist.draw_scratch(3 * block)
     assert scratch[0].size == block
-    ours, ref = mc.stream(36, n_atoms), mc.stream(36, n_atoms)
+    assert scratch[3].dtype == np.intp  # np.take reads it without an index copy
+    ours, ref = mc.stream(36, law.n_atoms), mc.stream(36, law.n_atoms)
     for size in (1, 7, block + 1, 2 * block + 17, 5):
         got = dist.draw_atoms(ours, law.cdf_array(), law.values_array(), np.empty(size), scratch)
         assert np.array_equal(got, law.sample(ref, size))
@@ -239,22 +332,46 @@ def test_draws_through_one_reused_scratch_match_fresh_buffers(n_atoms):
 
 
 def test_draw_atoms_writes_any_dtype_in_place():
-    # Retention flags are u < p, drawn as the two atoms (True, False).
+    # Retention flags are u < p, drawn as the two atoms (True, False); at
+    # p = 1/2 they are packed, one bit per flag.
     out = np.empty((4, 9), dtype=bool)
     flags = dist.draw_atoms(mc.stream(33, 0), np.array([0.3, 1.0]), np.array([True, False]), out)
     assert flags is out
     assert np.array_equal(out, mc.stream(33, 0).random((4, 9)) < 0.3)
+    flags = dist.draw_atoms(mc.stream(33, 1), np.array([0.5, 1.0]), np.array([True, False]), out)
+    assert flags is out
+    assert np.array_equal(out, bit_reading_draw([0.5, 1.0], np.array([True, False]), mc.stream(33, 1), (4, 9)))
+
+
+@pytest.mark.parametrize(
+    "law", [_law_with(2), _law_with(_CUT + 1), *_DYADIC.values()], ids=["2", str(_CUT + 1), *(f"packed-{b}" for b in _DYADIC)]
+)
+def test_draw_words_match_the_generator_state_after_a_draw(law):
+    # draw_words predicts the words a draw takes: a fresh generator jumped
+    # by them goes on with the words the draw leaves next.
+    cdf, values = law.cdf_array(), law.values_array()
+    block = dist._DRAW_BLOCK
+    for i, size in enumerate([0, 1, 63, 64, 65, block, 2 * block + 17]):
+        rng = mc.stream(39, i)
+        dist.draw_atoms(rng, cdf, values, np.empty(size))
+        jumped = mc.jump_ahead(mc.stream(39, i), dist.draw_words(cdf, values, size))
+        assert np.array_equal(jumped.bit_generator.random_raw(9), rng.bit_generator.random_raw(9))
+    width = dyadic_width(cdf[:-1])
+    assert dist.draw_words(cdf, values, 1000) == (1000 if width is None else -(-1000 * width // 64))
 
 
 def test_sample_memory_is_the_output_plus_one_block():
-    law = three_point()
-    rng = mc.stream(34, 0)
+    # One block holds its uniforms (8 B a value), flags (1 B), codes (1 B)
+    # and intp index (8 B), which np.take reads without a copy of its own,
+    # plus, for a dyadic law, the block's raw words (b / 8 B a value, 1/4 B
+    # for the three-point law) and the law's 256-row byte table.
     size = 10**6
-    tracemalloc.start()
-    try:
-        law.sample(rng, size)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # One block holds its uniforms, flags, codes and np.take's index copy.
-    assert peak <= 8 * size + 20 * dist._DRAW_BLOCK
+    for law in (three_point(), _law_with(3)):
+        rng = mc.stream(34, 0)
+        tracemalloc.start()
+        try:
+            law.sample(rng, size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * size + 19 * dist._DRAW_BLOCK

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from draw_oracles import oracle_draw
 from kolbounds import graphweigh as gw
 from kolbounds import mc
 from kolbounds.dist import Distribution, three_point
@@ -136,13 +137,11 @@ def test_json_roundtrip(tmp_path):
 
 def _whole_batch_draw(n, p, law, rng, b):
     """Oracle: the (b, m) retention flags and then the (b, m) weights, each one
-    whole-array draw from rng (u < p keeps an edge; weights by searchsorted)."""
+    whole-array draw from rng (draw_oracles.oracle_draw: u < p keeps an edge
+    and weights go by searchsorted, or a dyadic law reads bit fields)."""
     m = n * (n - 1) // 2
-    kept = rng.random((b, m)) < p
-    cdf = np.cumsum(law.probs_array())
-    cdf[-1] = 1.0
-    idx = np.minimum(np.searchsorted(cdf, rng.random(b * m), side="right"), law.n_atoms - 1)
-    return kept, law.values_array()[idx].reshape(b, m)
+    kept = oracle_draw([p, 1.0], np.array([True, False]), rng, (b, m))
+    return kept, oracle_draw(law.cdf_array(), law.values_array(), rng, (b, m))
 
 
 def _oracle_batches(n, p, law, rng, size, batch):
@@ -224,12 +223,13 @@ def test_blocked_counters_match_whole_batch_evaluation():
         gw.GraphSpec.complete(4),
     ]
     for G in templates:
-        for law_idx, law in enumerate((ZERO_ATOM, ASYM)):
+        # Packed flags at p = 1/2, one uniform per flag at p = 0.3.
+        for law_idx, (law, p) in enumerate(((ZERO_ATOM, 0.5), (ASYM, 0.3))):
             seed = 90 + law_idx
             for batch in (2_000, gw._BLOCK + 1):
                 rng, ref = mc.stream(seed, 0), mc.stream(seed, 0)
-                got = gw.simulate_weight(G, 9, 0.55, law, rng, size=size, batch=batch)
-                parts = [_whole_batch_counts(G, 9, *draw) for draw in _oracle_batches(9, 0.55, law, ref, size, batch)]
+                got = gw.simulate_weight(G, 9, p, law, rng, size=size, batch=batch)
+                parts = [_whole_batch_counts(G, 9, *draw) for draw in _oracle_batches(9, p, law, ref, size, batch)]
                 want = np.concatenate(parts)
                 assert np.abs(want).max() > 0.0
                 np.testing.assert_allclose(
@@ -257,8 +257,8 @@ def test_dropped_negative_weights_leave_the_counts_bit_identical():
 def test_edge_draw_matches_the_whole_batch_draw(monkeypatch):
     # The blocks' flags and weights, recorded as draw_atoms fills them, equal
     # one whole-array draw of each per batch, in that order, and the generator
-    # ends where those draws leave it.
-    n, p, size = 12, 0.35, 700  # 46 200 edge draws: more than one sampling block
+    # ends where those draws leave it, with packed flags (p = 1/2) or not.
+    n, size = 12, 700  # 46 200 edge draws: more than one sampling block
     blocks = []
     draw_atoms = gw.draw_atoms
 
@@ -268,7 +268,7 @@ def test_edge_draw_matches_the_whole_batch_draw(monkeypatch):
         return out
 
     monkeypatch.setattr(gw, "draw_atoms", recorded)
-    for law_idx, law in enumerate((ZERO_ATOM, ASYM, Distribution.rademacher())):
+    for law_idx, (law, p) in enumerate(((ZERO_ATOM, 0.5), (ASYM, 0.3), (Distribution.rademacher(), 0.5))):
         for batch in (size, 300, gw._BLOCK + 1):
             blocks.clear()
             ours, ref = mc.stream(93, law_idx), mc.stream(93, law_idx)

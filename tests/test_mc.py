@@ -108,6 +108,25 @@ def test_empirical_kdist_dkw_radius_and_guards():
         mc.empirical_kdist(draws[:10], delta=1.5)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [Distribution.rademacher(), three_point(), Distribution.finite([(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]).centered()],
+    ids=["rademacher", "three-point", "non-dyadic"],
+)
+def test_empirical_kdist_matches_scipy_kstest(law):
+    # An independent oracle for the statistic: scipy's one-sample KS test
+    # against the normal, on standardized sums of packed Rademacher or
+    # three-point draws and of one law that takes a uniform per value, and on
+    # the raw draws themselves, whose ties test the scan at the jumps.
+    from scipy.stats import kstest
+
+    k, size = 9, 40_000
+    draws = law.sample(mc.stream(99, law.n_atoms), (size, k))
+    sums = draws.sum(axis=1) / math.sqrt(k * law.moments().mu[2])
+    for x in (sums, draws[:, 0]):
+        assert mc.empirical_kdist(x).value == pytest.approx(kstest(x, "norm").statistic, abs=1e-12)
+
+
 def test_empirical_kdist_known_small_sample():
     # Two points at 0: F_n jumps to 1 there while Phi(0) = 1/2.
     rep = mc.empirical_kdist(np.array([0.0, 0.0]), delta=0.5)

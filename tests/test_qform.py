@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kolbounds import mc, qform
+from kolbounds import cli, mc, qform
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, InputError
 from kolbounds.space import OutcomeSpace
@@ -241,7 +241,7 @@ def test_degenerate_analysis_raises():
         qform.analyze(np.diag([1.0, 2.0]), Distribution.rademacher().moments())
 
 
-def test_analyze_symmetrizes_once(monkeypatch):
+def test_analyze_symmetrizes_once(monkeypatch, tmp_path):
     # The matrix is validated once; the eigenvalue step reads the symmetric part.
     calls = []
     symmetrize = qform.symmetrize
@@ -252,6 +252,15 @@ def test_analyze_symmetrizes_once(monkeypatch):
         q = qform.analyze(A, m)
         assert len(calls) == k
     assert q.lambda1 == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+    # A sampled report validates where the matrix enters, on loading and in
+    # analyze, and passes it on: its exact grid and its three 50 000-draw
+    # chunks validate nothing (they made four more calls before).
+    calls.clear()
+    path = tmp_path / "A.csv"
+    path.write_text("\n".join(",".join(repr(float(x)) for x in row) for row in _random_sym(np.random.default_rng(73), 6)))
+    argv = ["qform", "--matrix", str(path), "--law", "rademacher", "--samples", "120000", "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------- eigenvalues
@@ -362,10 +371,11 @@ def _einsum_q_samples(A, law, rng, size, batch):
 def test_q_samples_match_the_einsum_expression():
     # Sizes off multiples of the row block, n = 1 included, against references
     # drawn in batches on and off the block; both sides read the same stream,
-    # so only the summation order differs.
+    # so only the summation order differs. The law is dyadic, so a batch of
+    # the reference must hold a multiple of 64 values to read the same words.
     block = qform._Q_BLOCK
     law = three_point()
-    for n, size, batch in [(1, 2 * block + 17, 3000), (7, 3 * block + 5, block + 1), (33, block + 999, 50_000)]:
+    for n, size, batch in [(1, 2 * block + 17, 3_008), (7, 3 * block + 5, block + 64), (33, block + 999, 50_048)]:
         A = _random_sym(np.random.default_rng(n), n)
         got = qform.q_samples(A, law, mc.stream(69, n), size)
         want = _einsum_q_samples(A, law, mc.stream(69, n), size, batch)
@@ -390,8 +400,11 @@ def _row_blocked_q_samples(A, law, rng, size):
 
 
 def test_q_samples_are_bit_identical_to_the_row_blocked_loop():
+    # Blocked draws equal one whole law.sample, for dyadic laws (packed) and
+    # for a non-dyadic one (a uniform per value).
     block = qform._Q_BLOCK
-    for law in (three_point(), ASYM.centered()):
+    non_dyadic = Distribution.finite([(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]).centered()
+    for law in (three_point(), ASYM.centered(), non_dyadic):
         for n, size in [(1, block + 3), (5, 2 * block + 17), (40, block + 999)]:
             A = _random_sym(np.random.default_rng(n), n)
             rng, ref = mc.stream(70, n), mc.stream(70, n)

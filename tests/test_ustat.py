@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from draw_oracles import oracle_draw
 from kolbounds import dist, mc, qform, ustat
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, DomainError, InputError
@@ -414,10 +415,10 @@ def test_evaluator_matches_the_subset_loops_on_random_laws(n, d, probs, seed):
 
 
 def test_sample_codes_match_the_whole_array_draw(monkeypatch):
-    # The atoms ustat_sample draws are exactly those of the whole-array
-    # searchsorted draw the blocked atom draw replaced, and the generator ends
-    # in the same state. The sums are the subset loop's on those codes up to
-    # round-off: the evaluator adds in another order.
+    # The atoms ustat_sample draws are exactly those of one whole-array draw
+    # per batch (the law is dyadic, so the plain bit-reading oracle), and the
+    # generator ends in the same state. The sums are the subset loop's on
+    # those codes up to round-off: the evaluator adds in another order.
     law = ASYM
     w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(76), 5))
     size, batch = 9_001, 4_000
@@ -432,18 +433,38 @@ def test_sample_codes_match_the_whole_array_draw(monkeypatch):
         rng = mc.stream(76, 0)
         got = ustat.ustat_sample(w, g, rng, size, batch=batch)
         ref = mc.stream(76, 0)
-        cum = np.cumsum(law.probs_array())
-        cum[-1] = 1.0
-        codes = [
-            np.searchsorted(cum, ref.random((min(batch, size - lo), w.n)), side="right")
-            for lo in range(0, size, batch)
-        ]
+        atoms = np.arange(law.n_atoms)
+        codes = [oracle_draw(law.cdf_array(), atoms, ref, (min(batch, size - lo), w.n)) for lo in range(0, size, batch)]
         labels = g.factor if g.factor is not None else np.arange(law.n_atoms)
         assert len(drawn) == len(codes)
         assert all(np.array_equal(a, labels[c]) for a, c in zip(drawn, codes))
         assert np.array_equal(rng.random(8), ref.random(8))
         want = np.concatenate([_loop_sums(w, g, c) for c in codes]) / math.comb(w.n, 2)
         _assert_close(got, want, 1e-13)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_default_batches_draw_the_labels_of_one_whole_sample(monkeypatch, n):
+    # The default batch holds a multiple of 64 labels at odd and even n, so
+    # the batches read the words of one whole law.sample(rng, size * n), for
+    # a dyadic law (packed) and a non-dyadic one, and the generator ends there.
+    non_dyadic = Distribution.finite([(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]).centered()
+    w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(83), n))
+    size = 2 * 20_480 + 7
+    for law in (three_point(), non_dyadic):
+        g = ustat.UKernel.product(law, 2)
+        drawn = []
+
+        def recording_draw(*args):
+            drawn.append(dist.draw_atoms(*args).copy())
+            return drawn[-1]
+
+        monkeypatch.setattr(ustat, "draw_atoms", recording_draw)
+        rng, ref = mc.stream(83, n), mc.stream(83, n)
+        ustat.ustat_sample(w, g, rng, size)
+        assert [a.shape[0] for a in drawn] == [20_480, 20_480, 7]
+        assert np.array_equal(np.concatenate(drawn).reshape(-1), law.sample(ref, size * n))
+        assert np.array_equal(rng.random(8), ref.random(8))
 
 
 def test_sample_memory_is_the_output_one_batch_and_one_block():
