@@ -142,8 +142,10 @@ def degenerate_gradient_bound(X: RandomFunctional) -> float:
     """sqrt(Var(int (grad X)^2 half)) + 24 sqrt(E int (grad X)^4 full).
 
     Valid as a Kolmogorov bound for unit-variance single-order X; equals the
-    conditional-moment form sqrt(var_term) + 24 sqrt(2 fourth_term) from
-    hoeffding.rate_degenerate.
+    conditional-moment form sqrt(var_term) + 24 sqrt(2 fourth_term), with
+    D_k = X - E[X | every coordinate but k], var_term = Var(sum_k E[D_k^2 |
+    every coordinate but k]) and fourth_term = sum_k E[D_k^4]. The oracle
+    _conditional_moment_terms in tests/test_bounds.py evaluates that form.
     """
     if abs(X.moment(2) - 1.0) > tol.CENTRING:
         raise DomainError("degenerate bound needs a unit-variance input")

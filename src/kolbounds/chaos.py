@@ -19,8 +19,7 @@ Conventions, fixed once for the whole package:
   coordinate carries total weight 2 in a full-weight integral
   (sum_k 2 * E_{t ~ nu_k}) and weight 1 in a half-weight one
   (sum_k E_{t ~ nu_k}). All explicit constants in the bound evaluators are
-  calibrated to this pairing; contractions pair slots with weight 1 while
-  their output norms integrate free slots with weight 2.
+  calibrated to this pairing; contractions pair slots with weight 1.
 * The discrete gradient at (k, t) is
   grad_{k,t} X(w) = X(w with coordinate k set to t) - E_{s ~ nu_k} X(w with k set to s),
   a functional that does not depend on coordinate k itself. gradient(X, k)
@@ -119,9 +118,6 @@ class ChaosKernel:
                 total += law_expect(table * t2, self._probs(subset))
         return math.factorial(self.order) * total
 
-    def norm_sq(self) -> float:
-        return self.inner_product(self)
-
     def integral(self) -> RandomFunctional:
         """The multiple sum I_d(f) = d! * sum_J f_J(omega on J) as a functional."""
         space = self.space
@@ -142,11 +138,6 @@ class ChaosDecomposition:
     space: OutcomeSpace
     mean: float
     kernels: dict[int, ChaosKernel] = field(default_factory=dict)
-
-    def orders(self) -> list[int]:
-        """Orders whose kernel exceeds tol.DROP, scaled by the largest kernel entry."""
-        cut = tol.DROP * tol.scale([k.max_abs() for k in self.kernels.values()])
-        return sorted(d for d, k in self.kernels.items() if k.max_abs() > cut)
 
     def reconstruct(self) -> RandomFunctional:
         out = self.space.constant(self.mean)
@@ -307,18 +298,6 @@ class Contraction:
     def free_slots(self) -> int:
         return (self.f_order - self.paired) + (self.g_order - self.shared)
 
-    def l2_norm_sq(self) -> float:
-        """Squared norm with every free slot integrated at full weight 2."""
-        s = self.shared - self.paired
-        fo = self.f_order - self.shared
-        go = self.g_order - self.shared
-        mult = math.factorial(s) * math.factorial(fo) * math.factorial(go)
-        weight = mult * 2.0 ** (s + fo + go)
-        total = 0.0
-        for (S, F, G), val in self.entries.items():
-            total += law_expect(val * val, [self.space.probs[block] for block in S + F + G])
-        return weight * total
-
 
 def contract(f: ChaosKernel, g: ChaosKernel, k: int, l: int) -> Contraction:
     """Pair k slots of f with k slots of g and integrate out l of them.
@@ -430,35 +409,6 @@ def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
             if kern.max_abs() > cut:
                 kernels[r] = kern
     return ChaosDecomposition(space, mean_acc, kernels)
-
-
-# ----------------------------------------------------------- contraction rate
-
-
-def contraction_rate(dec: ChaosDecomposition) -> float:
-    """Square root of the full contraction-norm bracket of a decomposition.
-
-    sum over 0 <= l < i <= d of |f_i paired fully with itself at depth l|^2
-    plus, for 1 <= l < i <= d, the mixed and lower-order pairings
-    |f_i *_l^l f_i|^2 and |f_l *_l^l f_i|^2, all with full-weight free slots.
-    """
-    sizes = [k.max_abs() for k in dec.kernels.values()]
-    tol.check_centred(dec.mean, sizes, "contraction rate needs a centered decomposition")
-    total = 0.0
-    orders = dec.orders()
-    d = orders[-1] if orders else 0
-    for i in range(1, d + 1):
-        fi = dec.kernels.get(i)
-        if fi is None or fi.max_abs() == 0.0:
-            continue
-        for l in range(0, i):
-            total += contract(fi, fi, i, l).l2_norm_sq()
-        for l in range(1, i):
-            total += contract(fi, fi, l, l).l2_norm_sq()
-            fl = dec.kernels.get(l)
-            if fl is not None and fl.max_abs() > 0.0:
-                total += contract(fl, fi, l, l).l2_norm_sq()
-    return float(np.sqrt(total))
 
 
 # ------------------------------------------------------------------ utilities

@@ -168,10 +168,10 @@ def _sweep_samples(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _sweep_delta(cfg: dict, args: argparse.Namespace) -> float:
-    delta = float(cfg.get("delta", args.delta))
-    if not 0.0 < delta < 1.0:
-        raise InputError("sweep field 'delta' must lie strictly between 0 and 1")
-    return delta
+    delta = cfg.get("delta", args.delta)
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) or not 0.0 < delta < 1.0:
+        raise InputError("sweep field 'delta' must be a number strictly between 0 and 1")
+    return float(delta)
 
 
 def sign_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

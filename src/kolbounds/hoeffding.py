@@ -1,4 +1,4 @@
-"""Hoeffding (ANOVA) decompositions and the rates built from them.
+"""Hoeffding (ANOVA) decompositions and gradewise scaling, on one change of basis.
 
 Every functional X of n independent coordinates splits uniquely as
 X = sum over subsets J of W_J, where W_J depends only on the coordinates in J
@@ -47,15 +47,13 @@ full functionals (OutcomeSpace.expand) on demand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import tol
 from .dist import Distribution
-from .errors import DomainError, InputError
-from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
+from .errors import InputError
+from .space import OutcomeSpace, RandomFunctional
 
 # Largest Kronecker block, in grid entries along the block (the gemm's inner
 # size). With 16, grade_energy on one gradient stack (2 cores, one BLAS
@@ -63,21 +61,6 @@ from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
 # 0.14 / 1.6 ms at three-point n = 9 / 11; 32 and 64 are within 8% of that,
 # up to 11% faster at three-point n = 11, and 8 is 5-110% slower.
 BLOCK = 16
-
-
-def _mask_of(subset: Sequence[int], n: int) -> int:
-    mask = 0
-    for k in subset:
-        if not 0 <= k < n:
-            raise InputError(f"coordinate {k} outside 0..{n - 1}")
-        if mask & (1 << k):
-            raise InputError(f"repeated coordinate {k} in subset")
-        mask |= 1 << k
-    return mask
-
-
-def _subset_of(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(k for k in range(n) if mask & (1 << k))
 
 
 def _axis_matrix(p: np.ndarray, r: int, join: bool) -> np.ndarray:
@@ -231,23 +214,16 @@ class HoeffdingDecomposition:
         self._coef = coef
         self._basis = _basis(space)
 
-    # ------------------------------------------------------------------ views
-
-    def subsets(self) -> list[tuple[int, ...]]:
-        n = self.space.n
-        return [_subset_of(m, n) for m in sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))]
-
-    def term(self, subset: Sequence[int]) -> RandomFunctional:
-        return self.space.expand(self.term_grid(_mask_of(subset, self.space.n)))
-
     def term_grid(self, mask: int) -> np.ndarray:
         """W_J for the coordinate set J given as a bit mask, in reduced form.
 
         Cost O(|J| prod_{k in J} m_k): the sub-block with every axis outside
         J at its mean slot, with the mean slot of each axis in J zeroed,
-        joined back.
+        joined back. A mask outside 0 .. 2^n - 1 names no coordinate set.
         """
         refs = self._basis.refs
+        if not 0 <= mask < 1 << len(refs):
+            raise InputError(f"subset mask {mask} outside 0..{(1 << len(refs)) - 1}")
         block = self._coef[tuple(slice(None) if mask >> k & 1 else slice(r, r + 1) for k, r in enumerate(refs))].copy()
         for k, r in enumerate(refs):
             if mask >> k & 1:
@@ -256,14 +232,6 @@ class HoeffdingDecomposition:
 
     def reconstruct(self) -> RandomFunctional:
         return RandomFunctional(self.space, self._basis.join(self._coef.copy()).reshape(-1))
-
-    def max_order(self) -> int:
-        return max(self.orders_present(), default=0)
-
-    def orders_present(self) -> list[int]:
-        """Orders holding a coefficient above tol.DROP, scaled by the largest one."""
-        live = np.abs(self._coef) > tol.DROP * tol.scale(self._coef)
-        return np.flatnonzero(np.bincount(self._basis.order[live])).tolist()
 
     def grade(self, d: int) -> RandomFunctional:
         """The sum of all order-d terms as one functional."""
@@ -274,9 +242,6 @@ class HoeffdingDecomposition:
         """E[X^2], the sum of the squared coefficients (Parseval in the orthonormal basis)."""
         c = self._coef.reshape(-1)
         return float(np.dot(c, c))
-
-    def scaled(self, c: float) -> "HoeffdingDecomposition":
-        return HoeffdingDecomposition(self.space, c * self._coef)
 
 
 def project(X: RandomFunctional) -> HoeffdingDecomposition:
@@ -369,126 +334,3 @@ def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunction
     coefficient per entry after a per-axis change of basis (see grade_sweep).
     """
     return RandomFunctional(X.space, grade_sweep(X.space, X.grid.copy(), coeffs))
-
-
-# --------------------------------------------------------------------- rates
-
-
-@dataclass(frozen=True)
-class SubsetRateReport:
-    """The square-rooted three-family bracket over Hoeffding terms."""
-
-    value: float
-    family_diag: float
-    family_cross: float
-    family_low: float
-    normalized: bool
-
-
-def _family(space: OutcomeSpace, terms: dict[int, np.ndarray], family: list) -> float:
-    """sum over (J, pairs) of E[(sum over pairs (A, B) of E[W_A W_B | F_J])^2].
-
-    Pairs with a missing (zero) term are skipped, and a J whose pairs are all
-    skipped adds nothing.
-    """
-    total = 0.0
-    for J, pairs in family:
-        acc = None
-        for A, B in pairs:
-            a = terms.get(A)
-            b = terms.get(B)
-            if a is None or b is None:
-                continue
-            c = space.average(a * b, _subset_of(J, space.n))
-            acc = c if acc is None else acc + c
-        if acc is not None:
-            total += law_expect(acc * acc, space.probs)
-    return total
-
-
-def subset_rate_report(H: HoeffdingDecomposition) -> SubsetRateReport:
-    """Evaluate the three-family conditional-moment bracket for centered X.
-
-    With W_J the Hoeffding terms of X and d its maximal order, the bracket is
-
-      sum_{0<=l<i<=d} sum_{|J|=i-l} E[( sum_{|K|=l, K cap J empty}
-                                        E[W_{J u K}^2 | F_J] )^2]
-    + sum_{1<=l<i<=d} sum_{ordered (J1,J2) disjoint, |J1|=|J2|=i-l}
-            E[( sum_{|K|=l, K cap (J1 u J2) empty}
-                E[W_{J1 u K} W_{J2 u K} | F_{J1 u J2}] )^2]
-    + sum_{1<=l<i<=d} sum_{|J|=i-l} E[( sum_{|K|=l, K cap J empty}
-                                        E[W_K W_{J u K} | F_J] )^2]
-
-    and the rate is its square root. Inputs are normalized to E[X^2] = 1
-    first; the report records whether that rescaling was a no-op.
-    """
-    space = H.space
-    n = space.n
-    tol.check_centred(H.term_grid(0).item(), H._coef, "subset rate needs a centered functional (order-0 term present)")
-    second = H.second_moment()
-    if second <= 0.0:
-        raise DomainError("subset rate needs a non-degenerate functional")
-    normalized = abs(second - 1.0) <= tol.DROP
-    Hn = H if normalized else H.scaled(1.0 / np.sqrt(second))
-    d = Hn.max_order()
-    if d > 4:
-        raise DomainError(f"subset rate is desk-scale only (max order 4, got {d})")
-
-    # Every term the bracket reads has at most d coordinates; each is built once.
-    cut = tol.DROP * tol.scale(Hn._coef)
-    by_size: dict[int, list[int]] = {}
-    terms: dict[int, np.ndarray] = {}
-    for mask in range(1, 1 << n):
-        size = bin(mask).count("1")
-        if size > d:
-            continue
-        by_size.setdefault(size, []).append(mask)
-        g = Hn.term_grid(mask)
-        if np.max(np.abs(g)) > cut:
-            terms[mask] = g
-
-    # Each family is a list of (J, pairs): the sum over pairs (A, B) of
-    # E[W_A W_B | F_J] is squared and averaged. K runs over the l-sets
-    # disjoint from J; at l = 0 only the diagonal family has a term (K empty).
-    diag, cross, low = [], [], []
-    for i in range(1, d + 1):
-        for l in range(0, i):
-            js = by_size.get(i - l, [])
-            ks = by_size.get(l, []) if l > 0 else [0]
-            diag += [(J, [(J | K, J | K) for K in ks if not K & J]) for J in js]
-            if l > 0:
-                # Cross: ordered disjoint pairs (J1, J2) given J1 u J2. Low: the bare W_K against W_{J u K}.
-                pairs = [(J1, J2) for J1 in js for J2 in js if not J1 & J2]
-                cross += [(J1 | J2, [(J1 | K, J2 | K) for K in ks if not K & (J1 | J2)]) for J1, J2 in pairs]
-                low += [(J, [(K, J | K) for K in ks if not K & J]) for J in js]
-    fam_diag, fam_cross, fam_low = (_family(space, terms, fam) for fam in (diag, cross, low))
-    value = float(np.sqrt(fam_diag + fam_cross + fam_low))
-    return SubsetRateReport(value, fam_diag, fam_cross, fam_low, normalized)
-
-
-def rate_degenerate(H: HoeffdingDecomposition) -> tuple[float, float]:
-    """Conditional-moment ingredients of the degenerate-projection bound.
-
-    For W with Hoeffding terms all of one order d, returns
-
-      var_term    = Var( sum_k E[(W - E[W | rest_k])^2 | rest_k] )
-      fourth_term = sum_k E[(W - E[W | rest_k])^4]
-
-    where rest_k is the sigma-field of all coordinates but k. The certified
-    bound for unit-variance W is sqrt(var_term) + 24 * sqrt(2 * fourth_term).
-    """
-    orders = H.orders_present()
-    if len(orders) != 1:
-        raise DomainError(f"degenerate rate needs a single-order input, found orders {orders}")
-    space = H.space
-    grid = H.reconstruct().grid
-    sum_cond = np.zeros((1,) * space.n)
-    fourth = 0.0
-    for k in range(space.n):
-        delta = grid - law_mean(grid, k, space.probs[k])
-        sq = delta * delta
-        sum_cond = sum_cond + law_mean(sq, k, space.probs[k])
-        fourth += law_expect(sq * sq, space.probs)
-    mean = law_expect(sum_cond, space.probs)
-    var = max(law_expect(sum_cond * sum_cond, space.probs) - mean * mean, 0.0)
-    return var, fourth

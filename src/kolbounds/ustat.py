@@ -70,13 +70,23 @@ class WeightTensor:
             raise InputError("weight JSON needs integer n, order and an entries list") from exc
         if order < 1 or n < order:
             raise InputError(f"need 1 <= order <= n, got order={order}, n={n}")
+        if not isinstance(entries, list):
+            raise InputError("weight JSON needs integer n, order and an entries list")
         if not all(isinstance(ent, dict) and "subset" in ent and "value" in ent for ent in entries):
             raise InputError("each weight entry needs a subset and a value")
-        subs = [tuple(map(int, ent["subset"])) for ent in entries]
+        subs = [ent["subset"] for ent in entries]
+        values = [ent["value"] for ent in entries]
+        # JSON gives exact types, so type() tells integers from bools. A
+        # string value goes through float(), so "nan" meets the finiteness check.
+        if not all(type(sub) is list for sub in subs) or set(map(type, itertools.chain.from_iterable(subs))) - {int}:
+            raise InputError("weight subsets must be lists of integer indices")
+        if set(map(type, values)) - {int, float, str}:
+            raise InputError("weight values must be numbers")
+        subs = list(map(tuple, subs))
+        vals = np.fromiter(map(float, values), float, len(values))
         short = next((sub for sub in subs if len(sub) != order), None)
         if short is not None:
             raise InputError(f"weight subset {list(short)} must hold {order} distinct indices")
-        vals = np.fromiter((float(ent["value"]) for ent in entries), float, len(entries))
         # Indices beyond int64 make an object array; the checks still apply.
         idx = np.array(subs).reshape(-1, order)
         srt = np.sort(idx, axis=1)

@@ -9,7 +9,7 @@ import pytest
 from kolbounds import bounds, chaos, hoeffding, mc
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError
-from kolbounds.space import OutcomeSpace
+from kolbounds.space import OutcomeSpace, law_expect, law_mean
 
 
 def _normalized(X):
@@ -126,6 +126,38 @@ def test_single_order_bounds_dominate_for_pure_inputs():
             assert dk <= second + 1e-12
 
 
+def _conditional_moment_terms(X):
+    """The conditional-moment ingredients of the degenerate bound, by law_mean.
+
+      var_term    = Var( sum_k E[(X - E[X | rest_k])^2 | rest_k] )
+      fourth_term = sum_k E[(X - E[X | rest_k])^4]
+
+    with rest_k the sigma-field of every coordinate but k.
+    """
+    space, grid = X.space, X.grid
+    sum_cond = np.zeros((1,) * space.n)
+    fourth = 0.0
+    for k in range(space.n):
+        delta = grid - law_mean(grid, k, space.probs[k])
+        sq = delta * delta
+        sum_cond = sum_cond + law_mean(sq, k, space.probs[k])
+        fourth += law_expect(sq * sq, space.probs)
+    mean = law_expect(sum_cond, space.probs)
+    return law_expect(sum_cond * sum_cond, space.probs) - mean * mean, fourth
+
+
+def test_conditional_moment_terms_by_hand():
+    # For W = X0 X1 over Rademacher coordinates: removing coordinate k gives
+    # delta = W exactly, so the conditional second moment is constant 1 per
+    # coordinate (variance term 0) and each fourth moment is 1 (total 2).
+    space = OutcomeSpace.iid(Distribution.rademacher(), 2)
+    W = space.coordinate(0) * space.coordinate(1)
+    var_term, fourth_term = _conditional_moment_terms(W)
+    assert var_term == pytest.approx(0.0, abs=1e-14)
+    assert fourth_term == pytest.approx(2.0, abs=1e-12)
+    assert bounds.degenerate_gradient_bound(W) == pytest.approx(48.0, rel=1e-12)
+
+
 def test_degenerate_bound_equals_conditional_moment_route():
     # The gradient form and the conditional-moment form describe one number:
     # sqrt(Var(int (grad)^2 half)) + 24 sqrt(E int (grad)^4 full)
@@ -137,8 +169,8 @@ def test_degenerate_bound_equals_conditional_moment_route():
         X = f.integral()
         Z = X * (1.0 / math.sqrt(X.variance()))
         direct = bounds.degenerate_gradient_bound(Z)
-        var_term, fourth_term = hoeffding.rate_degenerate(hoeffding.project(Z))
-        other = math.sqrt(var_term) + 24.0 * math.sqrt(2.0 * fourth_term)
+        var_term, fourth_term = _conditional_moment_terms(Z)
+        other = math.sqrt(max(var_term, 0.0)) + 24.0 * math.sqrt(2.0 * fourth_term)
         assert direct == pytest.approx(other, rel=1e-10)
 
 

@@ -171,6 +171,19 @@ def test_bad_inputs_exit_two(files, capsys):
         ["ustat", "--weights", files["tri.json"], "--law", "rademacher"],
         ["graph", "--graph", files["tri.json"], "--law", "rademacher", "--sweep", files["sweep_sum.json"], "--out", files["dir"] + "/g.json"],
     ]
+    # Malformed JSON types: a delta that is not a number, and weight entries
+    # that are not a list, a subset that is not a list, a value that is null.
+    out = files["dir"] + "/bad.json"
+    for i, delta in enumerate([None, [0.1], "0.1"]):
+        q, g = f"{files['dir']}/q_delta{i}.json", f"{files['dir']}/g_delta{i}.json"
+        Path(q).write_text(json.dumps({"sizes": [6], "samples": 1000, "delta": delta}))
+        Path(g).write_text(json.dumps({"n": [8], "p": [0.4], "samples": 1000, "delta": delta}))
+        cases.append(["qform", "--sweep", q, "--law", "rademacher", "--out", out])
+        cases.append(["graph", "--graph", files["tri.json"], "--law", "rademacher", "--sweep", g, "--out", out])
+    for i, entries in enumerate([5, [{"subset": 3, "value": 1.0}], [{"subset": [0, 1], "value": None}]]):
+        w = f"{files['dir']}/w_bad{i}.json"
+        Path(w).write_text(json.dumps({"n": 4, "order": 2, "entries": entries}))
+        cases.append(["ustat", "--weights", w, "--law", "rademacher"])
     for argv in cases:
         code, _, err = _run(argv, capsys)
         assert code == 2, argv

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kolbounds import chaos, hoeffding
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import DomainError, InputError
+from kolbounds.errors import InputError
 from kolbounds.space import OutcomeSpace, law_expect
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
@@ -18,6 +18,21 @@ MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher
 
 def _random_functional(space, rng):
     return space.functional(rng.standard_normal(space.size))
+
+
+def _mask(subset):
+    return sum(1 << k for k in subset)
+
+
+def _term(H, subset):
+    """W_J for the coordinates in subset, as a functional on the full space."""
+    return H.space.expand(H.term_grid(_mask(subset)))
+
+
+def _terms(H):
+    """Every W_J, keyed by J as a sorted tuple (the empty set included)."""
+    n = H.space.n
+    return {tuple(k for k in range(n) if m >> k & 1): H.space.expand(H.term_grid(m)) for m in range(1 << n)}
 
 
 def _broadcast_probs(space, k):
@@ -94,7 +109,7 @@ def test_terms_are_pairwise_orthogonal():
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
-    terms = [H.term(s) for s in H.subsets()]
+    terms = list(_terms(H).values())
     for i in range(len(terms)):
         for j in range(i + 1, len(terms)):
             inner = (terms[i] * terms[j]).expectation()
@@ -107,10 +122,9 @@ def test_terms_are_conditionally_centered():
     space = OutcomeSpace.iid(Distribution.rademacher(), 4)
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
-    for subset in H.subsets():
+    for subset, term in _terms(H).items():
         if not subset:
             continue
-        term = H.term(subset)
         drop = subset[0]
         rest = [k for k in range(space.n) if k != drop]
         cond = term.conditional(rest)
@@ -122,7 +136,7 @@ def test_second_moment_splits_over_terms():
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
-    split = sum(H.term(s).moment(2) for s in H.subsets())
+    split = sum(t.moment(2) for t in _terms(H).values())
     assert split == pytest.approx(X.moment(2), rel=1e-12)
     assert H.second_moment() == pytest.approx(X.moment(2), rel=1e-12)
 
@@ -162,7 +176,7 @@ def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
     try:
         H = hoeffding.project(X)
         assert tracemalloc.get_traced_memory()[1] <= 2.25 * grid_bytes
-        for view in (lambda: H.term(range(n)), lambda: H.grade(3), H.reconstruct):
+        for view in (lambda: H.term_grid(_mask(range(n))), lambda: H.grade(3), H.reconstruct):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             view()
@@ -172,7 +186,7 @@ def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
     assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
     for subset in [(), (4,), (0, 17), (2, 9, 13)]:
         want = _inclusion_exclusion_term(X, subset)
-        assert np.max(np.abs(H.term(subset).values - want)) < 1e-12
+        assert np.max(np.abs(_term(H, subset).values - want)) < 1e-12
 
 
 def _random_law(m, rng):
@@ -193,7 +207,7 @@ def test_decomposition_properties_on_random_laws(atoms, seed):
     space = OutcomeSpace([_random_law(m, rng) for m in atoms])
     X = _random_functional(space, rng)
     H = hoeffding.project(X)
-    terms = {s: H.term(s) for s in H.subsets()}
+    terms = _terms(H)
     assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
     assert np.max(np.abs(sum(t.values for t in terms.values()) - X.values)) < 1e-12
     items = list(terms.values())
@@ -451,57 +465,19 @@ def test_grade_sweep_checks_its_inputs():
 def test_grade_of_additive_sum_is_pure_order_one():
     space = OutcomeSpace.iid(three_point(), 3)
     S = space.coordinate(0) + space.coordinate(1) + space.coordinate(2)
-    H = hoeffding.project(S)
-    assert H.orders_present() == [1]
-    assert H.max_order() == 1
+    assert sorted(chaos.decompose(S).kernels) == [1]
 
 
 def test_product_of_coordinates_is_pure_top_order():
     space = OutcomeSpace.iid(Distribution.rademacher(), 3)
     P = space.coordinate(0) * space.coordinate(1) * space.coordinate(2)
-    H = hoeffding.project(P)
-    assert H.orders_present() == [3]
+    assert sorted(chaos.decompose(P).kernels) == [3]
 
 
-def test_subset_rate_positive_and_centering_guard():
-    rng = np.random.default_rng(26)
-    space = OutcomeSpace.iid(three_point(), 3)
-    X = _random_functional(space, rng).centered()
-    H = hoeffding.project(X)
-    rep = hoeffding.subset_rate_report(H)
-    assert rep.value > 0.0
-    assert rep.value == pytest.approx(
-        np.sqrt(rep.family_diag + rep.family_cross + rep.family_low), rel=1e-12
-    )
-    shifted = hoeffding.project(X + 1.0)
-    with pytest.raises(DomainError):
-        hoeffding.subset_rate_report(shifted)
-
-
-def test_subset_rate_is_scale_invariant():
-    # The bracket normalizes to unit second moment first, so any positive
-    # rescaling of the input leaves the value alone.
-    rng = np.random.default_rng(27)
-    space = OutcomeSpace.iid(three_point(), 3)
-    X = _random_functional(space, rng).centered()
-    a = hoeffding.subset_rate_report(hoeffding.project(X)).value
-    b = hoeffding.subset_rate_report(hoeffding.project(X * 7.5)).value
-    assert a == pytest.approx(b, rel=1e-10)
-
-
-def test_rate_degenerate_requires_single_order():
+def test_term_grid_refuses_a_mask_outside_the_coordinates():
     space = OutcomeSpace.iid(Distribution.rademacher(), 3)
-    mixed = space.coordinate(0) + space.coordinate(0) * space.coordinate(1)
-    with pytest.raises(DomainError):
-        hoeffding.rate_degenerate(hoeffding.project(mixed))
-
-
-def test_rate_degenerate_ingredients_by_hand():
-    # For W = X0 X1 over Rademacher coordinates: removing coordinate k gives
-    # delta = W exactly, so the conditional second moment is constant 1 per
-    # coordinate (variance term 0) and each fourth moment is 1 (total 2).
-    space = OutcomeSpace.iid(Distribution.rademacher(), 2)
-    W = space.coordinate(0) * space.coordinate(1)
-    var_term, fourth_term = hoeffding.rate_degenerate(hoeffding.project(W))
-    assert var_term == pytest.approx(0.0, abs=1e-14)
-    assert fourth_term == pytest.approx(2.0, abs=1e-12)
+    H = hoeffding.project(space.coordinate(0) * space.coordinate(2))
+    for mask in (1 << 3, -1):
+        with pytest.raises(InputError, match=rf"^subset mask {mask} outside 0\.\.7$"):
+            H.term_grid(mask)
+    assert np.max(np.abs(H.term_grid(0b101) - H.reconstruct().grid)) < 1e-15
