@@ -18,6 +18,12 @@ byte-identical reports; Monte Carlo sections draw from counter-based
 streams in fixed chunks, so KOLBOUNDS_WORKERS changes speed, never output.
 A report that draws records the layout of its draws as stream_scheme.
 
+The report text is byte for byte json.dumps(report, sort_keys=True,
+indent=2, allow_nan=False) + "\n", and config_sha256 hashes the UTF-8 of
+json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False).
+_json_texts writes both texts in one walk of config, with one repr per
+float; a non-finite value exits 2 and writes no --out file.
+
 Exit codes: 0 success, 2 bad input, 3 degenerate variance, 4 an identity
 check failed.
 """
@@ -27,8 +33,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 import sys
 
 import numpy as np
@@ -96,20 +104,95 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise InputError("--constant must be positive when given")
 
 
+# JSON text of each Python type json.dumps accepts: scalars through one C
+# function per value (the string one is json's own), containers by column.
+_quote = json.encoder.encode_basestring_ascii
+_LITERAL = {None: "null", False: "false", True: "true"}.__getitem__
+_REPR = {bool: _LITERAL, type(None): _LITERAL, str: _quote, int: int.__repr__, float: float.__repr__}
+_KINDS = frozenset(_REPR) | {list, tuple, dict}
+# Items per column slice: a long list is written a slice at a time, so the
+# texts of its items' columns (small strings, held until the items are
+# joined) never all live at once. With whole columns the desk-reports ustat
+# n = 40, d = 3 report raised the process high-water mark by about 1 MiB.
+_SLICE = 1024
+
+
+def _json_texts(objs: list, pad: str) -> tuple[list[str], list[str]]:
+    """The (indented, compact) JSON text of every item of objs.
+
+    Texts match json.dumps(item, sort_keys=True, allow_nan=False) with
+    indent=2 for an item whose line is indented by pad, and with
+    separators=(",", ":"). Items are written a column at a time: every
+    item of one type goes through one map over its C formatter, so one repr
+    per value feeds both texts; a list of lists formats its flattened items
+    once, and a list of dicts with one key set formats one column per key.
+    Each item is joined into its two strings once its columns are done, and
+    a long list is written _SLICE items at a time.
+    Non-finite floats raise ValueError and other types TypeError, as json
+    does; dict keys must be strings.
+    """
+    if len(objs) > _SLICE:
+        return _by_slices(objs, pad, _SLICE)
+    kinds = set(map(type, objs))
+    if len(kinds) > 1:
+        return _by_slices(objs, pad, 1)
+    kind = next((k for k in kinds.pop().__mro__ if k in _KINDS), None)
+    if kind in _REPR:
+        if kind is float and not all(map(math.isfinite, objs)):
+            bad = next(x for x in objs if not math.isfinite(x))
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        texts = list(map(_REPR[kind], objs))
+        return texts, texts
+    inner = pad + "  "
+    if kind is dict:
+        keys = objs[0].keys()
+        if any(d.keys() != keys for d in objs):
+            return _by_slices(objs, pad, 1)
+        if not keys:
+            return ["{}"] * len(objs), ["{}"] * len(objs)
+        keys = sorted(keys)
+        columns = [_json_texts(list(map(operator.itemgetter(k), objs)), inner) for k in keys]
+        names = [_quote(k).replace("{", "{{").replace("}", "}}") for k in keys]
+        indented = "{{\n" + inner + (",\n" + inner).join(f"{k}: {{}}" for k in names) + "\n" + pad + "}}"
+        compact = "{{" + ",".join(f"{k}:{{}}" for k in names) + "}}"
+        return list(map(indented.format, *(i for i, _ in columns))), list(map(compact.format, *(c for _, c in columns)))
+    if kind in (list, tuple):
+        ends = list(itertools.accumulate(map(len, objs)))
+        indented, compact = _json_texts(list(itertools.chain.from_iterable(objs)), inner) if ends[-1] else ([], [])
+        spans = list(zip([0] + ends[:-1], ends))
+        opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
+        return (
+            [opening + sep.join(indented[a:b]) + closing if a < b else "[]" for a, b in spans],
+            ["[" + ",".join(compact[a:b]) + "]" if a < b else "[]" for a, b in spans],
+        )
+    raise TypeError(f"Object of type {type(objs[0]).__name__} is not JSON serializable")
+
+
+def _by_slices(objs: list, pad: str, size: int) -> tuple[list[str], list[str]]:
+    parts = [_json_texts(objs[i : i + size], pad) for i in range(0, len(objs), size)]
+    return list(itertools.chain.from_iterable(i for i, _ in parts)), list(itertools.chain.from_iterable(c for _, c in parts))
+
+
 def _emit(args: argparse.Namespace, config: dict, flags: dict, results: dict) -> int:
-    """Write the report (its command is config["command"]) and return exit code 0."""
-    cfg_text = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    report = {
+    """Write the report (its command is config["command"]) and return exit code 0.
+
+    One walk of config gives its indented text and the compact text that
+    config_sha256 hashes. The whole report is built before --out is opened,
+    so a value JSON refuses leaves no file.
+    """
+    (config_text,), (config_compact,) = _json_texts([config], "  ")
+    fields = {
         "command": config["command"],
-        "config": config,
-        "config_sha256": hashlib.sha256(cfg_text.encode("utf-8")).hexdigest(),
+        "config_sha256": hashlib.sha256(config_compact.encode("utf-8")).hexdigest(),
         "constant": getattr(args, "constant", None),
         "constant_free": flags,
         "results": results,
         "seed": args.seed,
         "version": __version__,
     }
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    texts = {k: _json_texts([v], "  ")[0][0] for k, v in fields.items()}
+    texts["config"] = config_text
+    text = "{\n" + ",\n".join(f"  {_quote(k)}: {texts[k]}" for k in sorted(texts)) + "\n}\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -248,7 +331,7 @@ def _run_qform(args: argparse.Namespace) -> int:
         "constant": args.constant,
         "delta": args.delta,
         "law": _law_json(law),
-        "matrix": [[float(x) for x in row] for row in A],
+        "matrix": A.tolist(),
         "samples": args.samples,
         "seed": args.seed,
     }
@@ -431,6 +514,7 @@ def _run_chaos_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kolbounds",

@@ -118,12 +118,14 @@ class GraphSpec:
     def from_json(obj: object) -> "GraphSpec":
         if not isinstance(obj, dict):
             raise InputError("graph JSON must be an object")
-        try:
-            k = int(obj["vertices"])
-            edges = tuple(tuple(sorted((int(u), int(v)))) for u, v in obj["edges"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("graph JSON needs vertices and an edge list") from exc
-        return GraphSpec(k, tuple(sorted(edges)))
+        # JSON gives exact types, so type() tells integers from bools, floats
+        # and strings.
+        k, edges = obj.get("vertices"), obj.get("edges")
+        if type(k) is not int or not isinstance(edges, list):
+            raise InputError("graph JSON needs integer vertices and an edge list")
+        if not all(isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int for e in edges):
+            raise InputError("graph edges must be pairs of integer vertices")
+        return GraphSpec(k, tuple(sorted(tuple(sorted(e)) for e in edges)))
 
     @staticmethod
     def load(path: str) -> "GraphSpec":

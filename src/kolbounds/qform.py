@@ -18,6 +18,7 @@ and of both evaluations live in the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,13 @@ from .space import OutcomeSpace, RandomFunctional
 # reproducible.
 _Q_BLOCK = 4096
 _BLOCK_FLOATS = 1 << 17
+
+# Every fourth-moment sum is at most (n max|a_ij|)^4 in size, and the rates
+# weigh it by law moments of total degree 8 (each at most mu_8, by Hoelder)
+# and coefficients below 2^16. analyze refuses, before forming any sum, a
+# matrix that leaves fewer than _OVERFLOW_HEADROOM bits of double range for
+# that product.
+_OVERFLOW_HEADROOM = 20
 
 
 # ----------------------------------------------------------------- matrices
@@ -226,6 +234,14 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
         raise DomainError("law must have positive variance")
     M = symmetrize(A)
     n = M.shape[0]
+    scale = float(np.max(np.abs(M))) if n else 0.0
+    bits = 4.0 * math.log2(n * scale) + math.log2(max(1.0, m.mu[8])) if scale > 0.0 else 0.0
+    if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
+        raise InputError(
+            f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too large: the fourth-moment sums would "
+            f"reach (n max|a_ij|)^4 mu_8 = 2^{bits:.0f}, above the 2^{sys.float_info.max_exp - _OVERFLOW_HEADROOM} "
+            f"that leaves {_OVERFLOW_HEADROOM} bits of double range; rescale the matrix"
+        )
     d = M.diagonal()
     B = M * M
     s = B.sum(axis=1)

@@ -62,22 +62,18 @@ class WeightTensor:
         """Each entry sets every ordering of its subset; a later entry for the same set wins."""
         if not isinstance(obj, dict):
             raise InputError("weight JSON must be an object")
-        try:
-            n = int(obj["n"])
-            order = int(obj["order"])
-            entries = obj["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputError("weight JSON needs integer n, order and an entries list") from exc
+        # JSON gives exact types, so type() tells integers from bools, floats
+        # and strings.
+        n, order, entries = obj.get("n"), obj.get("order"), obj.get("entries")
+        if type(n) is not int or type(order) is not int or not isinstance(entries, list):
+            raise InputError("weight JSON needs integer n, order and an entries list")
         if order < 1 or n < order:
             raise InputError(f"need 1 <= order <= n, got order={order}, n={n}")
-        if not isinstance(entries, list):
-            raise InputError("weight JSON needs integer n, order and an entries list")
         if not all(isinstance(ent, dict) and "subset" in ent and "value" in ent for ent in entries):
             raise InputError("each weight entry needs a subset and a value")
         subs = [ent["subset"] for ent in entries]
         values = [ent["value"] for ent in entries]
-        # JSON gives exact types, so type() tells integers from bools. A
-        # string value goes through float(), so "nan" meets the finiteness check.
+        # A string value goes through float(), so "nan" meets the finiteness check.
         if not all(type(sub) is list for sub in subs) or set(map(type, itertools.chain.from_iterable(subs))) - {int}:
             raise InputError("weight subsets must be lists of integer indices")
         if set(map(type, values)) - {int, float, str}:

@@ -1,6 +1,7 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolbounds import cli, graphweigh, mc, qform
 
@@ -184,6 +187,19 @@ def test_bad_inputs_exit_two(files, capsys):
         w = f"{files['dir']}/w_bad{i}.json"
         Path(w).write_text(json.dumps({"n": 4, "order": 2, "entries": entries}))
         cases.append(["ustat", "--weights", w, "--law", "rademacher"])
+    # Integers given as strings, floats or bools: n, order, vertices and
+    # edge ends are refused rather than truncated or coerced.
+    entries = [{"subset": [0, 1], "value": 1.0}]
+    for i, (n, order) in enumerate([("4", 2), (4, 2.7), (True, 1), (4.0, 2)]):
+        w = f"{files['dir']}/w_int{i}.json"
+        Path(w).write_text(json.dumps({"n": n, "order": order, "entries": entries}))
+        cases.append(["ustat", "--weights", w, "--law", "rademacher"])
+    triangle = [[0, 1], [0, 2], [1, 2]]
+    graphs = [(3.9, triangle)] + [(3, [bad] + triangle[1:]) for bad in ([0.9, 1], ["2", 0], [1, 2.5], [True, 2])]
+    for i, (vertices, edges) in enumerate(graphs):
+        g = f"{files['dir']}/g_int{i}.json"
+        Path(g).write_text(json.dumps({"vertices": vertices, "edges": edges}))
+        cases.append(["graph", "--graph", g, "--law", "rademacher", "--sweep", files["sweep_g.json"], "--out", out])
     for argv in cases:
         code, _, err = _run(argv, capsys)
         assert code == 2, argv
@@ -209,6 +225,136 @@ def test_non_finite_inputs_are_refused_where_they_are_read(files, capsys, tmp_pa
         assert out == ""
         assert err.startswith("kolbounds: ") and message in err, err
         assert "Warning" not in err
+
+
+def test_matrix_scale_past_the_double_range_exits_two(capsys, tmp_path):
+    # At 1e170 the fourth-moment sums would overflow; analyze refuses the
+    # matrix before forming them, so no RuntimeWarning (an error under the
+    # test settings) and no NaN reach the report. 1e50 still fits.
+    for exponent, code in ((170, 2), (50, 0)):
+        path = tmp_path / f"big{exponent}.csv"
+        a = f"1e{exponent}"
+        path.write_text(f"0,{a},{a}\n{a},0,{a}\n{a},{a},0\n")
+        got, out, err = _run(["qform", "--matrix", str(path), "--law", "three-point"], capsys)
+        assert got == code, err
+        if code == 2:
+            assert out == "" and "matrix scale max|a_ij| = 1e+170 at n = 3" in err, err
+        else:
+            assert json.loads(out)["results"]["analysis"]["sigma2"] > 1e100
+
+
+def test_a_non_finite_result_exits_two_and_leaves_no_file(files, capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(qform, "rate_gt", lambda q, m: float("inf"))
+    out = tmp_path / "report.json"
+    code, stdout, err = _run(["qform", "--matrix", files["A.csv"], "--law", "rademacher", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == "" and "Out of range float values are not JSON compliant: inf" in err
+    assert not out.exists()
+
+
+def test_one_process_reuses_its_parser(files, capsys, tmp_path):
+    out = str(tmp_path / "q.json")
+    runs = [
+        ["qform", "--matrix", files["A.csv"], "--law", "rademacher", "--seed", "3", "--out", out],
+        ["ustat", "--weights", files["w.json"], "--law", "three-point", "--samples", "1000"],
+        ["qform", "--matrix", files["A.csv"], "--law", "rademacher", "--no-such-flag"],
+        ["qform", "--matrix", files["A.csv"], "--law", "rademacher", "--seed", "3", "--out", out],
+    ]
+
+    def outputs(fresh_parser):
+        seen = []
+        for argv in runs:
+            if fresh_parser:
+                cli._build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses bad arguments this way
+                code = exc.code
+            captured = capsys.readouterr()
+            seen.append((code, captured.out, captured.err, Path(out).read_bytes()))
+        return seen
+
+    cli._build_parser.cache_clear()
+    reused = outputs(fresh_parser=False)
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, *_ in reused] == [0, 0, 2, 0]
+    assert reused == outputs(fresh_parser=True)
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_KEYS = st.one_of(st.text(max_size=6), st.text(alphabet="{}\"\\\x00\u00e9", max_size=3))
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    _FLOATS,
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1.7976931348623157e308, 2**63, -(2**64) - 1]),
+    st.text(),
+    st.text(alphabet="\"\\{}\x00\x1f\n\u00e9\u20ac\U0001f600", max_size=6),
+)
+
+
+def _records(tree):
+    # Lists of dicts with one key set, the shape of weight entries and sweep rows.
+    keys = st.lists(_KEYS, max_size=3, unique=True)
+    return keys.flatmap(lambda ks: st.lists(st.fixed_dictionaries({k: tree for k in ks}), max_size=4))
+
+
+_TREES = st.recursive(
+    _LEAVES,
+    lambda tree: st.one_of(
+        st.lists(tree, max_size=5),
+        st.dictionaries(_KEYS, tree, max_size=5),
+        st.lists(_FLOATS, max_size=6),
+        st.lists(st.integers(), max_size=6),
+        st.lists(st.lists(_FLOATS, max_size=3), max_size=3),
+        _records(tree),
+    ),
+    max_leaves=30,
+)
+
+
+def _with_a_non_finite(tree):
+    # Wraps a subtree that holds a non-finite float, so every level keeps one.
+    return st.one_of(
+        st.tuples(st.lists(_TREES, max_size=3), tree, st.lists(_TREES, max_size=3)).map(lambda t: t[0] + [t[1]] + t[2]),
+        st.tuples(st.dictionaries(_KEYS, _TREES, max_size=3), _KEYS, tree).map(
+            lambda t: {**t[0], t[1]: t[2]}
+        ),
+        tree.map(lambda bad: [{"k": 0.5}, {"k": bad}]),
+        tree.map(lambda bad: [[1.0, 2.0], [bad]]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+def test_report_writer_matches_json_dumps(tree):
+    (indented,), (compact,) = cli._json_texts([tree], "")
+    assert indented == json.dumps(tree, sort_keys=True, indent=2, allow_nan=False)
+    assert compact == json.dumps(tree, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    # Below an indented line the same tree sits as json.dumps puts it in a dict.
+    (nested,), _ = cli._json_texts([tree], "  ")
+    assert "{\n  \"k\": " + nested + "\n}" == json.dumps({"k": tree}, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(st.sampled_from([math.nan, math.inf, -math.inf]), _with_a_non_finite, max_leaves=4))
+def test_report_writer_refuses_non_finite_floats_at_any_depth(tree):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(tree, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._json_texts([tree], "")
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for obj in ([object()], {"a": np.int64(1)}, {1: "non-string key"}):
+        with pytest.raises(TypeError):
+            cli._json_texts([obj], "")
+    # Subclasses format as their base types, as in json.
+    obj = {"a": [np.float64(0.1), np.float64(-2.5)], "b": (1, 2)}
+    (indented,), _ = cli._json_texts([obj], "")
+    assert indented == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def test_degenerate_matrix_exits_three(files, capsys):
