@@ -7,7 +7,8 @@ Conventions, fixed once for the whole package:
   "canonical": every slot average under the slot's law vanishes. Admission
   re-centers any table that misses this by more than tol.CENTRING (scaled,
   per slot, applied to every slot), which never changes the value of the
-  multiple sum. decompose admits its Hoeffding terms raw (centred by
+  multiple sum. decompose slices its kernels out of hoeffding.project's
+  one (mean | centred) table and admits them raw (centred by
   construction). Slot means, kernel norms and gradients average with
   space.law_mean / law_expect; only contract's einsum and the expectations
   gradient_integrals keeps as floats take laws as operands (the joint law,
@@ -145,30 +146,27 @@ class ChaosDecomposition:
             out = out + self.kernels[d].integral()
         return out
 
-    def second_moment(self) -> float:
-        """E[X^2] through the gradewise covariance identity."""
-        total = self.mean**2
-        for d, k in self.kernels.items():
-            total += math.factorial(d) * k.inner_product(k)
-        return total
-
 
 def decompose(X: RandomFunctional) -> ChaosDecomposition:
-    """Exact chaos decomposition of a functional on its whole space."""
-    H = hoeffding.project(X)
+    """Exact chaos decomposition of a functional on its whole space.
+
+    Each kernel table is a slice of hoeffding.project's table divided by d!:
+    the centred slots on the axes of J and the mean slot on every other axis.
+    Terms no larger than tol.DROP (scaled) are dropped.
+    """
+    T = hoeffding.project(X)
     space = X.space
     n = space.n
     cut = tol.DROP * tol.scale(X.values)
     mean = X.expectation()
     per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for mask in range(1, 1 << n):
-        grid = H.term_grid(mask)
-        if float(np.max(np.abs(grid))) <= cut:
+        subset = tuple(k for k in range(n) if mask >> k & 1)
+        table = T[tuple(slice(1, None) if mask >> k & 1 else 0 for k in range(n))]
+        if float(np.max(np.abs(table))) <= cut:
             continue
-        subset = tuple(k for k in range(n) if mask & (1 << k))
         d = len(subset)
-        index = tuple(slice(None) if k in subset else 0 for k in range(n))
-        per_order.setdefault(d, {})[subset] = np.asarray(grid[index]) / math.factorial(d)
+        per_order.setdefault(d, {})[subset] = table / math.factorial(d)
     # Hoeffding terms are centred by construction: admission would only find round-off.
     kernels = {d: ChaosKernel(space, d, tables, raw=True) for d, tables in per_order.items()}
     return ChaosDecomposition(space, mean, kernels)

@@ -1,10 +1,18 @@
-"""Hoeffding (ANOVA) decompositions and gradewise scaling, on one change of basis.
+"""Hoeffding (ANOVA) decompositions and gradewise scaling.
 
 Every functional X of n independent coordinates splits uniquely as
 X = sum over subsets J of W_J, where W_J depends only on the coordinates in J
 and E[W_J | coordinates in K] = 0 whenever J is not contained in K.
 
-One per-axis change of basis serves every term and every grade, which is
+project gives every term in one pass over the axes, with no change of basis.
+Axis k of the grid is split by space.law_mean into its average under the law
+(slot 0) and the centred remainder (slots 1 .. m_k), the per-axis projectors
+(mean, I - mean); over all axes that is their tensor product. In the table,
+the entry with slot 0 on every axis outside J and slot 1 + t_k on each axis k
+in J is W_J(t_J). It has prod (m_k + 1) entries, and is refused before it is
+allocated when that exceeds space.SIZE_CAP.
+
+Gradewise scaling runs on one per-axis change of basis instead, which is
 Yates' algorithm for factorial designs generalised to any finite law. The
 basis of coordinate k is orthonormal under its law p: the constant function
 and m - 1 centred functionals. With H_k the Householder reflector that swaps
@@ -13,9 +21,9 @@ A_k = -H_k diag(sqrt p): row r is p, so the mean slot holds the average under
 the law, and every other row pairs the grid with one centred basis function.
 A_k diag(1/p) A_k^T = I, and the join is A_k^-1 = -diag(1/sqrt p) H_k. In the
 split basis every grid entry is the coefficient of a product of basis
-functions; the entries whose non-mean axes are exactly J make up W_J, the
-number of non-mean axes is the entry's order, and by Parseval the second
-moment of any sum of entries is the sum of their squared coefficients.
+functions; the number of its non-mean axes is the entry's order, and by
+Parseval the second moment of any sum of entries is the sum of their squared
+coefficients.
 
 The matrices act on tensor factors of their own, so consecutive coordinates
 whose atom counts multiply to at most BLOCK form one Kronecker block and
@@ -34,14 +42,9 @@ reduced grid, constant along it) is skipped. A direction costs at most
 sequence of laws and shared by every space with those laws; the plans of the
 last _PLANS_KEPT sequences are kept.
 
-project keeps the split grid and reads each order from the plan. A term W_J
-is the sub-block with every other axis at its mean slot, joined back over the
-axes in J alone; the order-d part is the grid masked to order d and joined
-back; grade_sweep scales each entry by its order's coefficient between the
-split and the join, and grade_energy sums the squared, weighted entries after
-the split alone. Terms come out in reduced (keepdims) form, one axis per
-coordinate with non-member axes collapsed to length one, and are expanded to
-full functionals (OutcomeSpace.expand) on demand.
+grade_sweep scales each entry by its order's coefficient between the split
+and the join, and grade_energy sums the squared, weighted entries after the
+split alone.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .dist import Distribution
-from .errors import InputError
-from .space import OutcomeSpace, RandomFunctional
+from .errors import InputError, SpaceTooLargeError
+from .space import SIZE_CAP, OutcomeSpace, RandomFunctional, law_mean
 
 # Largest Kronecker block, in grid entries along the block (the gemm's inner
 # size). With 16, grade_energy on one gradient stack (2 cores, one BLAS
@@ -181,10 +184,6 @@ class _Basis:
             src, dst = dst, src
         return src, dst
 
-    def join(self, T: np.ndarray) -> np.ndarray:
-        """T joined back, in T itself or in a new array of its shape."""
-        return self.apply(T, np.empty_like(T), join=True)[0]
-
 
 # Plans by sequence of laws, oldest first; _PLANS_KEPT bounds what they hold
 # (an int8 order grid of at most SIZE_CAP bytes each, and their matrices).
@@ -202,57 +201,23 @@ def _basis(space: OutcomeSpace) -> _Basis:
     return plan
 
 
-class HoeffdingDecomposition:
-    """The full subset decomposition of one functional.
+def project(X: RandomFunctional) -> np.ndarray:
+    """Every Hoeffding term of X in one table, exactly (layout in the module docstring).
 
-    coef is the functional's grid in the split basis; every term and grade
-    is read back from it with the change-of-basis plan of the space's laws.
+    Raises SpaceTooLargeError, before allocating, when the table's
+    prod (m_k + 1) entries exceed space.SIZE_CAP. The pass peaks below three
+    tables: at the last axis, the previous table, its mean and centred part,
+    and the new table.
     """
-
-    def __init__(self, space: OutcomeSpace, coef: np.ndarray):
-        self.space = space
-        self._coef = coef
-        self._basis = _basis(space)
-
-    def term_grid(self, mask: int) -> np.ndarray:
-        """W_J for the coordinate set J given as a bit mask, in reduced form.
-
-        Cost O(|J| prod_{k in J} m_k): the sub-block with every axis outside
-        J at its mean slot, with the mean slot of each axis in J zeroed,
-        joined back. A mask outside 0 .. 2^n - 1 names no coordinate set.
-        """
-        refs = self._basis.refs
-        if not 0 <= mask < 1 << len(refs):
-            raise InputError(f"subset mask {mask} outside 0..{(1 << len(refs)) - 1}")
-        block = self._coef[tuple(slice(None) if mask >> k & 1 else slice(r, r + 1) for k, r in enumerate(refs))].copy()
-        for k, r in enumerate(refs):
-            if mask >> k & 1:
-                block[(slice(None),) * k + (r,)] = 0.0
-        return self._basis.join(block)
-
-    def reconstruct(self) -> RandomFunctional:
-        return RandomFunctional(self.space, self._basis.join(self._coef.copy()).reshape(-1))
-
-    def grade(self, d: int) -> RandomFunctional:
-        """The sum of all order-d terms as one functional."""
-        masked = np.where(self._basis.order == d, self._coef, 0.0)
-        return RandomFunctional(self.space, self._basis.join(masked).reshape(-1))
-
-    def second_moment(self) -> float:
-        """E[X^2], the sum of the squared coefficients (Parseval in the orthonormal basis)."""
-        c = self._coef.reshape(-1)
-        return float(np.dot(c, c))
-
-
-def project(X: RandomFunctional) -> HoeffdingDecomposition:
-    """Decompose X into its Hoeffding terms, exactly.
-
-    One split of X's grid (see grade_sweep for its cost) into a copy and one
-    spare buffer; the terms are read from it on demand.
-    """
-    basis = _basis(X.space)
-    coef, _ = basis.apply(X.grid.copy(), np.empty(X.space.shape), join=False)
-    return HoeffdingDecomposition(X.space, coef)
+    space = X.space
+    size = math.prod(m + 1 for m in space.shape)
+    if size > SIZE_CAP:
+        raise SpaceTooLargeError(f"Hoeffding table of {space!r} has {size} entries, cap is {SIZE_CAP}")
+    T = X.grid
+    for k, p in enumerate(space.probs):
+        mean = law_mean(T, k, p)
+        T = np.concatenate([mean, T - mean], axis=k)
+    return T
 
 
 def _check_grid(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> tuple[int, ...]:

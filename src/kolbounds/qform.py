@@ -55,7 +55,9 @@ def symmetrize(A: np.ndarray) -> np.ndarray:
     tol.check_symmetric(
         M, "matrix entries must be finite numbers, got {!r}", "matrix asymmetry {gap:.3e} exceeds tolerance"
     )
-    return 0.5 * (M + M.T)
+    # Halved before the sum, which then cannot overflow for finite entries.
+    half = 0.5 * M
+    return half + half.T
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
@@ -227,7 +229,9 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i.
 
     A form with zero variance under the law raises DegenerateError: every
-    rate divides by sigma."""
+    rate divides by sigma. A matrix scaled so far past the double range
+    that its moment sums overflow, or its variance underflows to zero,
+    raises InputError instead."""
     if not m.centered:
         raise DomainError("quadratic-form analysis needs a centered law")
     if m.mu[2] <= 0.0:
@@ -235,7 +239,7 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     M = symmetrize(A)
     n = M.shape[0]
     scale = float(np.max(np.abs(M))) if n else 0.0
-    bits = 4.0 * math.log2(n * scale) + math.log2(max(1.0, m.mu[8])) if scale > 0.0 else 0.0
+    bits = 4.0 * (math.log2(n) + math.log2(scale)) + math.log2(max(1.0, m.mu[8])) if scale > 0.0 else 0.0
     if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
         raise InputError(
             f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too large: the fourth-moment sums would "
@@ -250,6 +254,11 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     total2 = offdiag2 + diag2
     sigma2 = variance_q(M, m)
     if sigma2 <= 0.0:
+        if scale > 0.0 and variance_q(M / scale, m) > 0.0:
+            raise InputError(
+                f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too small: the variance underflows "
+                f"the double range; rescale the matrix"
+            )
         raise DegenerateError(f"the quadratic form at n={n} has zero variance under this law")
     S = sub_sums(M)
     s1, s2, s3 = s1_term(S, m), s2_term(S, m), s3_term(S, m)

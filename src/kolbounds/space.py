@@ -7,15 +7,17 @@ indices. Everything downstream (chaos grades, gradients, bounds, exact
 Kolmogorov distances) reduces to weighted sums over this grid.
 
 law_mean, one axis averaged under its coordinate's law (law_expect: every
-axis), is behind conditionals, gradients and their integrals, kernel slot
-means and norms and U-kernel moments; only whole-grid joint_probs dots,
+axis), is behind conditionals, the Hoeffding terms (hoeffding.project's
+mean and centred slots), gradients and their integrals, kernel slot means
+and norms and U-kernel moments; only whole-grid joint_probs dots,
 chaos.contract's einsum, chaos.gradient_integrals' per-atom expectations and
-the Hoeffding change of basis (its per-axis matrices) weight by a law
-otherwise. power is the one integer power of a grid: squarings and products,
-never libm pow.
+the change of basis behind gradewise scaling (its per-axis matrices) weight
+by a law otherwise. power is the one integer power of a grid: squarings and
+products, never libm pow.
 
 The enumeration cap is 2**18 outcomes; larger spaces raise SpaceTooLargeError
-at construction so the failure happens early and loudly.
+at construction so the failure happens early and loudly. hoeffding.project
+holds its table of prod (m_k + 1) entries to the same cap.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kolbounds import bounds, chaos, hoeffding, mc
+from hoeffding_terms import grades
+from kolbounds import bounds, chaos, mc
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DomainError
 from kolbounds.space import OutcomeSpace, law_expect, law_mean
@@ -69,8 +70,7 @@ def test_shifted_square_factor_matches_per_component_projection():
     rng = np.random.default_rng(56)
     space = OutcomeSpace([three_point(), Distribution.rademacher(), three_point(), Distribution.rademacher()])
     X = _normalized(space.functional(rng.standard_normal(space.size)))
-    H = hoeffding.project(X)
-    Xm1 = sum((H.grade(d) * (1.0 / d) for d in range(1, space.n + 1)), space.constant(0.0))
+    Xm1 = space.functional(sum(g / d for d, g in enumerate(grades(X)) if d > 0))
 
     def factor(Y):
         total = 0.0
@@ -78,10 +78,8 @@ def test_shifted_square_factor_matches_per_component_projection():
             takes = [np.take(Y.grid, [t], axis=k) for t in range(space.shape[k])]
             mean = sum(p * take for p, take in zip(space.probs[k], takes))
             for t, p in enumerate(space.probs[k]):
-                G = hoeffding.project(space.expand(takes[t] - mean) ** 2)
-                Z = space.constant(0.0)
-                for d in range(space.n + 1):
-                    Z = Z + (1.0 + 2.0 * math.sqrt(d)) * G.grade(d)
+                G = grades(space.expand(takes[t] - mean) ** 2)
+                Z = space.functional(sum((1.0 + 2.0 * math.sqrt(d)) * g for d, g in enumerate(G)))
                 total += 2.0 * p * Z.moment(2)
         return total
 

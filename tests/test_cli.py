@@ -200,6 +200,10 @@ def test_bad_inputs_exit_two(files, capsys):
         g = f"{files['dir']}/g_int{i}.json"
         Path(g).write_text(json.dumps({"vertices": vertices, "edges": edges}))
         cases.append(["graph", "--graph", g, "--law", "rademacher", "--sweep", files["sweep_g.json"], "--out", out])
+    # Finite entries whose sum overflows: symmetrize halves them first.
+    huge = Path(files["dir"]) / "huge.csv"
+    huge.write_text("0,1.5e308\n1.5e308,0\n")
+    cases.append(["qform", "--matrix", str(huge), "--law", "rademacher"])
     for argv in cases:
         code, _, err = _run(argv, capsys)
         assert code == 2, argv
@@ -230,15 +234,18 @@ def test_non_finite_inputs_are_refused_where_they_are_read(files, capsys, tmp_pa
 def test_matrix_scale_past_the_double_range_exits_two(capsys, tmp_path):
     # At 1e170 the fourth-moment sums would overflow; analyze refuses the
     # matrix before forming them, so no RuntimeWarning (an error under the
-    # test settings) and no NaN reach the report. 1e50 still fits.
-    for exponent, code in ((170, 2), (50, 0)):
+    # test settings) and no NaN reach the report. 1e50 still fits. At 1e-200
+    # the squared entries underflow and the variance reads zero, but the form
+    # is not degenerate: the scale is refused, not the form (exit 3).
+    for exponent, code in ((170, 2), (50, 0), (-200, 2)):
         path = tmp_path / f"big{exponent}.csv"
         a = f"1e{exponent}"
         path.write_text(f"0,{a},{a}\n{a},0,{a}\n{a},{a},0\n")
         got, out, err = _run(["qform", "--matrix", str(path), "--law", "three-point"], capsys)
         assert got == code, err
         if code == 2:
-            assert out == "" and "matrix scale max|a_ij| = 1e+170 at n = 3" in err, err
+            assert out == "" and f"matrix scale max|a_ij| = {float(a):.3g} at n = 3" in err, err
+            assert "rescale the matrix" in err, err
         else:
             assert json.loads(out)["results"]["analysis"]["sigma2"] > 1e100
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hoeffding_terms import grades, terms
 from kolbounds import chaos, hoeffding
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import InputError
-from kolbounds.space import OutcomeSpace, law_expect
+from kolbounds.errors import InputError, SpaceTooLargeError
+from kolbounds.space import SIZE_CAP, OutcomeSpace, law_expect
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()]
@@ -20,19 +21,25 @@ def _random_functional(space, rng):
     return space.functional(rng.standard_normal(space.size))
 
 
-def _mask(subset):
-    return sum(1 << k for k in subset)
+def _terms(X):
+    """Every W_J as a functional on the full space, keyed by J as a sorted tuple (the empty set included)."""
+    n = X.space.n
+    return {tuple(k for k in range(n) if m >> k & 1): X.space.expand(t) for m, t in terms(X).items()}
 
 
-def _term(H, subset):
-    """W_J for the coordinates in subset, as a functional on the full space."""
-    return H.space.expand(H.term_grid(_mask(subset)))
-
-
-def _terms(H):
-    """Every W_J, keyed by J as a sorted tuple (the empty set included)."""
-    n = H.space.n
-    return {tuple(k for k in range(n) if m >> k & 1): H.space.expand(H.term_grid(m)) for m in range(1 << n)}
+def _check_terms_and_grades(X):
+    """project's terms and grades against the Moebius twin, at 1e-12."""
+    got = terms(X)
+    want = _moebius_terms(X)
+    assert got.keys() == want.keys()
+    for mask, w in want.items():
+        assert got[mask].shape == w.shape
+        assert np.max(np.abs(got[mask] - w)) < 1e-12
+    by_order = [np.zeros(X.space.shape) for _ in range(X.space.n + 1)]
+    for mask, w in want.items():
+        by_order[bin(mask).count("1")] += w
+    for got_d, want_d in zip(grades(X), by_order):
+        assert np.max(np.abs(got_d - want_d)) < 1e-12
 
 
 def _broadcast_probs(space, k):
@@ -99,20 +106,18 @@ def test_reconstruction_is_exact():
     space = OutcomeSpace.iid(three_point(), 4)
     for _ in range(10):
         X = _random_functional(space, rng)
-        H = hoeffding.project(X)
-        back = H.reconstruct()
-        assert np.max(np.abs(back.values - X.values)) < 1e-12
+        back = sum(grades(X))
+        assert np.max(np.abs(back - X.grid)) < 1e-12
 
 
 def test_terms_are_pairwise_orthogonal():
     rng = np.random.default_rng(22)
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    terms = list(_terms(H).values())
-    for i in range(len(terms)):
-        for j in range(i + 1, len(terms)):
-            inner = (terms[i] * terms[j]).expectation()
+    items = list(_terms(X).values())
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            inner = (items[i] * items[j]).expectation()
             assert abs(inner) < 1e-12
 
 
@@ -121,8 +126,7 @@ def test_terms_are_conditionally_centered():
     rng = np.random.default_rng(23)
     space = OutcomeSpace.iid(Distribution.rademacher(), 4)
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    for subset, term in _terms(H).items():
+    for subset, term in _terms(X).items():
         if not subset:
             continue
         drop = subset[0]
@@ -135,10 +139,8 @@ def test_second_moment_splits_over_terms():
     rng = np.random.default_rng(24)
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    split = sum(t.moment(2) for t in _terms(H).values())
+    split = sum(t.moment(2) for t in _terms(X).values())
     assert split == pytest.approx(X.moment(2), rel=1e-12)
-    assert H.second_moment() == pytest.approx(X.moment(2), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -150,43 +152,49 @@ def test_terms_and_grades_match_the_moebius_twin(laws):
     rng = np.random.default_rng(30)
     space = OutcomeSpace(laws)
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    want = _moebius_terms(X)
-    assert len(want) == 2**space.n
-    grades = [np.zeros(space.shape) for _ in range(space.n + 1)]
-    for mask, w in want.items():
-        got = H.term_grid(mask)
-        assert got.shape == w.shape
-        assert np.max(np.abs(got - w)) < 1e-12
-        grades[bin(mask).count("1")] += w
-    for d, w in enumerate(grades):
-        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
+    _check_terms_and_grades(X)
 
 
-def test_project_and_its_views_stay_within_a_few_grids_at_the_cap():
-    # Rademacher n = 18 is the size cap: the Moebius twin would hold 3^18
-    # entries (3 GiB). project holds the split grid, the spare buffer of the
-    # change of basis and the int8 order grid (2.13 grids measured); a view
-    # its input, the spare and its result, one of the two (2.01).
-    n = 18
-    space = OutcomeSpace.iid(Distribution.rademacher(), n)
+def test_project_refuses_a_table_past_the_cap_before_it_allocates():
+    # Rademacher n = 12 fits the enumeration cap (2^12 outcomes), but its
+    # table would hold 3^12 = 531 441 > 2^18 entries: refused before any
+    # allocation of that size.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 12)
     X = _random_functional(space, np.random.default_rng(34))
-    grid_bytes = 8 * space.size
     tracemalloc.start()
     try:
-        H = hoeffding.project(X)
-        assert tracemalloc.get_traced_memory()[1] <= 2.25 * grid_bytes
-        for view in (lambda: H.term_grid(_mask(range(n))), lambda: H.grade(3), H.reconstruct):
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            view()
-            assert tracemalloc.get_traced_memory()[1] - base <= 2.1 * grid_bytes
+        with pytest.raises(SpaceTooLargeError, match=rf"has 531441 entries, cap is {SIZE_CAP}$"):
+            hoeffding.project(X)
+        assert tracemalloc.get_traced_memory()[1] < 8 * space.size
     finally:
         tracemalloc.stop()
-    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
-    for subset in [(), (4,), (0, 17), (2, 9, 13)]:
+
+
+@pytest.mark.parametrize(
+    "law, n",
+    [(Distribution.rademacher(), 11), (three_point(), 9)],
+    ids=["rademacher-11", "three-point-9"],
+)
+def test_project_peaks_within_three_tables_at_the_cap(law, n):
+    # 3^11 = 177 147 and 4^9 = 262 144 table entries, the largest each law
+    # admits. The last axis's pass holds the previous table, its centred
+    # part, the mean and the new table: 2.67 and 2.75 tables measured.
+    space = OutcomeSpace.iid(law, n)
+    X = _random_functional(space, np.random.default_rng(35))
+    table_bytes = 8 * (space.shape[0] + 1) ** n
+    assert table_bytes <= 8 * SIZE_CAP
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T = hoeffding.project(X)
+        assert tracemalloc.get_traced_memory()[1] - base <= 3 * table_bytes
+    finally:
+        tracemalloc.stop()
+    assert T.nbytes == table_bytes
+    for subset in [(), (4,), (0, n - 1), (2, 5, 7)]:
+        index = tuple(slice(1, None) if k in subset else slice(0, 1) for k in range(n))
         want = _inclusion_exclusion_term(X, subset)
-        assert np.max(np.abs(_term(H, subset).values - want)) < 1e-12
+        assert np.max(np.abs(space.expand(T[index]).values - want)) < 1e-12
 
 
 def _random_law(m, rng):
@@ -206,15 +214,13 @@ def test_decomposition_properties_on_random_laws(atoms, seed):
     rng = np.random.default_rng(seed)
     space = OutcomeSpace([_random_law(m, rng) for m in atoms])
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    terms = _terms(H)
-    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
-    assert np.max(np.abs(sum(t.values for t in terms.values()) - X.values)) < 1e-12
-    items = list(terms.values())
+    by_subset = _terms(X)
+    assert np.max(np.abs(sum(t.values for t in by_subset.values()) - X.values)) < 1e-12
+    items = list(by_subset.values())
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             assert abs((items[i] * items[j]).expectation()) < 1e-12
-    for subset, term in terms.items():
+    for subset, term in by_subset.items():
         for k in subset:
             rest = [j for j in range(space.n) if j != k]
             assert np.max(np.abs(term.conditional(rest).values)) < 1e-12
@@ -245,17 +251,7 @@ def test_kronecker_blocks_match_the_branch_and_moebius_twins(atoms, batch, reduc
     for b in range(batch):
         want = _branch_scale_grades(space, np.broadcast_to(grids[b], space.shape), coeffs)
         assert np.max(np.abs(np.broadcast_to(got[b], space.shape) - want)) < 1e-12
-    X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    grades = [np.zeros(space.shape) for _ in range(n + 1)]
-    for mask, w in _moebius_terms(X).items():
-        term = H.term_grid(mask)
-        assert term.shape == w.shape
-        assert np.max(np.abs(term - w)) < 1e-12
-        grades[bin(mask).count("1")] += w
-    for d, w in enumerate(grades):
-        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
-    assert np.max(np.abs(H.reconstruct().values - X.values)) < 1e-12
+    _check_terms_and_grades(_random_functional(space, rng))
 
 
 def test_a_coordinate_wider_than_a_block_takes_the_rank_one_step():
@@ -268,13 +264,7 @@ def test_a_coordinate_wider_than_a_block_takes_the_rank_one_step():
     space = OutcomeSpace([Distribution.rademacher(), wide, Distribution.rademacher()])
     assert hoeffding.BLOCK < 300
     X = _random_functional(space, rng)
-    H = hoeffding.project(X)
-    grades = [np.zeros(space.shape) for _ in range(space.n + 1)]
-    for mask, w in _moebius_terms(X).items():
-        assert np.max(np.abs(H.term_grid(mask) - w)) < 1e-12
-        grades[bin(mask).count("1")] += w
-    for d, w in enumerate(grades):
-        assert np.max(np.abs(H.grade(d).grid - w)) < 1e-12
+    _check_terms_and_grades(X)
     coeffs = rng.standard_normal(space.n + 1)
     for k in range(space.n):
         stack = chaos.gradient(X, k)
@@ -392,31 +382,27 @@ def test_grade_energy_holds_one_spare_grid_beside_its_input():
 
 
 def test_second_moment_is_the_sum_of_squared_coefficients():
-    # Parseval in the orthonormal basis, with no join: on a mixed-law space
-    # and at the 2^18 cap.
+    # Parseval in the orthonormal basis, with no join: grade_energy with every
+    # coefficient 1, on a mixed-law space and at the 2^18 cap.
     rng = np.random.default_rng(39)
     for space in (OutcomeSpace(MIXED), OutcomeSpace.iid(Distribution.rademacher(), 18)):
         X = _random_functional(space, rng)
-        assert hoeffding.project(X).second_moment() == pytest.approx(X.moment(2), rel=1e-12)
+        (energy,) = hoeffding.grade_energy(space, X.grid.copy(), [1.0] * (space.n + 1))
+        assert energy == pytest.approx(X.moment(2), rel=1e-12)
 
 
 def test_grades_sum_back_and_scale_grades_matches():
     rng = np.random.default_rng(25)
     space = OutcomeSpace.iid(three_point(), 3)
     X = _random_functional(space, rng).centered()
-    H = hoeffding.project(X)
-    total = space.constant(0.0)
-    for d in range(space.n + 1):
-        total = total + H.grade(d)
-    assert np.max(np.abs(total.values - X.values)) < 1e-12
+    by_order = grades(X)
+    assert np.max(np.abs(sum(by_order) - X.grid)) < 1e-12
 
     # Scaling grade d by d recovers the number operator.
     coeffs = list(range(space.n + 1))
     Y = hoeffding.scale_grades(X, coeffs)
-    want = space.constant(0.0)
-    for d in range(1, space.n + 1):
-        want = want + float(d) * H.grade(d)
-    assert np.max(np.abs(Y.values - want.values)) < 1e-12
+    want = sum(float(d) * g for d, g in enumerate(by_order))
+    assert np.max(np.abs(Y.grid - want)) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -472,12 +458,3 @@ def test_product_of_coordinates_is_pure_top_order():
     space = OutcomeSpace.iid(Distribution.rademacher(), 3)
     P = space.coordinate(0) * space.coordinate(1) * space.coordinate(2)
     assert sorted(chaos.decompose(P).kernels) == [3]
-
-
-def test_term_grid_refuses_a_mask_outside_the_coordinates():
-    space = OutcomeSpace.iid(Distribution.rademacher(), 3)
-    H = hoeffding.project(space.coordinate(0) * space.coordinate(2))
-    for mask in (1 << 3, -1):
-        with pytest.raises(InputError, match=rf"^subset mask {mask} outside 0\.\.7$"):
-            H.term_grid(mask)
-    assert np.max(np.abs(H.term_grid(0b101) - H.reconstruct().grid)) < 1e-15

@@ -234,11 +234,13 @@ def test_alpha_beta_react_to_the_diagonal():
 
 def test_degenerate_analysis_raises():
     # Zero variance is refused once, by analyze, with the size in the message;
-    # a diagonal-only form under Rademacher signs is constant, hence zero variance too.
+    # a diagonal-only form under Rademacher signs is constant, hence zero variance too,
+    # also at a scale whose squares underflow.
     with pytest.raises(DegenerateError, match=r"n=3 has zero variance"):
         qform.analyze(np.zeros((3, 3)), three_point().moments())
-    with pytest.raises(DegenerateError, match=r"n=2 has zero variance"):
-        qform.analyze(np.diag([1.0, 2.0]), Distribution.rademacher().moments())
+    for scale in (1.0, 1e-200):
+        with pytest.raises(DegenerateError, match=r"n=2 has zero variance"):
+            qform.analyze(np.diag([scale, 2.0 * scale]), Distribution.rademacher().moments())
 
 
 def test_analyze_symmetrizes_once(monkeypatch, tmp_path):
