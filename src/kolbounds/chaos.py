@@ -6,13 +6,15 @@ Conventions, fixed once for the whole package:
   array over the product of those coordinates' supports. Kernels are
   "canonical": every slot average under the slot's law vanishes. Admission
   re-centers any table that misses this by more than tol.CENTRING (scaled,
-  per slot, applied to every slot), which never changes the value of the
-  multiple sum. decompose slices its kernels out of hoeffding.project's
-  one (mean | centred) table and admits them raw (centred by
-  construction). Slot means, kernel norms and gradients average with
-  space.law_mean / law_expect; only contract's einsum and the expectations
-  gradient_integrals keeps as floats take laws as operands (the joint law,
-  or coordinate k's law over per-atom expectations).
+  per slot, applied to every slot): it replaces the kernel by its canonical
+  part, which in general changes the multiple sum. decompose slices its
+  kernels out of hoeffding.project's one (mean | centred) table and admits
+  them raw (centred by construction); multiply builds its product kernels in
+  that layout, re-centres them there and admits them raw too. Slot means,
+  kernel norms and gradients average with space.law_mean / law_expect; only
+  multiply's fold (its paired-slot weights) and the expectations
+  gradient_integrals keeps as floats (the joint law, or coordinate k's law
+  over per-atom expectations) take laws as operands.
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -20,7 +22,7 @@ Conventions, fixed once for the whole package:
   coordinate carries total weight 2 in a full-weight integral
   (sum_k 2 * E_{t ~ nu_k}) and weight 1 in a half-weight one
   (sum_k E_{t ~ nu_k}). All explicit constants in the bound evaluators are
-  calibrated to this pairing; contractions pair slots with weight 1.
+  calibrated to this pairing; the product formula pairs slots with weight 1.
 * The discrete gradient at (k, t) is
   grad_{k,t} X(w) = X(w with coordinate k set to t) - E_{s ~ nu_k} X(w with k set to s),
   a functional that does not depend on coordinate k itself. gradient(X, k)
@@ -35,13 +37,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import hoeffding, tol
-from .errors import DomainError, InputError
-from .space import OutcomeSpace, RandomFunctional, law_expect, law_mean
+from .errors import DomainError, InputError, SpaceTooLargeError
+from .space import SIZE_CAP, OutcomeSpace, RandomFunctional, law_expect, law_mean
 
 
 def _subset_shape(space: OutcomeSpace, subset: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,6 +149,25 @@ class ChaosDecomposition:
         return out
 
 
+def _subsets(n: int) -> Iterator[tuple[int, ...]]:
+    """Every nonempty subset of range(n), sorted, in bit-mask order."""
+    return (tuple(k for k in range(n) if mask >> k & 1) for mask in range(1, 1 << n))
+
+
+def _at(subset: tuple[int, ...], n: int) -> tuple:
+    """Where a subset's kernel table sits in a (mean | centred) table: atom slots on it, the mean slot elsewhere."""
+    return tuple(slice(1, None) if k in subset else 0 for k in range(n))
+
+
+def _table(kern: ChaosKernel) -> np.ndarray:
+    """A kernel's tables in one (mean | centred) table, zero at every entry of another order."""
+    space = kern.space
+    T = np.zeros(tuple(m + 1 for m in space.shape))
+    for subset, table in kern.tables.items():
+        T[_at(subset, space.n)] = table
+    return T
+
+
 def decompose(X: RandomFunctional) -> ChaosDecomposition:
     """Exact chaos decomposition of a functional on its whole space.
 
@@ -156,13 +177,11 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
     """
     T = hoeffding.project(X)
     space = X.space
-    n = space.n
     cut = tol.DROP * tol.scale(X.values)
     mean = X.expectation()
     per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
-    for mask in range(1, 1 << n):
-        subset = tuple(k for k in range(n) if mask >> k & 1)
-        table = T[tuple(slice(1, None) if mask >> k & 1 else 0 for k in range(n))]
+    for subset in _subsets(space.n):
+        table = T[_at(subset, space.n)]
         if float(np.max(np.abs(table))) <= cut:
             continue
         d = len(subset)
@@ -264,149 +283,79 @@ def covariance_identity_check(X: RandomFunctional, Y: RandomFunctional, alpha: f
     return abs(lhs - rhs)
 
 
-# ---------------------------------------------------------------- contraction
-
-
-@dataclass
-class Contraction:
-    """The unsymmetrized pairing of two kernels over shared slots.
-
-    k slots are shared between the two kernels; l of them are paired away
-    against their laws (weight 1 each), the remaining k - l stay as common
-    free variables. Entries are keyed by (shared blocks, left-only blocks,
-    right-only blocks), each sorted; array axes follow that order. Left-only
-    and right-only blocks may coincide (they are distinct variables), shared
-    blocks never collide with either side's own blocks.
-    """
-
-    space: OutcomeSpace
-    f_order: int
-    g_order: int
-    shared: int
-    paired: int
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], np.ndarray]
-
-    def scalar(self) -> float:
-        """The value of a complete pairing (no free slots left)."""
-        if self.free_slots() != 0:
-            raise DomainError("contraction still has free slots")
-        val = self.entries.get(((), (), ()))
-        return float(val) if val is not None else 0.0
-
-    def free_slots(self) -> int:
-        return (self.f_order - self.paired) + (self.g_order - self.shared)
-
-
-def contract(f: ChaosKernel, g: ChaosKernel, k: int, l: int) -> Contraction:
-    """Pair k slots of f with k slots of g and integrate out l of them.
-
-    Paired-away slots are summed against their coordinate laws over all block
-    choices distinct from every retained block of either side; the k - l
-    still-shared slots become common free variables. Entries for impossible
-    block layouts are simply absent (zero).
-    """
-    if f.space != g.space:
-        raise DomainError("contraction needs kernels on one space")
-    n, m = f.order, g.order
-    if not (0 <= l <= k <= min(n, m)):
-        raise InputError(f"need 0 <= l <= k <= min(orders); got k={k}, l={l}")
-    space = f.space
-    blocks = range(space.n)
-    s = k - l
-    fo = n - k
-    go = m - k
-    # einsum labels go by role and position, never by block: shared slots
-    # 0..s-1, paired slots s..k-1, then f's own slots and g's own slots. A
-    # block on both sides as an own slot is two variables with two labels.
-    out_labels = list(range(s)) + list(range(k, k + fo + go))
-    entries: dict[tuple, np.ndarray] = {}
-    for S in itertools.combinations(blocks, s):
-        rest = [b for b in blocks if b not in S]
-        for F in itertools.combinations(rest, fo):
-            for G in itertools.combinations(rest, go):
-                used = set(S) | set(F) | set(G)
-                acc: np.ndarray | None = None
-                for C in itertools.combinations([b for b in blocks if b not in used], l):
-                    f_sub = tuple(sorted(S + F + C))
-                    g_sub = tuple(sorted(S + G + C))
-                    tf = f.tables.get(f_sub)
-                    tg = g.tables.get(g_sub)
-                    if tf is None or tg is None:
-                        continue
-                    f_lab = {b: i for i, b in enumerate(S + C + F)}
-                    g_lab = {b: i for i, b in enumerate(S + C)} | {b: k + fo + i for i, b in enumerate(G)}
-                    operands = [tf, [f_lab[b] for b in f_sub], tg, [g_lab[b] for b in g_sub]]
-                    for i, b in enumerate(C):
-                        operands += [space.probs[b], [s + i]]
-                    term = np.einsum(*operands, out_labels)
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    entries[(S, F, G)] = math.factorial(l) * acc
-    return Contraction(space, n, m, k, l, entries)
-
-
 # -------------------------------------------------------------- multiplication
+
+
+def _lift_and_fold(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lift (m + 1 -> 2m + 1 slots) and fold (2m + 1 -> m + 1 slots) of one axis with law p.
+
+    The lift keeps f_0 and f_t and appends f_0 + f_t. After the pointwise
+    product the fold sends the mean slot to P_0 + sum_t p_t P_t (neither
+    kernel, or the two paired) and atom t to P_(m+t) - P_0 (one kernel's own
+    slot, or both sharing it).
+    """
+    m = len(p)
+    lift = np.zeros((2 * m + 1, m + 1))
+    lift[: m + 1] = np.eye(m + 1)
+    lift[m + 1 :, 0] = 1.0
+    lift[m + 1 :, 1:] = np.eye(m)
+    fold = np.zeros((m + 1, 2 * m + 1))
+    fold[0, 0] = 1.0
+    fold[0, 1 : m + 1] = p
+    fold[1:, 0] = -1.0
+    fold[1:, m + 1 :] = np.eye(m)
+    return lift, fold
+
+
+def _per_axis(T: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """T with mats[k] applied along axis k: each step reads the leading axis and appends the new one."""
+    for M in mats:
+        T = (T.reshape(M.shape[1], -1).T @ M.T).reshape(T.shape[1:] + M.shape[:1])
+    return T
 
 
 def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
     """Chaos decomposition of the pointwise product I_n(f) * I_m(g).
 
-    Combinatorial route: for every shared count k and paired count i, the
-    symmetrized contraction feeds an order n + m - k - i kernel with weight
-    k! C(m,k) C(n,k) C(k,i). Output kernels are re-centered on admission
-    (which never changes their multiple sums), so the result is again a bona
-    fide chaos decomposition.
+    Both kernels go into a (mean | centred) table in hoeffding.project's
+    layout (slot 0 off the subset, slot 1 + t at atom t), and three passes
+    over the axes give every contraction at once: a lift, a pointwise
+    product and a fold (_lift_and_fold). An entry with r atom slots is
+    scaled by n! m! / r!, what the combinatorial weights
+    k! C(m,k) C(n,k) C(k,i) s! fo! go! / r! times l! come to; the entry with
+    none is the mean. The lifted
+    tables have prod (2 m_k + 1) entries, refused before they are allocated
+    when that exceeds space.SIZE_CAP. Entries no larger than tol.DROP
+    (scaled) are cut. Re-centring every atom slot along each axis then
+    replaces each kernel by its canonical part: for canonical inputs it
+    removes from each shared slot the mean that the paired term already
+    carries, and only then is the result the product.
     """
     if f.space != g.space:
         raise DomainError("product needs kernels on one space")
     space = f.space
-    n, m = f.order, g.order
-    mean_acc = 0.0
-    acc_tables: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
-    for kk in range(0, min(n, m) + 1):
-        base = math.factorial(kk) * math.comb(m, kk) * math.comb(n, kk)
-        for i in range(0, kk + 1):
-            coeff = base * math.comb(kk, i)
-            r = n + m - kk - i
-            con = contract(f, g, kk, i)
-            if r == 0:
-                mean_acc += coeff * con.scalar()
-                continue
-            if r > space.n:
-                continue  # no room for r distinct blocks: the diagonal cut removes the grade
-            s = kk - i
-            fo = n - kk
-            go = m - kk
-            factor = (
-                math.factorial(s) * math.factorial(fo) * math.factorial(go) / math.factorial(r)
-            )
-            tables = acc_tables.setdefault(r, {})
-            for K in itertools.combinations(range(space.n), r):
-                acc: np.ndarray | None = None
-                for S in itertools.combinations(K, s):
-                    restK = [b for b in K if b not in S]
-                    for F in itertools.combinations(restK, fo):
-                        G = tuple(b for b in restK if b not in F)
-                        val = con.entries.get((S, F, G))
-                        if val is None:
-                            continue
-                        axis_blocks = list(S) + list(F) + list(G)
-                        perm = [axis_blocks.index(b) for b in K]
-                        piece = np.transpose(val, perm)
-                        acc = piece if acc is None else acc + piece
-                if acc is not None:
-                    prev = tables.get(K)
-                    add = coeff * factor * acc
-                    tables[K] = add if prev is None else prev + add
-    cut = tol.DROP * tol.scale([np.max(np.abs(t)) for tables in acc_tables.values() for t in tables.values()])
-    kernels: dict[int, ChaosKernel] = {}
-    for r, tables in acc_tables.items():
-        live = {K: t for K, t in tables.items() if float(np.max(np.abs(t))) > cut}
-        if live:
-            kern = ChaosKernel(space, r, live)
-            if kern.max_abs() > cut:
-                kernels[r] = kern
-    return ChaosDecomposition(space, mean_acc, kernels)
+    n = space.n
+    size = math.prod(2 * a + 1 for a in space.shape)
+    if size > SIZE_CAP:
+        raise SpaceTooLargeError(f"lifted product table of {space!r} has {size} entries, cap is {SIZE_CAP}")
+    lifts, folds = zip(*(_lift_and_fold(p) for p in space.probs))
+    P = _per_axis(_table(f), lifts)
+    P *= _per_axis(_table(g), lifts)
+    R = _per_axis(P, folds)
+    del P
+    coeff = [math.factorial(f.order) * math.factorial(g.order) / math.factorial(r) for r in range(n + 1)]
+    peaks = {K: coeff[len(K)] * float(np.max(np.abs(R[_at(K, n)]))) for K in _subsets(n)}
+    cut = tol.DROP * tol.scale(list(peaks.values()))
+    for k, p in enumerate(space.probs):
+        atoms = R[(slice(None),) * k + (slice(1, None),)]
+        atoms -= law_mean(atoms, k, p)
+    per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
+    for K, peak in peaks.items():
+        if peak > cut:
+            per_order.setdefault(len(K), {})[K] = coeff[len(K)] * R[_at(K, n)]
+    kernels = {r: ChaosKernel(space, r, tables, raw=True) for r, tables in per_order.items()}
+    kernels = {r: kern for r, kern in kernels.items() if kern.max_abs() > cut}
+    return ChaosDecomposition(space, coeff[0] * float(R[(0,) * n]), kernels)
 
 
 # ------------------------------------------------------------------ utilities

@@ -1,4 +1,4 @@
-"""Multiple-sum kernels: isometry, products, operator powers, contractions."""
+"""Multiple-sum kernels: isometry, products, operator powers, gradients."""
 
 import itertools
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hoeffding_terms import grades, terms
 from kolbounds import chaos, tol
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import DomainError
+from kolbounds.errors import DomainError, SpaceTooLargeError
 from kolbounds.space import OutcomeSpace
 
 
@@ -184,16 +184,6 @@ def test_gradient_of_pure_integral_freezes_one_slot():
             assert np.max(np.abs(got.values - want.values)) < 1e-11
 
 
-def test_full_self_contraction_recovers_the_norm():
-    rng = np.random.default_rng(41)
-    space = _space()
-    for d in (1, 2, 3):
-        f = chaos.random_kernel(space, d, rng)
-        c = chaos.contract(f, f, d, d)
-        assert c.free_slots() == 0
-        assert c.scalar() == pytest.approx(f.inner_product(f), rel=1e-12)
-
-
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 MIXED = [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()]
 
@@ -235,54 +225,156 @@ def _contract_twin(f, g, k, l):
     return entries
 
 
-def test_contraction_matches_the_loop_twin_on_a_mixed_space():
-    space = OutcomeSpace(MIXED)
-    rng = np.random.default_rng(44)
-    for a, b in [(1, 2), (2, 2), (2, 3)]:
+def _multiply_twin(f, g):
+    """The combinatorial product formula: for every shared count k and paired
+    count i, the contraction feeds an order n + m - k - i kernel with weight
+    k! C(m,k) C(n,k) C(k,i) s! fo! go! / r!, summed over every split of each
+    output subset into shared, f-only and g-only blocks. Tables above the
+    tol.DROP cut are admitted (re-centred) as kernels; the fully paired term
+    is the mean.
+    """
+    space = f.space
+    n, m = f.order, g.order
+    mean = 0.0
+    acc = {}
+    for kk in range(min(n, m) + 1):
+        for i in range(kk + 1):
+            coeff = math.factorial(kk) * math.comb(m, kk) * math.comb(n, kk) * math.comb(kk, i)
+            r = n + m - kk - i
+            entries = _contract_twin(f, g, kk, i)
+            if r == 0:
+                mean += coeff * float(entries.get(((), (), ()), 0.0))
+                continue
+            if r > space.n:
+                continue
+            s, fo, go = kk - i, n - kk, m - kk
+            factor = math.factorial(s) * math.factorial(fo) * math.factorial(go) / math.factorial(r)
+            for K in itertools.combinations(range(space.n), r):
+                for S in itertools.combinations(K, s):
+                    rest = [b for b in K if b not in S]
+                    for F in itertools.combinations(rest, fo):
+                        G = tuple(b for b in rest if b not in F)
+                        val = entries.get((S, F, G))
+                        if val is not None:
+                            piece = coeff * factor * np.transpose(val, [(S + F + G).index(b) for b in K])
+                            tables = acc.setdefault(r, {})
+                            tables[K] = tables.get(K, 0.0) + piece
+    cut = tol.DROP * tol.scale([np.max(np.abs(t)) for tables in acc.values() for t in tables.values()])
+    kernels = {}
+    for r, tables in acc.items():
+        live = {K: t for K, t in tables.items() if float(np.max(np.abs(t))) > cut}
+        if live:
+            kern = chaos.ChaosKernel(space, r, live)
+            if kern.max_abs() > cut:
+                kernels[r] = kern
+    return chaos.ChaosDecomposition(space, mean, kernels)
+
+
+def _assert_same_decomposition(got, want):
+    size = tol.scale([abs(want.mean)] + [k.max_abs() for k in want.kernels.values()])
+    assert abs(got.mean - want.mean) <= 1e-12 * size
+    assert sorted(got.kernels) == sorted(want.kernels)
+    for r, kern in want.kernels.items():
+        assert sorted(got.kernels[r].tables) == sorted(kern.tables), r
+        for K, table in kern.tables.items():
+            assert np.max(np.abs(got.kernels[r].tables[K] - table)) <= 1e-12 * size, (r, K)
+
+
+def _product_residual(f, g):
+    """max |multiply(f, g) reconstructed - I_n(f) I_m(g)| over the grid, over tol.scale of the product."""
+    truth = f.integral() * g.integral()
+    got = chaos.multiply(f, g).reconstruct()
+    return float(np.max(np.abs(got.values - truth.values))) / tol.scale(truth.values)
+
+
+TWIN_SPACES = {
+    "three-point n = 4": OutcomeSpace.iid(three_point(), 4),
+    "mixed": OutcomeSpace(MIXED),
+    "Rademacher n = 5": OutcomeSpace.iid(Distribution.rademacher(), 5),
+    "{-1: 1/2, 0: 1/4, 2: 1/4} n = 5": OutcomeSpace.iid(ASYM, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_SPACES))
+def test_multiply_matches_the_combinatorial_twin(name):
+    space = TWIN_SPACES[name]
+    rng = np.random.default_rng(48)
+    for a, b in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 1), (3, 3)]:
         f = chaos.random_kernel(space, a, rng)
         g = chaos.random_kernel(space, b, rng)
-        for k in range(a + 1):
-            for l in range(k + 1):
-                c = chaos.contract(f, g, k, l)
-                want = _contract_twin(f, g, k, l)
-                assert set(c.entries) == set(want), (a, b, k, l)
-                for key, val in want.items():
-                    assert np.max(np.abs(c.entries[key] - val)) < 1e-12, (a, b, k, l, key)
+        _assert_same_decomposition(chaos.multiply(f, g), _multiply_twin(f, g))
+        assert _product_residual(f, g) < 1e-13
 
 
-def test_first_order_contractions_at_the_space_cap():
-    # 18 coordinates: numbering einsum labels by block would run past the
-    # 52 labels numpy accepts; labels by role stay below four.
-    space = OutcomeSpace.iid(Distribution.rademacher(), 18)
-    rng = np.random.default_rng(45)
-    f = chaos.random_kernel(space, 1, rng)
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+    orders=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_multiply_matches_the_twin_and_the_product_on_random_laws(atoms, orders, seed):
+    # Random 1-4 atom laws per coordinate (a one-atom coordinate carries no
+    # centred slot), n <= 4, orders 1-3 (cut to n).
+    rng = np.random.default_rng(seed)
+    space = OutcomeSpace([_random_law(m, rng) for m in atoms])
+    f, g = (chaos.random_kernel(space, min(d, space.n), rng) for d in orders)
+    _assert_same_decomposition(chaos.multiply(f, g), _multiply_twin(f, g))
+    assert _product_residual(f, g) < 1e-12
+
+
+def test_a_non_canonical_factor_misses_the_product_as_the_twin_does():
+    # Re-centring is right only for canonical inputs: a shifted table (as in
+    # chaos-verify --corrupt) leaves the same miss as the combinatorial route,
+    # so the multiplication check keeps failing on it.
+    space = _space()
+    rng = np.random.default_rng(49)
+    f = chaos.random_kernel(space, 2, rng)
     g = chaos.random_kernel(space, 1, rng)
-    outer = chaos.contract(f, f, 0, 0)
-    assert len(outer.entries) == 18 * 18
-    for (S, (a,), (b,)), val in outer.entries.items():
-        assert S == ()
-        assert np.array_equal(val, np.multiply.outer(f.tables[(a,)], f.tables[(b,)]))
-    shared = chaos.contract(f, g, 1, 0)
-    assert sorted(shared.entries) == [((a,), (), ()) for a in range(18)]
-    for ((a,), _, _), val in shared.entries.items():
-        assert np.array_equal(val, f.tables[(a,)] * g.tables[(a,)])
+    tables = {s: t.copy() for s, t in f.tables.items()}
+    tables[(0, 1)] += 0.75
+    f = chaos.ChaosKernel(space, 2, tables, raw=True)
+    truth = f.integral() * g.integral()
+    want = float(np.max(np.abs(_multiply_twin(f, g).reconstruct().values - truth.values))) / tol.scale(truth.values)
+    assert want > 1e-3
+    assert _product_residual(f, g) == pytest.approx(want, rel=1e-12)
+
+
+def test_multiply_refuses_a_lifted_table_past_the_cap_before_it_allocates():
+    # Rademacher n = 8: 5^8 lifted entries, past the 2^18 cap.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 8)
+    rng = np.random.default_rng(50)
+    f, g = chaos.random_kernel(space, 1, rng), chaos.random_kernel(space, 2, rng)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(SpaceTooLargeError):
+            chaos.multiply(f, g)
+        assert tracemalloc.get_traced_memory()[1] - base < 8 * 5**8
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("law, n", [(Distribution.rademacher(), 7), (three_point(), 6)])
+def test_multiply_peaks_within_four_lifted_tables(law, n):
+    # The largest spaces under the cap for two and three atoms.
+    space = OutcomeSpace.iid(law, n)
+    rng = np.random.default_rng(51)
+    f, g = chaos.random_kernel(space, 3, rng), chaos.random_kernel(space, 2, rng)
+    lifted_bytes = 8 * math.prod(2 * m + 1 for m in space.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prod = chaos.multiply(f, g)
+        assert tracemalloc.get_traced_memory()[1] - base <= 4 * lifted_bytes
+    finally:
+        tracemalloc.stop()
+    truth = f.integral() * g.integral()
+    assert np.max(np.abs(prod.reconstruct().values - truth.values)) < 1e-12 * tol.scale(truth.values)
 
 
 def test_random_kernel_needs_room_for_its_order():
     with pytest.raises(DomainError):
         chaos.random_kernel(_space(2), 3, np.random.default_rng(46))
-
-
-def test_contraction_validates_depths():
-    rng = np.random.default_rng(42)
-    space = _space(3)
-    f = chaos.random_kernel(space, 2, rng)
-    from kolbounds.errors import InputError
-
-    with pytest.raises(InputError):
-        chaos.contract(f, f, 3, 0)
-    with pytest.raises(InputError):
-        chaos.contract(f, f, 1, 2)
 
 
 def _per_atom_gradients(X):
