@@ -126,9 +126,16 @@ def single_order_bounds(X: RandomFunctional, d: int) -> tuple[float, float]:
     first  = gap + (1/d) sqrt(Var(int (grad X)^2 half))
                 + ((12 + 5 E[X^4]^(1/4)) / sqrt(d)) sqrt(E int (grad X)^4 full)
     second = gap + sqrt(Var(int (grad X)^2 half)) + 24 sqrt(E int (grad X)^4 full)
+
+    X must be centered. At unit variance second is also the
+    conditional-moment form sqrt(var_term) + 24 sqrt(2 fourth_term), with
+    D_k = X - E[X | every coordinate but k], var_term = Var(sum_k E[D_k^2 |
+    every coordinate but k]) and fourth_term = sum_k E[D_k^4]; the oracle
+    _conditional_moment_terms in tests/test_bounds.py evaluates that form.
     """
     if d < 1:
         raise DomainError("order must be at least 1")
+    tol.check_centred(X.expectation(), X.values, "the single-order bounds need a centered functional")
     sq, quartic = gradient_integrals([X], [np.square], [lambda g: power(g, 4)])
     gap = abs(1.0 - X.moment(2))
     var_half = math.sqrt(max(sq.variance(), 0.0))
@@ -137,17 +144,3 @@ def single_order_bounds(X: RandomFunctional, d: int) -> tuple[float, float]:
     second = gap + var_half + 24.0 * q4
     return first, second
 
-
-def degenerate_gradient_bound(X: RandomFunctional) -> float:
-    """sqrt(Var(int (grad X)^2 half)) + 24 sqrt(E int (grad X)^4 full).
-
-    Valid as a Kolmogorov bound for unit-variance single-order X; equals the
-    conditional-moment form sqrt(var_term) + 24 sqrt(2 fourth_term), with
-    D_k = X - E[X | every coordinate but k], var_term = Var(sum_k E[D_k^2 |
-    every coordinate but k]) and fourth_term = sum_k E[D_k^4]. The oracle
-    _conditional_moment_terms in tests/test_bounds.py evaluates that form.
-    """
-    if abs(X.moment(2) - 1.0) > tol.CENTRING:
-        raise DomainError("degenerate bound needs a unit-variance input")
-    sq, quartic = gradient_integrals([X], [np.square], [lambda g: power(g, 4)])
-    return math.sqrt(max(sq.variance(), 0.0)) + 24.0 * math.sqrt(2.0 * quartic)

@@ -11,7 +11,8 @@ Conventions, fixed once for the whole package:
   kernels out of hoeffding.project's one (mean | centred) table and admits
   them raw (centred by construction); multiply builds its product kernels in
   that layout, re-centres them there and admits them raw too. Slot means,
-  kernel norms and gradients average with space.law_mean / law_expect; only
+  kernel norms and gradients average with space.law_mean / law_expect, one
+  BLAS matrix-vector product per axis with the law as the vector; only
   multiply's fold (its paired-slot weights) and the expectations
   gradient_integrals keeps as floats (the joint law, or coordinate k's law
   over per-atom expectations) take laws as operands.

@@ -91,8 +91,8 @@ def _law_json(law: Distribution) -> dict:
 
 
 def _validate_common(args: argparse.Namespace) -> None:
-    if args.seed < 0:
-        raise InputError("--seed must be a nonnegative integer")
+    if not 0 <= args.seed < 2**64:
+        raise InputError("--seed must be an integer in [0, 2**64): Philox keys are 64-bit words")
     samples = getattr(args, "samples", 0)
     if samples != 0 and samples < MIN_EMPIRICAL_SAMPLES:
         raise InputError(f"--samples must be 0 or at least {MIN_EMPIRICAL_SAMPLES}")

@@ -6,13 +6,14 @@ stored densely as one value per outcome in lexicographic (C) order of the atom
 indices. Everything downstream (chaos grades, gradients, bounds, exact
 Kolmogorov distances) reduces to weighted sums over this grid.
 
-law_mean, one axis averaged under its coordinate's law (law_expect: every
-axis), is behind conditionals, the Hoeffding terms (hoeffding.project's
-mean and centred slots), gradients and their integrals, kernel slot means,
-norms and re-centring (also chaos.multiply's) and U-kernel moments; only
-whole-grid joint_probs dots, chaos.multiply's per-axis fold,
-chaos.gradient_integrals' per-atom expectations and the change of basis
-behind gradewise scaling (its per-axis matrices) weight by a law otherwise.
+law_mean, one axis averaged under its coordinate's law by BLAS
+matrix-vector products (law_expect: every axis), is behind conditionals,
+the Hoeffding terms (hoeffding.project's mean and centred slots), gradients
+and their integrals, kernel slot means, norms and re-centring (also
+chaos.multiply's) and U-kernel moments; only whole-grid joint_probs dots,
+chaos.multiply's per-axis fold, chaos.gradient_integrals' per-atom
+expectations and the change of basis behind gradewise scaling (its per-axis
+matrices) weight by a law otherwise.
 power is the one integer power of a grid: squarings and products, never
 libm pow.
 
@@ -39,18 +40,20 @@ SIZE_CAP = 2**18
 def law_mean(T: np.ndarray, axis: int, probs: np.ndarray) -> np.ndarray:
     """sum over t of probs[t] * T[..., t, ...] along axis, kept as length one.
 
-    T is viewed as (before axis, axis, after axis) and summed slot by slot,
-    so no temporary is larger than one slot; a T that is not C-contiguous is
-    copied by that reshape first. An axis of length one (a reduced grid,
-    constant along it) comes back as is.
+    T is viewed as (before axis, axis, after axis) and contracted with probs
+    by BLAS matrix-vector products written straight into the output, with no
+    other temporary: the last axis is one gemv on the (before, axis) matrix
+    (probs @ V would make one tiny product per leading index there), any
+    other axis one gemv per leading index (a single one for axis 0). A T the
+    reshape cannot view, such as a transposed grid, is copied by it first.
+    An axis of length one (a reduced grid, constant along it) comes back as
+    is.
     """
     m = T.shape[axis]
     if m == 1:
         return T
     V = T.reshape(math.prod(T.shape[:axis]), m, -1)
-    total = probs[0] * V[:, 0]
-    for t in range(1, m):
-        total += probs[t] * V[:, t]
+    total = V[:, :, 0] @ probs if V.shape[2] == 1 else probs @ V
     return total.reshape(T.shape[:axis] + (1,) + T.shape[axis + 1 :])
 
 

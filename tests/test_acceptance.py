@@ -12,8 +12,8 @@ matrices. The universal steps are checked for every matrix.
 
 Criterion 4 mixes general centered functionals, which face the four-term
 master bound, with pure order-d multiple sums, which additionally face the
-two single-order displays and the degenerate-gradient bound with constants
-(1, 24 sqrt 2) in conditional-moment form.
+two single-order displays (the second, at unit variance, is the
+conditional-moment form with constants 1 and 24 sqrt 2).
 """
 
 import json
@@ -143,7 +143,7 @@ def test_criterion_04_explicit_constant_bounds_hold():
         caps = [bounds.master_bound(Z).total]
         if d is not None:
             first, second = bounds.single_order_bounds(Z, d)
-            caps += [first, second, bounds.degenerate_gradient_bound(Z)]
+            caps += [first, second]
         for cap in caps:
             slimmest = min(slimmest, cap - dk)
             if dk > cap:

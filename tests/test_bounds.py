@@ -125,7 +125,7 @@ def test_single_order_bounds_dominate_for_pure_inputs():
 
 
 def _conditional_moment_terms(X):
-    """The conditional-moment ingredients of the degenerate bound, by law_mean.
+    """The conditional-moment ingredients of single_order_bounds' second value, by law_mean.
 
       var_term    = Var( sum_k E[(X - E[X | rest_k])^2 | rest_k] )
       fourth_term = sum_k E[(X - E[X | rest_k])^4]
@@ -153,30 +153,34 @@ def test_conditional_moment_terms_by_hand():
     var_term, fourth_term = _conditional_moment_terms(W)
     assert var_term == pytest.approx(0.0, abs=1e-14)
     assert fourth_term == pytest.approx(2.0, abs=1e-12)
-    assert bounds.degenerate_gradient_bound(W) == pytest.approx(48.0, rel=1e-12)
+    assert bounds.single_order_bounds(W, 2)[1] == pytest.approx(48.0, rel=1e-12)
 
 
-def test_degenerate_bound_equals_conditional_moment_route():
-    # The gradient form and the conditional-moment form describe one number:
-    # sqrt(Var(int (grad)^2 half)) + 24 sqrt(E int (grad)^4 full)
-    # = sqrt(var_term) + 24 sqrt(2 fourth_term).
+def test_single_order_second_bound_equals_conditional_moment_route():
+    # At unit variance the gradient form and the conditional-moment form
+    # describe one number: sqrt(Var(int (grad)^2 half))
+    # + 24 sqrt(E int (grad)^4 full) = sqrt(var_term) + 24 sqrt(2 fourth_term).
     rng = np.random.default_rng(54)
     space = OutcomeSpace.iid(three_point(), 4)
     for d in (2, 3):
         f = chaos.random_kernel(space, d, rng)
         X = f.integral()
         Z = X * (1.0 / math.sqrt(X.variance()))
-        direct = bounds.degenerate_gradient_bound(Z)
+        direct = bounds.single_order_bounds(Z, d)[1]
         var_term, fourth_term = _conditional_moment_terms(Z)
         other = math.sqrt(max(var_term, 0.0)) + 24.0 * math.sqrt(2.0 * fourth_term)
         assert direct == pytest.approx(other, rel=1e-10)
 
 
-def test_degenerate_bound_guards_unit_variance():
+def test_single_order_bounds_guard_centring():
+    # An uncentered input is refused; a centred one off unit variance is not
+    # (the gap term carries it).
     space = OutcomeSpace.iid(Distribution.rademacher(), 2)
     W = space.coordinate(0) * space.coordinate(1) * 3.0
-    with pytest.raises(DomainError):
-        bounds.degenerate_gradient_bound(W)
+    with pytest.raises(DomainError, match="centered"):
+        bounds.single_order_bounds(W + 0.5, 2)
+    # Each gradient is 3 t X_other: the gap is |1 - 9| and the quartic part 9 x 48 / 24.
+    assert bounds.single_order_bounds(W, 2)[1] == pytest.approx(8.0 + 9.0 * 48.0, rel=1e-12)
 
 
 def test_additive_rademacher_sum_bounds_shrink_with_n():

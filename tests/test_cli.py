@@ -210,6 +210,28 @@ def test_bad_inputs_exit_two(files, capsys):
         assert "kolbounds:" in err
 
 
+def test_seed_must_fit_one_philox_key_word(files, capsys):
+    # Every stream is Philox keyed by (seed, stream id) as two 64-bit words:
+    # the largest seed draws, one more is refused before any stream is made.
+    out = files["dir"] + "/seed.json"
+    commands = [
+        ["qform", "--matrix", files["A.csv"], "--law", "rademacher", "--samples", "1000"],
+        ["qform", "--sweep", files["sweep_q.json"], "--law", "rademacher", "--out", out],
+        ["ustat", "--weights", files["w.json"], "--law", "rademacher", "--samples", "1000"],
+        ["graph", "--graph", files["tri.json"], "--law", "rademacher", "--sweep", files["sweep_g.json"], "--out", out],
+        ["chaos-verify"],
+    ]
+    for argv in commands:
+        code, _, err = _run(argv + ["--seed", str(2**64)], capsys)
+        assert code == 2, argv
+        assert "--seed must be an integer in [0, 2**64)" in err
+    for argv in commands[:4]:
+        code, text, _ = _run(argv + ["--seed", str(2**64 - 1)], capsys)
+        assert code == 0, argv
+        report = json.loads(Path(out).read_text() if "--out" in argv else text)
+        assert report["seed"] == 2**64 - 1
+
+
 def test_non_finite_inputs_are_refused_where_they_are_read(files, capsys, tmp_path):
     (tmp_path / "nan.csv").write_text("0,nan\nnan,0\n")
     (tmp_path / "inf.csv").write_text("0,1,inf\n1,0,1\ninf,1,0\n")
@@ -647,7 +669,9 @@ def test_chaos_verify_clean_and_corrupt(files, capsys, tmp_path):
     assert "multiplication" in err
     rep = json.loads(Path(report).read_text())
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
-    assert "multiplication" in failed
+    # single_order_bounds fails on its centring guard: the corrupt kernel's
+    # scaled multiple sum is uncentered.
+    assert failed == ["multiplication", "covariance_identity", "single_order_bounds"]
 
 
 def test_config_hash_tracks_content_not_path(files, capsys, tmp_path):

@@ -190,6 +190,63 @@ def test_law_mean_and_law_expect_match_the_brute_force_twins(shape):
     assert law_mean(reduced, 1, np.array([0.25, 0.75])) is reduced
 
 
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+
+
+def _slot_law_mean(T, axis, probs):
+    """Reference: the slot-by-slot sum, p_0 T_0 + p_1 T_1 + ... in that order."""
+    V = T.reshape(int(np.prod(T.shape[:axis])), T.shape[axis], -1)
+    total = probs[0] * V[:, 0]
+    for t in range(1, len(probs)):
+        total += probs[t] * V[:, t]
+    return total.reshape(T.shape[:axis] + (1,) + T.shape[axis + 1 :])
+
+
+@pytest.mark.parametrize(
+    "laws",
+    [
+        [three_point()] * 4,
+        [Distribution.rademacher()] * 12,
+        [ASYM, Distribution.rademacher(), three_point(), ASYM, Distribution.rademacher()],
+        [three_point()] * 7,
+    ],
+)
+def test_law_mean_equals_the_slot_sum_bit_for_bit_on_dyadic_laws(laws):
+    # With dyadic weights every product is exact, so the BLAS products must
+    # add the slots in the same order as the slot sum: identical bits on every
+    # axis, the last included, on grids and on multiply's atom slabs (a
+    # (mean | centred) table with the mean slot of one axis cut off).
+    rng = np.random.default_rng(17)
+    probs = [law.probs_array() for law in laws]
+    grid = rng.standard_normal(tuple(len(p) for p in probs))
+    table = rng.standard_normal(tuple(len(p) + 1 for p in probs))
+    for axis, p in enumerate(probs):
+        slab = table[(slice(None),) * axis + (slice(1, None),)]
+        assert slab.flags.c_contiguous == (axis == 0)
+        for T in (grid, slab):
+            got = law_mean(T, axis, p)
+            assert got.shape == T.shape[:axis] + (1,) + T.shape[axis + 1 :]
+            assert got.tobytes() == _slot_law_mean(T, axis, p).tobytes()
+
+
+def test_law_mean_bits_do_not_depend_on_the_memory_offset():
+    # The same table at 8 consecutive float offsets of one buffer (every
+    # position in a 64-byte line): BLAS kernels must not change the order of
+    # the sum with the alignment. Three-point n = 7 and Rademacher n = 11, every axis.
+    rng = np.random.default_rng(18)
+    for law, n in ((three_point(), 7), (Distribution.rademacher(), 11)):
+        p = law.probs_array()
+        data = rng.standard_normal((law.n_atoms,) * n)
+        buf = np.empty(data.size + 8)
+        for axis in range(n):
+            bits = set()
+            for offset in range(8):
+                T = buf[offset : offset + data.size].reshape(data.shape)
+                T[...] = data
+                bits.add(law_mean(T, axis, p).tobytes())
+            assert len(bits) == 1, (law, axis)
+
+
 @settings(max_examples=40, deadline=None)
 @given(atoms=st.lists(st.integers(1, 6), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
 def test_moments_and_powers_match_libm_pow(atoms, seed):
