@@ -4,18 +4,18 @@ Conventions, fixed once for the whole package:
 
 * A kernel of order d assigns to every sorted d-subset J of coordinates an
   array over the product of those coordinates' supports. Kernels are
-  "canonical": every slot average under the slot's law vanishes. Admission
-  re-centers any table that misses this by more than tol.CENTRING (scaled,
-  per slot, applied to every slot): it replaces the kernel by its canonical
-  part, which in general changes the multiple sum. decompose slices its
-  kernels out of hoeffding.project's one (mean | centred) table and admits
-  them raw (centred by construction); multiply builds its product kernels in
-  that layout, re-centres them there and admits them raw too. Slot means,
-  kernel norms and gradients average with space.law_mean / law_expect, one
-  BLAS matrix-vector product per axis with the law as the vector; only
-  multiply's fold (its paired-slot weights) and the expectations
+  "canonical": every slot average under the slot's law vanishes. The public
+  constructor checks subsets and shapes, and refuses a table whose slot means
+  exceed tol.CENTRING (scaled) unless raw=True ("use canonical() first"):
+  re-centring it would change its multiple sum. canonical() takes one
+  law_mean per slot over the stacked tables of each group of subsets whose
+  slots share their laws (one group on an iid space). Kernels the package
+  builds itself come from ChaosKernel._made, which checks nothing. Slot
+  means, kernel norms and gradients average with space.law_mean /
+  law_expect, one BLAS matrix-vector product per axis with the law as the
+  vector; only multiply's fold (its paired-slot weights), the expectations
   gradient_integrals keeps as floats (the joint law, or coordinate k's law
-  over per-atom expectations) take laws as operands.
+  over per-atom expectations) and OutcomeSpace.gram take laws as operands.
 * The multiple sum of a kernel is I_d(f) = d! * sum over subsets J of
   f_J(coordinates on J). Its covariance identity reads
   E[I_d(f) I_d(g)] = d! * <f, g> with <f, g> = d! * sum_J E[f_J g_J].
@@ -47,10 +47,6 @@ from .errors import DomainError, InputError, SpaceTooLargeError
 from .space import SIZE_CAP, OutcomeSpace, RandomFunctional, law_expect, law_mean
 
 
-def _subset_shape(space: OutcomeSpace, subset: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(space.shape[j] for j in subset)
-
-
 def slot_mean_max(table: np.ndarray, probs: list[np.ndarray]) -> float:
     """Largest |average of table over one slot|, slot (axis) k averaged under probs[k]."""
     means = (law_mean(table, axis, p) for axis, p in enumerate(probs))
@@ -58,9 +54,9 @@ def slot_mean_max(table: np.ndarray, probs: list[np.ndarray]) -> float:
 
 
 def center_slots(table: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
-    """table with each slot's average under probs[k] removed, slot by slot."""
+    """table with each slot's mean under probs[k] removed, slot by slot (slots last, any axes before a stack)."""
     out = table
-    for axis, p in enumerate(probs):
+    for axis, p in enumerate(probs, start=table.ndim - len(probs)):
         out = out - law_mean(out, axis, p)
     return out
 
@@ -68,18 +64,11 @@ def center_slots(table: np.ndarray, probs: list[np.ndarray]) -> np.ndarray:
 class ChaosKernel:
     """A canonical order-d kernel, stored per sorted coordinate subset."""
 
-    def __init__(
-        self,
-        space: OutcomeSpace,
-        order: int,
-        tables: dict[tuple[int, ...], np.ndarray],
-        raw: bool = False,
-    ):
+    def __init__(self, space: OutcomeSpace, order: int, tables: dict[tuple[int, ...], np.ndarray], raw: bool = False):
         if order < 1:
             raise InputError("kernel order must be at least 1")
-        self.space = space
-        self.order = order
-        clean: dict[tuple[int, ...], np.ndarray] = {}
+        self.space, self.order = space, order
+        self.tables: dict[tuple[int, ...], np.ndarray] = {}
         for subset, table in tables.items():
             subset = tuple(subset)
             if len(subset) != order or list(subset) != sorted(set(subset)):
@@ -87,27 +76,38 @@ class ChaosKernel:
             for j in subset:
                 space.check_coordinate(j)
             arr = np.asarray(table, dtype=float)
-            want = _subset_shape(space, subset)
-            if arr.shape != want:
+            if arr.shape != (want := tuple(space.shape[j] for j in subset)):
                 raise InputError(f"table for subset {subset} has shape {arr.shape}, expected {want}")
-            clean[subset] = arr
-        self.tables = clean
-        if not raw and self.degeneracy_violation() > tol.CENTRING * tol.scale(self.max_abs()):
-            self.tables = self.canonical().tables
+            self.tables[subset] = arr
+        if not raw and (worst := self.degeneracy_violation()) > tol.CENTRING * tol.scale(self.max_abs()):
+            raise DomainError(f"kernel is not canonical (worst slot mean {worst:.3e}); use canonical() first")
 
-    def _probs(self, subset: tuple[int, ...]) -> list[np.ndarray]:
-        return [self.space.probs[block] for block in subset]
+    @classmethod
+    def _made(cls, space: OutcomeSpace, order: int, tables: dict[tuple[int, ...], np.ndarray]) -> "ChaosKernel":
+        """A kernel the package built itself, its sorted subsets and float tables taken as they are."""
+        kern = cls.__new__(cls)
+        kern.space, kern.order, kern.tables = space, order, tables
+        return kern
 
     def degeneracy_violation(self) -> float:
         """Largest absolute slot average over all subsets and slots."""
-        return max((slot_mean_max(t, self._probs(s)) for s, t in self.tables.items()), default=0.0)
+        return max((slot_mean_max(t, [self.space.probs[j] for j in s]) for s, t in self.tables.items()), default=0.0)
 
     def max_abs(self) -> float:
         return max((float(np.max(np.abs(t))) for t in self.tables.values()), default=0.0)
 
     def canonical(self) -> "ChaosKernel":
-        tables = {s: center_slots(t, self._probs(s)) for s, t in self.tables.items()}
-        return ChaosKernel(self.space, self.order, tables, raw=True)
+        """Every slot's mean removed: one center_slots per stack of the subsets whose slots share their laws."""
+        ids: dict = {}
+        law_ids = [ids.setdefault(law, len(ids)) for law in self.space.laws]
+        groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for subset in self.tables:
+            groups.setdefault(tuple(law_ids[j] for j in subset), []).append(subset)
+        centred: dict[tuple[int, ...], np.ndarray] = {}
+        for subsets in groups.values():
+            stack = np.stack([self.tables[s] for s in subsets])
+            centred.update(zip(subsets, center_slots(stack, [self.space.probs[j] for j in subsets[0]])))
+        return ChaosKernel._made(self.space, self.order, {s: centred[s] for s in self.tables})
 
     # ---------------------------------------------------------------- algebra
 
@@ -119,7 +119,7 @@ class ChaosKernel:
         for subset, table in self.tables.items():
             t2 = other.tables.get(subset)
             if t2 is not None:
-                total += law_expect(table * t2, self._probs(subset))
+                total += law_expect(table * t2, [self.space.probs[j] for j in subset])
         return math.factorial(self.order) * total
 
     def integral(self) -> RandomFunctional:
@@ -127,10 +127,7 @@ class ChaosKernel:
         space = self.space
         total = np.zeros((1,) * space.n)
         for subset, table in self.tables.items():
-            newshape = [1] * space.n
-            for j in subset:
-                newshape[j] = space.shape[j]
-            total = total + table.reshape(newshape)
+            total = total + table.reshape([m if j in subset else 1 for j, m in enumerate(space.shape)])
         total *= math.factorial(self.order)
         return space.expand(total)
 
@@ -183,12 +180,10 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
     per_order: dict[int, dict[tuple[int, ...], np.ndarray]] = {}
     for subset in _subsets(space.n):
         table = T[_at(subset, space.n)]
-        if float(np.max(np.abs(table))) <= cut:
-            continue
-        d = len(subset)
-        per_order.setdefault(d, {})[subset] = table / math.factorial(d)
-    # Hoeffding terms are centred by construction: admission would only find round-off.
-    kernels = {d: ChaosKernel(space, d, tables, raw=True) for d, tables in per_order.items()}
+        if float(np.max(np.abs(table))) > cut:
+            per_order.setdefault(len(subset), {})[subset] = table / math.factorial(len(subset))
+    # Hoeffding terms are centred by construction: a check would only find round-off.
+    kernels = {d: ChaosKernel._made(space, d, tables) for d, tables in per_order.items()}
     return ChaosDecomposition(space, mean, kernels)
 
 
@@ -258,30 +253,36 @@ def apply_L_power(X: RandomFunctional, alpha: float) -> RandomFunctional:
     alpha = 0 is the identity. For alpha < 0 the input must be centered
     (the order-0 part has no inverse).
     """
-    n = X.space.n
     if alpha == 0.0:
         return X
     if alpha < 0.0:
         tol.check_centred(X.expectation(), X.values, "negative operator powers need a centered functional")
-    coeffs = [0.0] + [float(d) ** alpha for d in range(1, n + 1)]
+    coeffs = [0.0] + [float(d) ** alpha for d in range(1, X.space.n + 1)]
     return hoeffding.scale_grades(X, coeffs)
 
 
-def covariance_identity_check(X: RandomFunctional, Y: RandomFunctional, alpha: float) -> float:
-    """Residual of the gradient representation of the covariance.
+def covariance_identity_check(Xs: Sequence[RandomFunctional], triples: Sequence[tuple[int, int, float]]) -> list[float]:
+    """|Cov(X, Y) - sum_k E E_t[(grad_{k,t} A)(grad_{k,t} B)]| for each triple (i, j, alpha).
 
-    For centered X, Y and any real alpha,
-    Cov(X, Y) = sum_k E E_t[(grad_{k,t} A)(grad_{k,t} B)] with
-    A = (number operator)^(alpha-1) X and B = (number operator)^(-alpha) Y.
-    Returns the absolute difference of the two sides.
+    X = Xs[i] and Y = Xs[j] are centered, A = L^(alpha-1) X and B = L^(-alpha) Y
+    (L the number operator, any real alpha); each power is computed once
+    (apply_L_power). Both sides come from OutcomeSpace.gram: of the values, and
+    summed over k of the grids centred along k (the stacks of grad_{k,t} with
+    coordinate k read as t). Memory: two grids per power.
     """
-    for Z, name in ((X, "X"), (Y, "Y")):
-        tol.check_centred(Z.expectation(), Z.values, f"covariance identity needs centered input {name}")
-    A = apply_L_power(X, alpha - 1.0)
-    B = apply_L_power(Y, -alpha)
-    rhs = gradient_integrals([A, B], [np.multiply])[0].expectation()
-    lhs = (X * Y).expectation()
-    return abs(lhs - rhs)
+    space = Xs[0].space
+    if any(X.space != space for X in Xs):
+        raise DomainError("functionals live on different spaces")
+    rows: dict[tuple[int, float], int] = {}
+    for i, j, alpha in triples:
+        for key in ((i, 0.0), (j, 0.0), (i, alpha - 1.0), (j, -alpha)):
+            rows.setdefault(key, len(rows))
+    for i in dict.fromkeys(i for i, _ in rows):
+        tol.check_centred(Xs[i].expectation(), Xs[i].values, f"covariance identity needs centered input {i}")
+    V = np.stack([apply_L_power(Xs[i], power).grid for i, power in rows])
+    lhs = space.gram(V)
+    rhs = sum(space.gram(V - law_mean(V, k + 1, p)) for k, p in enumerate(space.probs))
+    return [abs(lhs[rows[i, 0.0], rows[j, 0.0]] - rhs[rows[i, a - 1.0], rows[j, -a]]) for i, j, a in triples]
 
 
 # -------------------------------------------------------------- multiplication
@@ -324,13 +325,12 @@ def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
     product and a fold (_lift_and_fold). An entry with r atom slots is
     scaled by n! m! / r!, what the combinatorial weights
     k! C(m,k) C(n,k) C(k,i) s! fo! go! / r! times l! come to; the entry with
-    none is the mean. The lifted
-    tables have prod (2 m_k + 1) entries, refused before they are allocated
-    when that exceeds space.SIZE_CAP. Entries no larger than tol.DROP
-    (scaled) are cut. Re-centring every atom slot along each axis then
-    replaces each kernel by its canonical part: for canonical inputs it
-    removes from each shared slot the mean that the paired term already
-    carries, and only then is the result the product.
+    none is the mean. The lifted tables have prod (2 m_k + 1) entries,
+    refused before they are allocated when that exceeds space.SIZE_CAP.
+    Entries no larger than tol.DROP (scaled) are cut. Re-centring each atom
+    slot along every axis then replaces each kernel by its canonical part:
+    for canonical inputs it removes from each shared slot the mean the
+    paired term already carries; only then is the result the product.
     """
     if f.space != g.space:
         raise DomainError("product needs kernels on one space")
@@ -354,7 +354,7 @@ def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
     for K, peak in peaks.items():
         if peak > cut:
             per_order.setdefault(len(K), {})[K] = coeff[len(K)] * R[_at(K, n)]
-    kernels = {r: ChaosKernel(space, r, tables, raw=True) for r, tables in per_order.items()}
+    kernels = {r: ChaosKernel._made(space, r, tables) for r, tables in per_order.items()}
     kernels = {r: kern for r, kern in kernels.items() if kern.max_abs() > cut}
     return ChaosDecomposition(space, coeff[0] * float(R[(0,) * n]), kernels)
 
@@ -363,11 +363,12 @@ def multiply(f: ChaosKernel, g: ChaosKernel) -> ChaosDecomposition:
 
 
 def random_kernel(space: OutcomeSpace, order: int, rng: np.random.Generator) -> ChaosKernel:
-    """A random canonical kernel: normal tables on every order-set, slotwise re-centered."""
+    """A random canonical kernel: normal tables on every order-set, from one draw in subset order, made canonical."""
     if order > space.n:
         raise DomainError(f"no {order}-sets among {space.n} coordinates")
-    tables = {
-        subset: rng.standard_normal(_subset_shape(space, subset))
-        for subset in itertools.combinations(range(space.n), order)
-    }
-    return ChaosKernel(space, order, tables, raw=True).canonical()
+    shapes = {s: tuple(space.shape[j] for j in s) for s in itertools.combinations(range(space.n), order)}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = rng.standard_normal(sum(sizes))
+    starts = itertools.accumulate(sizes, initial=0)
+    tables = {s: flat[a : a + z].reshape(shape) for (s, shape), a, z in zip(shapes.items(), starts, sizes)}
+    return ChaosKernel._made(space, order, tables).canonical()

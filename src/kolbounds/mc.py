@@ -17,6 +17,7 @@ case.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from collections import deque
@@ -37,7 +38,7 @@ DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
 # scheme 2 reads dyadic laws from b-bit fields of raw words (dist.draw_atoms).
 STREAM_SCHEME = 2
 
-# Cody's rational approximations P/Q (np.polyval order, Q monic) to erf(x)/x
+# Cody's rational approximations P/Q (highest power first, Q monic) to erf(x)/x
 # in x^2 for |x| <= 0.46875, to erfc(x) exp(x^2) in x up to 4 and to the
 # asymptotic series beyond in 1/x^2; erfc is zero from _ERFC_ZERO on.
 _ERF = ((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
@@ -95,7 +96,10 @@ def jump_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
 
 
 def _rational(z: np.ndarray, coeffs: tuple[tuple[float, ...], tuple[float, ...]]) -> np.ndarray:
-    return np.polyval(coeffs[0], z) / np.polyval(coeffs[1], z)
+    """P(z) / Q(z) by Horner's rule from the leading coefficient: np.polyval's operations, bit for bit on
+    finite z (its zeros_like start adds 0 * z), without its per-call array conversions."""
+    num, den = (functools.reduce(lambda y, a: y * z + a, c[1:], c[0]) for c in coeffs)
+    return num / den
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:

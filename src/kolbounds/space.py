@@ -10,10 +10,10 @@ law_mean, one axis averaged under its coordinate's law by BLAS
 matrix-vector products (law_expect: every axis), is behind conditionals,
 the Hoeffding terms (hoeffding.project's mean and centred slots), gradients
 and their integrals, kernel slot means, norms and re-centring (also
-chaos.multiply's) and U-kernel moments; only whole-grid joint_probs dots,
-chaos.multiply's per-axis fold, chaos.gradient_integrals' per-atom
-expectations and the change of basis behind gradewise scaling (its per-axis
-matrices) weight by a law otherwise.
+chaos.multiply's) and U-kernel moments; only whole-grid joint_probs dots
+(gram: one gemm for many grids), chaos.multiply's per-axis fold, the per-atom
+expectations of chaos.gradient_integrals and the change of basis behind
+gradewise scaling (its per-axis matrices) weight by a law otherwise.
 power is the one integer power of a grid: squarings and products, never
 libm pow.
 
@@ -100,14 +100,9 @@ class OutcomeSpace:
         if not self.laws:
             raise InputError("an outcome space needs at least one coordinate")
         self.shape: tuple[int, ...] = tuple(law.n_atoms for law in self.laws)
-        size = 1
-        for m in self.shape:
-            size *= m
-        if size > SIZE_CAP:
-            raise SpaceTooLargeError(
-                f"outcome space has {size} points, cap is {SIZE_CAP}"
-            )
-        self.size: int = size
+        self.size: int = math.prod(self.shape)
+        if self.size > SIZE_CAP:
+            raise SpaceTooLargeError(f"outcome space has {self.size} points, cap is {SIZE_CAP}")
         self.n: int = len(self.laws)
         self.values: tuple[np.ndarray, ...] = tuple(law.values_array() for law in self.laws)
         self.probs: tuple[np.ndarray, ...] = tuple(law.probs_array() for law in self.laws)
@@ -134,6 +129,11 @@ class OutcomeSpace:
             p.flags.writeable = False
             self._joint = p
         return self._joint
+
+    def gram(self, rows: np.ndarray) -> np.ndarray:
+        """E[R_u R_v] under the joint law for the rows R_u of rows (one value per outcome each), in one gemm."""
+        R = rows.reshape(len(rows), -1)
+        return (R * self.joint_probs.reshape(-1)) @ R.T
 
     def evaluate(self, fn: Callable[[np.ndarray], np.ndarray], rows: int) -> np.ndarray:
         """Values of fn at every outcome in enumeration order, a block at a time.

@@ -5,11 +5,13 @@ covariance identity, decomposition round trip) and its explicit-constant
 inequalities (fourth-moment bound, the full distance bound, the two
 single-order bounds) against exact enumeration on a four-coordinate
 three-point space. Each kernel's multiple sum is computed once and shared by
-every check that reads it. Every check reports its worst residual;
-inequalities report the worst violation, so zero means they held with slack.
+every check that reads it; the isometry reads them as one Gram matrix
+(OutcomeSpace.gram), the covariance identity in one batched call over its 36
+triples. Every check reports its worst residual; inequalities report the
+worst violation, so zero means they held with slack.
 
-The corrupt switch deliberately breaks the first kernel's slotwise centering
-so downstream consumers can test their failure paths.
+The corrupt switch deliberately breaks the first kernel's slotwise centering,
+through ChaosKernel._made, so downstream consumers can test their failure paths.
 """
 
 from __future__ import annotations
@@ -62,24 +64,20 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     kernels = [chaos.random_kernel(space, 1 + (i % 3), rng) for i in range(N_KERNELS)]
     if corrupt:
-        k0 = kernels[0]
-        tables = {s: t.copy() for s, t in k0.tables.items()}
-        first = next(iter(sorted(tables)))
+        tables = dict(kernels[0].tables)
+        first = min(tables)
         tables[first] = tables[first] + 0.75
-        kernels[0] = chaos.ChaosKernel(space, k0.order, tables, raw=True)
+        kernels[0] = chaos.ChaosKernel._made(space, kernels[0].order, tables)
     integrals = [f.integral() for f in kernels]
 
     results: list[CheckResult] = []
 
     worst = 0.0
+    gram = space.gram(np.stack([I.values for I in integrals]))
     for i, f in enumerate(kernels):
         j = (7 * i + 3) % len(kernels)
-        g = kernels[j]
-        lhs = (integrals[i] * integrals[j]).expectation()
-        if f.order == g.order:
-            rhs = float(math.factorial(f.order)) * f.inner_product(g)
-        else:
-            rhs = 0.0
+        lhs, g = float(gram[i, j]), kernels[j]
+        rhs = float(math.factorial(f.order)) * f.inner_product(g) if f.order == g.order else 0.0
         worst = max(worst, abs(lhs - rhs) / tol.scale([lhs, rhs]))
     results.append(CheckResult("isometry", worst))
 
@@ -91,16 +89,13 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(truth.values - got.values))) / tol.scale(truth.values))
     results.append(CheckResult("multiplication", worst))
 
-    worst = 0.0
-    for i in range(12):
-        X, Y = integrals[i], integrals[i + 1]
-        try:
-            for alpha in (0.0, 0.5, 1.0):
-                worst = max(worst, chaos.covariance_identity_check(X, Y, alpha))
-        except DomainError:
-            # A non-degenerate kernel yields an uncentered integral; that is
-            # itself a failure of the identity's hypotheses.
-            worst = math.inf
+    triples = [(i, i + 1, alpha) for i in range(12) for alpha in (0.0, 0.5, 1.0)]
+    try:
+        worst = max(chaos.covariance_identity_check(integrals[:13], triples))
+    except DomainError:
+        # A non-degenerate kernel yields an uncentered integral; that is
+        # itself a failure of the identity's hypotheses.
+        worst = math.inf
     results.append(CheckResult("covariance_identity", worst))
 
     worst = 0.0

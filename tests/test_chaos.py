@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hoeffding_terms import grades, terms
-from kolbounds import chaos, tol
+from kolbounds import chaos, hoeffding, tol
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import DomainError, SpaceTooLargeError
-from kolbounds.space import OutcomeSpace
+from kolbounds.errors import DomainError, InputError, SpaceTooLargeError
+from kolbounds.space import OutcomeSpace, law_mean
 
 
 def _space(n=4, law=None):
@@ -123,15 +123,49 @@ def test_covariance_identity_for_key_alphas():
     for _ in range(6):
         X = space.functional(rng.standard_normal(space.size)).centered()
         Y = space.functional(rng.standard_normal(space.size)).centered()
-        for alpha in (0.0, 0.5, 1.0, 0.3):
-            assert chaos.covariance_identity_check(X, Y, alpha) < 1e-11
+        triples = [(0, 1, alpha) for alpha in (0.0, 0.5, 1.0, 0.3)]
+        assert max(chaos.covariance_identity_check([X, Y], triples)) < 1e-11
 
 
 def test_covariance_identity_rejects_uncentered():
     space = _space(3)
     X = space.constant(1.0) + space.coordinate(0)
     with pytest.raises(DomainError):
-        chaos.covariance_identity_check(X, X, 0.5)
+        chaos.covariance_identity_check([X], [(0, 0, 0.5)])
+
+
+def _covariance_twin(Xs, triples):
+    """One triple at a time: both powers, one gradient_integrals pass and E[X Y] of the values."""
+    out = []
+    for i, j, alpha in triples:
+        A, B = chaos.apply_L_power(Xs[i], alpha - 1.0), chaos.apply_L_power(Xs[j], -alpha)
+        rhs = chaos.gradient_integrals([A, B], [np.multiply])[0].expectation()
+        out.append(abs((Xs[i] * Xs[j]).expectation() - rhs))
+    return out
+
+
+@pytest.mark.parametrize("name", ["three-point n = 4", "mixed"])
+def test_batched_covariance_identity_matches_the_per_triple_twin(name, monkeypatch):
+    space = OutcomeSpace.iid(three_point(), 4) if name == "three-point n = 4" else OutcomeSpace(MIXED)
+    rng = np.random.default_rng(52)
+    Xs = [space.functional(rng.standard_normal(space.size)).centered() for _ in range(13)]
+    Xs += [chaos.random_kernel(space, d, rng).integral() for d in (1, 2, 3)]
+    triples = [(i, i + 1, alpha) for i in range(15) for alpha in (0.0, 0.5, 1.0)]
+    triples += [(3, 3, 0.3), (15, 0, -0.7), (7, 2, 1.5)]
+    got = chaos.covariance_identity_check(Xs, triples)
+    assert np.max(np.abs(np.array(got) - _covariance_twin(Xs, triples))) <= 1e-13
+    # chaos-verify's 36 triples on 13 functionals: L^-1 and L^-1/2 of each, once.
+    calls = []
+    scale_grades = hoeffding.scale_grades
+    monkeypatch.setattr(hoeffding, "scale_grades", lambda X, coeffs: calls.append(X) or scale_grades(X, coeffs))
+    chaos.covariance_identity_check(Xs[:13], [(i, i + 1, alpha) for i in range(12) for alpha in (0.0, 0.5, 1.0)])
+    assert len(calls) == 26
+    # An uncentred functional is refused where a triple reads it, and only there.
+    Xs[5] = Xs[5] + 0.5
+    chaos.covariance_identity_check(Xs, [(0, 1, 0.5), (6, 7, 0.0)])
+    for triple in [(5, 6, 0.5), (4, 5, 1.0)]:
+        with pytest.raises(DomainError, match="^covariance identity needs centered input 5$"):
+            chaos.covariance_identity_check(Xs, [(0, 1, 0.5), triple])
 
 
 def test_operator_powers_compose_and_scale_grades():
@@ -230,8 +264,8 @@ def _multiply_twin(f, g):
     count i, the contraction feeds an order n + m - k - i kernel with weight
     k! C(m,k) C(n,k) C(k,i) s! fo! go! / r!, summed over every split of each
     output subset into shared, f-only and g-only blocks. Tables above the
-    tol.DROP cut are admitted (re-centred) as kernels; the fully paired term
-    is the mean.
+    tol.DROP cut become kernels through canonical(); the fully paired term is
+    the mean.
     """
     space = f.space
     n, m = f.order, g.order
@@ -264,7 +298,7 @@ def _multiply_twin(f, g):
     for r, tables in acc.items():
         live = {K: t for K, t in tables.items() if float(np.max(np.abs(t))) > cut}
         if live:
-            kern = chaos.ChaosKernel(space, r, live)
+            kern = chaos.ChaosKernel(space, r, live, raw=True).canonical()
             if kern.max_abs() > cut:
                 kernels[r] = kern
     return chaos.ChaosDecomposition(space, mean, kernels)
@@ -470,7 +504,8 @@ def test_gradient_integrals_hold_two_grids_beside_the_stacks():
 
 
 def test_decompose_kernels_are_canonical_without_admission_on_a_mixed_space():
-    # Hoeffding terms are centred by construction, so decompose admits them raw.
+    # Hoeffding terms are centred by construction, so decompose makes its
+    # kernels without a centring check.
     rng = np.random.default_rng(45)
     space = OutcomeSpace(MIXED)
     X = space.functional(rng.standard_normal(space.size))
@@ -479,3 +514,97 @@ def test_decompose_kernels_are_canonical_without_admission_on_a_mixed_space():
     for kern in dec.kernels.values():
         assert kern.degeneracy_violation() <= tol.CENTRING * tol.scale(kern.max_abs())
     assert np.max(np.abs(dec.reconstruct().values - X.values)) < 1e-12
+
+
+def _slot_by_slot(space, tables):
+    """Every table centred alone, one law_mean per slot (the per-subset route)."""
+    out = {}
+    for subset, table in tables.items():
+        for axis, j in enumerate(subset):
+            table = table - law_mean(table, axis, space.probs[j])
+        out[subset] = table
+    return out
+
+
+STACK_SPACES = {
+    "three-point n = 4": OutcomeSpace.iid(three_point(), 4),
+    "Rademacher n = 6": OutcomeSpace.iid(Distribution.rademacher(), 6),
+    "mixed": OutcomeSpace(MIXED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SPACES))
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_random_kernel_matches_per_subset_draws_and_slot_by_slot_centring(name, order):
+    # Every law here is dyadic, so the stacked centring is bit for bit the
+    # per-table one; the one draw leaves the generator where the per-subset
+    # draws do.
+    space = STACK_SPACES[name]
+    rng, twin_rng = np.random.default_rng(53), np.random.default_rng(53)
+    got = chaos.random_kernel(space, order, rng)
+    drawn = {
+        s: twin_rng.standard_normal(tuple(space.shape[j] for j in s))
+        for s in itertools.combinations(range(space.n), order)
+    }
+    want = _slot_by_slot(space, drawn)
+    assert list(got.tables) == list(want)
+    for s, table in want.items():
+        assert got.tables[s].tobytes() == table.tobytes(), s
+    assert rng.bit_generator.state == twin_rng.bit_generator.state
+
+
+def _raw_kernel(space, order, rng):
+    tables = {
+        s: rng.standard_normal(tuple(space.shape[j] for j in s)) + 0.5
+        for s in itertools.combinations(range(space.n), order)
+    }
+    return chaos.ChaosKernel(space, order, tables, raw=True), tables
+
+
+@pytest.mark.parametrize("name", sorted(STACK_SPACES) + ["three-point n = 9"])
+def test_canonical_on_stacks_is_slot_by_slot_centring_bit_for_bit_on_dyadic_laws(name):
+    space = STACK_SPACES.get(name) or OutcomeSpace.iid(three_point(), 9)
+    rng = np.random.default_rng(54)
+    for order in (1, 2, 3):
+        kern, tables = _raw_kernel(space, order, rng)
+        got = kern.canonical()
+        assert got.order == order and got.space is space
+        want = _slot_by_slot(space, tables)
+        assert list(got.tables) == list(want)
+        for s, table in want.items():
+            assert got.tables[s].tobytes() == table.tobytes(), (order, s)
+        assert got.degeneracy_violation() < 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    atoms=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    order=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_on_stacks_matches_slot_by_slot_centring_on_random_laws(atoms, order, seed):
+    # Random laws are not dyadic: the stacked products may round apart at
+    # 1e-15 relative, never further.
+    rng = np.random.default_rng(seed)
+    space = OutcomeSpace([_random_law(m, rng) for m in atoms])
+    kern, tables = _raw_kernel(space, min(order, space.n), rng)
+    got = kern.canonical()
+    want = _slot_by_slot(space, tables)
+    assert list(got.tables) == list(want)
+    for s, table in want.items():
+        assert np.max(np.abs(got.tables[s] - table), initial=0.0) <= 1e-15 * tol.scale(tables[s]), s
+
+
+def test_the_public_constructor_refuses_a_non_canonical_table():
+    space = _space(3)
+    rng = np.random.default_rng(55)
+    kern, tables = _raw_kernel(space, 2, rng)
+    with pytest.raises(DomainError, match=r"^kernel is not canonical \(worst slot mean .*\); use canonical\(\) first$"):
+        chaos.ChaosKernel(space, 2, tables)
+    fixed = kern.canonical()
+    again = chaos.ChaosKernel(space, 2, fixed.tables)
+    assert all(np.array_equal(again.tables[s], t) for s, t in fixed.tables.items())
+    with pytest.raises(InputError):
+        chaos.ChaosKernel(space, 2, {(1, 0): fixed.tables[0, 1]}, raw=True)
+    with pytest.raises(InputError):
+        chaos.ChaosKernel(space, 2, {(0, 1): np.zeros((3, 2))}, raw=True)

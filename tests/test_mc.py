@@ -74,6 +74,20 @@ def test_normal_cdf_against_quadrature():
     assert np.all(np.diff(arr) > 0)
 
 
+def test_rational_is_polyval_bit_for_bit():
+    # Horner from the leading coefficient repeats np.polyval's operations
+    # (its zeros_like start only adds 0 * z), on each range normal_cdf uses
+    # and beyond it, with signed zeros and an empty array.
+    rng = np.random.default_rng(56)
+    zs = np.concatenate([rng.uniform(-30.0, 30.0, 20_000), np.geomspace(1e-300, 1e300, 2_000), [0.0, -0.0]])
+    for coeffs in (mc._ERF, mc._ERFC, mc._TAIL):
+        for z in (zs, zs[:1], zs[:0]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.polyval(coeffs[0], z) / np.polyval(coeffs[1], z)
+                got = mc._rational(z, coeffs)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_normal_cdf_matches_scipy_ndtr():
     # A dense grid, signed zeros, infinities and both sides of each range
     # boundary of the rational erfc (|x| / sqrt 2 = 0.46875, 4, 26.543).

@@ -103,7 +103,9 @@ def test_centring_boundary_kernel_slot_mean():
     space = OutcomeSpace.iid(law, 2)
     kept = chaos.ChaosKernel(space, 2, {(0, 1): base + 0.5 * tol.CENTRING})
     assert np.array_equal(kept.tables[0, 1], base + 0.5 * tol.CENTRING)
-    recentred = chaos.ChaosKernel(space, 2, {(0, 1): base + 2.0 * tol.CENTRING})
+    with pytest.raises(DomainError, match=r"^kernel is not canonical \(worst slot mean 2\.000e-10\); use canonical\(\) first$"):
+        chaos.ChaosKernel(space, 2, {(0, 1): base + 2.0 * tol.CENTRING})
+    recentred = chaos.ChaosKernel(space, 2, {(0, 1): base + 2.0 * tol.CENTRING}, raw=True).canonical()
     assert recentred.degeneracy_violation() < 1e-15
 
 
