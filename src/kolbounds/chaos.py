@@ -27,8 +27,11 @@ Conventions, fixed once for the whole package:
 * The discrete gradient at (k, t) is
   grad_{k,t} X(w) = X(w with coordinate k set to t) - E_{s ~ nu_k} X(w with k set to s),
   a functional that does not depend on coordinate k itself. gradient(X, k)
-  stacks it over the atoms t; gradient_integrals walks the coordinates once,
-  one coordinate's stacks alive at a time, and serves every gradient bound.
+  stacks it over the atoms t. gradient_integrals serves every gradient
+  bound: it takes stacks of functionals and walks the coordinates once,
+  forming every functional's gradients at coordinate k in one buffer (one
+  law_mean and one subtract per stack) and running each term once over
+  them; that buffer and one spare are allocated once per call.
 * Operator powers act gradewise: the order-d part of X is scaled by d**alpha.
   Negative powers require a centered input.
 """
@@ -125,11 +128,11 @@ class ChaosKernel:
     def integral(self) -> RandomFunctional:
         """The multiple sum I_d(f) = d! * sum_J f_J(omega on J) as a functional."""
         space = self.space
-        total = np.zeros((1,) * space.n)
+        total = np.zeros(space.shape)
         for subset, table in self.tables.items():
-            total = total + table.reshape([m if j in subset else 1 for j, m in enumerate(space.shape)])
+            total += table.reshape([m if j in subset else 1 for j, m in enumerate(space.shape)])
         total *= math.factorial(self.order)
-        return space.expand(total)
+        return RandomFunctional(space, total.reshape(-1))
 
 
 @dataclass
@@ -190,6 +193,16 @@ def decompose(X: RandomFunctional) -> ChaosDecomposition:
 # ------------------------------------------------------------------ gradient
 
 
+def _gradients(S: np.ndarray, k: int, p: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """grad_{k,t} of every grid of the stack S (a leading functional axis) into out, shape (len(S), m_k, ...).
+
+    One law_mean along k into the head of the flat scratch and one subtract:
+    out[f, t] is grid f with coordinate k read as t, minus its mean along k.
+    """
+    mean = law_mean(S, k + 1, p, out=scratch[: S.size // S.shape[k + 1]])
+    np.subtract(S[:, None].swapaxes(1, k + 2), mean[:, None], out=out)
+
+
 def gradient(X: RandomFunctional, k: int) -> np.ndarray:
     """The stack of grad_{k,t} X over the atoms t of coordinate k.
 
@@ -198,50 +211,78 @@ def gradient(X: RandomFunctional, k: int) -> np.ndarray:
     """
     space = X.space
     space.check_coordinate(k)
-    grid = X.grid
-    return np.subtract(grid[None].swapaxes(0, k + 1), law_mean(grid, k, space.probs[k])[None], order="C")
+    m = space.shape[k]
+    out = np.empty((1, m) + space.shape[:k] + (1,) + space.shape[k + 1 :])
+    _gradients(X.grid[None], k, space.probs[k], out, np.empty(space.size // m))
+    return out[0]
 
 
-def _atom_average(space: OutcomeSpace, k: int, T: np.ndarray) -> float:
-    """E_{t ~ nu_k} E[T[t]] for per-atom grids T (atoms leading, axis k of length one) or per-atom expectations."""
-    if T.ndim == 1:
-        return float(np.dot(T, space.probs[k]))
-    # Stack row t weighs the outcomes with coordinate k at atom t: the joint
-    # law with axis k read as the stack's atom axis.
+def _atom_average(space: OutcomeSpace, k: int, T: np.ndarray) -> np.ndarray:
+    """E_{t ~ nu_k} E[T[f, t]] for each f, for per-atom grids T (functionals, atoms, then the
+    grid with axis k of length one) or per-atom expectations (functionals, atoms)."""
+    if T.ndim == 2:
+        return T @ space.probs[k]
+    # Atom t weighs the outcomes with coordinate k at atom t: the joint law
+    # with axis k read as the atom axis.
     m, rest = space.shape[k], math.prod(space.shape[k + 1 :])
     weights = space.joint_probs.reshape(-1, m, rest)
-    return float(np.einsum("tab,atb->", T.reshape(m, -1, rest), weights))
+    return np.einsum("ftab,atb->f", T.reshape(len(T), m, -1, rest), weights)
 
 
 def gradient_integrals(
-    Xs: Sequence[RandomFunctional],
-    terms: Sequence[Callable[..., np.ndarray]],
-    expected: Sequence[Callable[..., np.ndarray]] = (),
-) -> list:
-    """sum_k E_{t ~ nu_k}[term(*stacks_k)] for each term, at weight 1 per coordinate.
+    space: OutcomeSpace,
+    stacks: Sequence[np.ndarray],
+    terms: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]],
+    expected: Sequence[Callable[[np.ndarray, np.ndarray], np.ndarray]] = (),
+) -> list[np.ndarray]:
+    """sum_k E_{t ~ nu_k}[term] for each term, at weight 1 per coordinate, over stacks of functionals.
 
-    stacks_k holds gradient(X, k) for every X in Xs; each term maps them
-    entrywise (atoms on the leading axis) to one array of their shape. The
-    integrals of terms come back as functionals; of each expected term only
-    the expectation of its integral is kept, as a float, so it holds no grid.
-    An expected term returns, atoms on the leading axis, either arrays of the
-    stacks' shape or their expectations (one value per atom). One pass over
-    the coordinates keeps a single coordinate's stacks alive; the full-weight
-    integral is twice the result.
+    Each stack holds grids with a leading functional axis, (F_i,) + space.shape
+    or (F_i, space.size), C-ordered; together they are F functionals, in order.
+    Per coordinate k every gradient goes into one buffer G of shape
+    (F, m_k) + space.shape with axis k of length one: G[f, t] is
+    grad_{k,t} of functional f, formed by one law_mean and one subtract per
+    stack (_gradients). G and one spare buffer of its size are allocated once
+    per call and reused by every coordinate.
+
+    Each term is called as term(G, spare), spare a view of the spare buffer in
+    G's shape, and returns an array of shape (F', m_k) + G.shape[2:]: its
+    integral comes back as an (F',) + space.shape array. An expected term
+    returns such an array or per-atom expectations of shape (F', m_k), and
+    only the expectation of its integral is kept: an (F',) array. Terms run
+    in order, the expected ones last, and each is reduced before the next
+    runs. A term may use spare as scratch (a result in its head leaves the
+    tail to the reduction over atoms) and may overwrite G, which every later
+    term then sees. The full-weight integral is twice the result.
+
+    Memory: G and spare (F grids each) and the integrals (F' grids each); a
+    term's reduction over atoms takes F' / m_k grids of its own only when
+    the spare's tail is taken.
     """
-    space = Xs[0].space
-    if any(X.space != space for X in Xs):
-        raise DomainError("gradients live on different spaces")
-    outs = [np.zeros(space.shape) for _ in terms]
-    means = [0.0 for _ in expected]
-    for k in range(space.n):
-        stacks = [gradient(X, k) for X in Xs]
-        for out, term in zip(outs, terms):
-            out += law_mean(term(*stacks), 0, space.probs[k])[0]
+    if any(S.size != len(S) * space.size for S in stacks):
+        raise InputError(f"a stack's grids do not fit {space!r}")
+    grids = [S.reshape((len(S),) + space.shape) for S in stacks]
+    F = sum(len(S) for S in grids)
+    buffer, spare = np.empty(F * space.size), np.empty(F * space.size)
+    outs: list = [None] * len(terms)
+    means = [0.0] * len(expected)
+    for k, p in enumerate(space.probs):
+        G = buffer.reshape((F, space.shape[k]) + space.shape[:k] + (1,) + space.shape[k + 1 :])
+        scratch = spare.reshape(G.shape)
+        row = 0
+        for S in grids:
+            _gradients(S, k, p, G[row : row + len(S)], spare)
+            row += len(S)
+        for i, term in enumerate(terms):
+            T = term(G, scratch)
+            tail = spare[spare.size - T.size // T.shape[1] :]
+            mean = law_mean(T, 1, p, out=None if np.may_share_memory(T, tail) else tail)[:, 0]
+            if outs[i] is None:
+                outs[i] = np.zeros((len(T),) + space.shape)
+            outs[i] += mean
         for i, term in enumerate(expected):
-            means[i] += _atom_average(space, k, term(*stacks))
-        del stacks
-    return [RandomFunctional(space, out.reshape(-1)) for out in outs] + means
+            means[i] += _atom_average(space, k, term(G, scratch))
+    return outs + means
 
 
 # ------------------------------------------------------------ operator power

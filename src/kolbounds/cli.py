@@ -429,8 +429,6 @@ def _run_ustat(args: argparse.Namespace) -> int:
         "weights": w.to_json(),
     }
     sigma2 = ustat.ustat_variance(w, g)
-    if sigma2 <= 0.0:
-        raise DegenerateError("the weighted statistic has zero variance")
     results: dict = {"n": w.n, "order": w.order, "sigma2": sigma2}
     if w.order >= 2:
         results["rate"] = ustat.ustat_rate(w, g)

@@ -287,13 +287,18 @@ class _EdgeDraw:
     matrices by np.take(..., out=), and their products reuse one more buffer,
     so the closed-form counters allocate no block-sized temporary of their
     own and nothing holds a batch or its uniforms. Edges are the
-    upper-triangle pairs in row-major order. Keeping the retention mask
-    separate from the weights matters for laws with an atom at zero, where a
-    kept weight-zero edge still completes copies.
+    upper-triangle pairs in row-major order. Every counter reads the masked
+    weights (a dropped edge weighs zero): with the product convention a
+    kept weight-zero edge already zeroes its copies, so a separate retention
+    mask would change nothing. The generic counter takes idx, the flat edge
+    positions of the copies, one row per template edge (shape (n_edges,
+    n_copies)); it gathers the masked weights copies-major into one
+    (copies, rows) buffer per block, so each row's sum adds its copies one
+    after another, in copy order.
     """
 
-    def __init__(self, n: int, p: float, law: Distribution, kind: str, rows: int):
-        self.n, self.kind = n, kind
+    def __init__(self, n: int, p: float, law: Distribution, kind: str, rows: int, idx: np.ndarray | None = None):
+        self.n, self.kind, self._idx = n, kind, idx
         iu, ju = np.triu_indices(n, k=1)
         m = iu.size
         # u < p is the two-atom law (True, False) with its step at p.
@@ -302,7 +307,11 @@ class _EdgeDraw:
         self.kept = np.empty((rows, m), dtype=bool)
         self.weights = np.empty((rows, m))
         self._scratch = draw_scratch(rows * m)
-        if kind != "generic":
+        if kind == "generic":
+            # Masked weights edge-major, and the copies' products and gathers.
+            self._edges = np.empty(m * rows)
+            self._products = np.empty(2 * idx.shape[1] * rows)
+        else:
             # Masked weights, then a zero column that the diagonal cells read.
             self.padded = np.zeros((rows, m + 1))
         if kind not in ("edge", "generic"):
@@ -323,14 +332,12 @@ class _EdgeDraw:
         dense = np.take(self.padded[:rows], self._cells, axis=1, out=self.dense[:rows], mode="clip")
         return dense.reshape(-1, self.n, self.n)
 
-    def counts(self, rng: np.random.Generator, out: np.ndarray, idx: np.ndarray | None = None) -> None:
+    def counts(self, rng: np.random.Generator, out: np.ndarray) -> None:
         """Fill out with the combined weights of one batch of out.size draws.
 
-        The draws are made and evaluated _BLOCK at a time. idx holds the flat
-        edge positions of the copies, one row per template edge (shape
-        (n_edges, n_copies)), and is used by the generic counter only. That
-        counter multiplies the copies' edges in one at a time, so it holds
-        _BLOCK x n_copies values rather than the full gather.
+        The draws are made and evaluated _BLOCK at a time. The generic counter
+        multiplies the copies' edges in one at a time, so it holds
+        2 x _BLOCK x n_copies values rather than the full gather.
         """
         m = self.weights.shape[1]
         ahead = mc.jump_ahead(rng, draw_words(*self._flags, out.size * m))
@@ -339,12 +346,7 @@ class _EdgeDraw:
             kept = draw_atoms(rng, *self._flags, self.kept[:rows], self._scratch)
             weights = draw_atoms(ahead, *self._law, self.weights[:rows], self._scratch)
             if self.kind == "generic":
-                per_copy = weights[:, idx[0]]
-                complete = kept[:, idx[0]]
-                for col in idx[1:]:
-                    per_copy *= weights[:, col]
-                    complete &= kept[:, col]
-                out[lo : lo + rows] = (per_copy * complete).sum(axis=1)
+                out[lo : lo + rows] = self._generic_counts(kept, weights)
             else:
                 # np.where(kept, weights, 0.0) in place, except that a dropped
                 # negative weight reads -0.0; no count sees that sign, because
@@ -352,6 +354,20 @@ class _EdgeDraw:
                 flat = np.multiply(weights, kept, out=self.padded[:rows, :m])
                 out[lo : lo + rows] = _product_counts(self, flat)
         rng.bit_generator.state = ahead.bit_generator.state
+
+
+    def _generic_counts(self, kept: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Sum over copies of the product of their masked edge weights, one per row of one block."""
+        rows, m = weights.shape
+        edges = np.multiply(weights.T, kept.T, out=self._edges[: m * rows].reshape(m, rows))
+        size = self._idx.shape[1] * rows
+        per_copy = self._products[:size].reshape(-1, rows)
+        gathered = self._products[size : 2 * size].reshape(-1, rows)
+        # mode="clip" (the positions are in range) writes straight into out=.
+        np.take(edges, self._idx[0], axis=0, out=per_copy, mode="clip")
+        for col in self._idx[1:]:
+            per_copy *= np.take(edges, col, axis=0, out=gathered, mode="clip")
+        return per_copy.sum(axis=0)
 
 
 def _product_counts(draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
@@ -404,8 +420,8 @@ def simulate_weight(
     idx = None
     if kind == "generic":
         idx = _edge_positions(n, G.copies_in(n).transpose(1, 0, 2))
-    draw = _EdgeDraw(n, p, law, kind, min(_BLOCK, batch, total))
+    draw = _EdgeDraw(n, p, law, kind, min(_BLOCK, batch, total), idx)
     out = np.empty(total)
     for lo in range(0, total, batch):
-        draw.counts(rng, out[lo : lo + batch], idx)
+        draw.counts(rng, out[lo : lo + batch])
     return float(out[0]) if size is None else out

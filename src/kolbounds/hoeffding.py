@@ -44,7 +44,8 @@ last _PLANS_KEPT sequences are kept.
 
 grade_sweep scales each entry by its order's coefficient between the split
 and the join, and grade_energy sums the squared, weighted entries after the
-split alone.
+split alone, reading the batch where the split leaves it (last), with no
+transposed copy.
 """
 
 from __future__ import annotations
@@ -156,12 +157,16 @@ class _Basis:
             self._kron[key] = K
         return K
 
-    def apply(self, T: np.ndarray, spare: np.ndarray, join: bool) -> tuple[np.ndarray, np.ndarray]:
+    def apply(
+        self, T: np.ndarray, spare: np.ndarray, join: bool, batch_last: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Split (or join) every coordinate axis of T; returns (result, free buffer).
 
         T and spare are C-ordered float arrays of one size; T's last n axes
         follow the space's coordinates and its leading axes are a batch. The
-        result is T or spare in T's shape; both are overwritten.
+        result is T or spare in T's shape, or with batch_last in the
+        (coordinates, batch) layout the blocks leave, without the transposed
+        copy; both are overwritten.
         """
         shape = T.shape[T.ndim - len(self.refs) :]
         src, dst = T, spare
@@ -179,7 +184,7 @@ class _Basis:
             src, dst = dst, src
             moved = True
         batch = T.size // math.prod(shape)
-        if moved and batch > 1:
+        if moved and batch > 1 and not batch_last:
             np.copyto(dst.reshape(batch, -1), src.reshape(-1, batch).T)
             src, dst = dst, src
         return src, dst
@@ -272,23 +277,30 @@ def grade_sweep(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) 
     return basis.apply(coef, free, join=True)[0]
 
 
-def grade_energy(space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
+def grade_energy(
+    space: OutcomeSpace, grid: np.ndarray, coeffs: Sequence[float], spare: np.ndarray | None = None
+) -> np.ndarray:
     """sum over d of coeffs[d]^2 E[(order-d part)^2] for each batch row of grid, overwriting grid.
 
     This is E[Y^2] for Y = grade_sweep(space, grid, coeffs), row by row, from
     the split alone: the grades are orthogonal and the basis orthonormal, so
     E[Y^2] is the sum over entries of (coeffs[order] * coefficient)^2. grid is
     as for grade_sweep; the result has one entry per batch row (the product
-    of the leading axes, 1 without a batch). Cost: one direction of
-    grade_sweep and one gemv. Memory: one spare buffer of grid's size, which
-    also holds the per-entry weights.
+    of the leading axes, 1 without a batch), in the batch's order. The split
+    leaves the batch last, and the sums read it there, so the batch layout is
+    never restored. Cost: one direction of grade_sweep and one gemv. Memory:
+    one spare buffer of grid's size, which also holds the per-entry weights;
+    it is spare when given (a C-ordered float array of grid's size, which is
+    overwritten), else new.
     """
     shape = _check_grid(space, grid, coeffs)
     basis = _basis(space)
-    coef, free = basis.apply(grid, np.empty_like(grid), join=False)
+    spare = np.empty_like(grid) if spare is None else spare
+    coef, free = basis.apply(grid, spare, join=False, batch_last=True)
     weights = _by_order(basis, shape, np.square(np.asarray(coeffs, dtype=float)), free)
     np.square(coef, out=coef)
-    return coef.reshape(-1, weights.size) @ weights.reshape(-1)
+    # An unmoved grid has one entry per batch row, so both layouts agree.
+    return weights.reshape(-1) @ coef.reshape(weights.size, -1)
 
 
 def scale_grades(X: RandomFunctional, coeffs: Sequence[float]) -> RandomFunctional:

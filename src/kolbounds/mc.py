@@ -17,13 +17,12 @@ case.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,11 +94,21 @@ def jump_ahead(rng: np.random.Generator, k: int) -> np.random.Generator:
     return np.random.Generator(twin)
 
 
+def _horner(z: np.ndarray, c: tuple[float, ...]) -> np.ndarray:
+    """c[0] z^(len(c) - 1) + ... + c[-1] by Horner's rule in place, in one array of z's shape."""
+    y = np.full(z.shape, c[0])
+    for a in c[1:]:
+        y *= z
+        y += a
+    return y
+
+
 def _rational(z: np.ndarray, coeffs: tuple[tuple[float, ...], tuple[float, ...]]) -> np.ndarray:
     """P(z) / Q(z) by Horner's rule from the leading coefficient: np.polyval's operations, bit for bit on
-    finite z (its zeros_like start adds 0 * z), without its per-call array conversions."""
-    num, den = (functools.reduce(lambda y, a: y * z + a, c[1:], c[0]) for c in coeffs)
-    return num / den
+    finite z (its zeros_like start adds 0 * z), in place and without its per-call array conversions."""
+    num, den = (_horner(z, c) for c in coeffs)
+    num /= den
+    return num
 
 
 def _erfc(x: np.ndarray) -> np.ndarray:
@@ -240,22 +249,30 @@ class KDistReport:
         }
 
 
-def exact_kdist(X: RandomFunctional) -> KDistReport:
+def exact_kdist(X: RandomFunctional | Sequence[RandomFunctional]):
     """sup_x |P(X <= x) - Phi(x)| by scanning the atoms with left limits.
 
     Ties among atom values are merged first; at each atom a the scan takes
     max(|F(a) - Phi(a)|, |Phi(a) - F(a-)|), which realizes the supremum for a
-    step CDF against a continuous one.
+    step CDF against a continuous one. X is one functional (one report) or a
+    sequence of them (a list of reports, in order): one sort per functional
+    and one normal_cdf call over the atoms of all of them.
     """
-    probs = X.space.joint_probs.reshape(-1)
-    values, inverse = np.unique(X.values, return_inverse=True)
-    mass = np.bincount(inverse, weights=probs, minlength=values.size)
-    cdf = np.cumsum(mass)
-    cdf[-1] = 1.0
-    phi = normal_cdf(values)
-    left = np.concatenate(([0.0], cdf[:-1]))
-    d = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(phi - left))))
-    return KDistReport(value=d, method="exact")
+    Xs = [X] if isinstance(X, RandomFunctional) else list(X)
+    atoms, cdfs = [], []
+    for Y in Xs:
+        values, inverse = np.unique(Y.values, return_inverse=True)
+        cdf = np.cumsum(np.bincount(inverse, weights=Y.space.joint_probs.reshape(-1), minlength=values.size))
+        cdf[-1] = 1.0
+        atoms.append(values)
+        cdfs.append(cdf)
+    phis = np.split(normal_cdf(np.concatenate(atoms)), np.cumsum([len(a) for a in atoms[:-1]])) if Xs else []
+    reports = []
+    for cdf, phi in zip(cdfs, phis):
+        left = np.concatenate(([0.0], cdf[:-1]))
+        d = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(phi - left))))
+        reports.append(KDistReport(value=d, method="exact"))
+    return reports[0] if isinstance(X, RandomFunctional) else reports
 
 
 def empirical_kdist(

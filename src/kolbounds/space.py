@@ -37,7 +37,7 @@ from .errors import DomainError, InputError, SpaceTooLargeError
 SIZE_CAP = 2**18
 
 
-def law_mean(T: np.ndarray, axis: int, probs: np.ndarray) -> np.ndarray:
+def law_mean(T: np.ndarray, axis: int, probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """sum over t of probs[t] * T[..., t, ...] along axis, kept as length one.
 
     T is viewed as (before axis, axis, after axis) and contracted with probs
@@ -46,14 +46,18 @@ def law_mean(T: np.ndarray, axis: int, probs: np.ndarray) -> np.ndarray:
     (probs @ V would make one tiny product per leading index there), any
     other axis one gemv per leading index (a single one for axis 0). A T the
     reshape cannot view, such as a transposed grid, is copied by it first.
-    An axis of length one (a reduced grid, constant along it) comes back as
-    is.
+    The output is new, or out: a contiguous buffer of T.size / T.shape[axis]
+    entries, such as a slice of a reused flat buffer. An axis of length one
+    (a reduced grid, constant along it) comes back as is.
     """
     m = T.shape[axis]
     if m == 1:
         return T
     V = T.reshape(math.prod(T.shape[:axis]), m, -1)
-    total = V[:, :, 0] @ probs if V.shape[2] == 1 else probs @ V
+    if V.shape[2] == 1:
+        total = np.matmul(V[:, :, 0], probs, out=None if out is None else out.reshape(-1))
+    else:
+        total = np.matmul(probs, V, out=None if out is None else out.reshape(V.shape[0], V.shape[2]))
     return total.reshape(T.shape[:axis] + (1,) + T.shape[axis + 1 :])
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import tol
 from .chaos import center_slots, slot_mean_max
 from .dist import Distribution, draw_atoms, draw_scratch
 from .errors import DegenerateError, DomainError, InputError
-from .qform import _Q_BLOCK, multilinear_form
+from .qform import _OVERFLOW_HEADROOM, _Q_BLOCK, multilinear_form
 from .space import OutcomeSpace, RandomFunctional, law_expect, power
 
 
@@ -234,18 +235,65 @@ def _check_pair(w: WeightTensor, g: UKernel) -> None:
         raise InputError(f"weight order {w.order} != kernel order {g.order}")
 
 
+def _check_scale(w: WeightTensor) -> float:
+    """max|w|, refused with InputError, before any sum, when the weight sums would leave the double range.
+
+    The largest are the contraction sums, at most n^(2d) max|w|^4; a scale
+    that leaves them fewer than qform._OVERFLOW_HEADROOM bits of double
+    range is refused, as qform.analyze refuses a matrix. From order 2 on
+    the rate reads max|w|^4 too, so a scale that puts it within as many bits
+    of the smallest normal double is refused as well: the contraction sums
+    would lose their digits, down to a rate of zero.
+    """
+    n, d = w.n, w.order
+    scale = float(np.max(np.abs(w.table)))
+    if scale == 0.0:
+        return scale
+    bits = 4.0 * math.log2(scale) + 2.0 * d * math.log2(n)
+    if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
+        raise InputError(
+            f"weight scale max|w| = {scale:.3g} at n = {n}, order {d} is too large: the contraction sums would "
+            f"reach n^{2 * d} max|w|^4 = 2^{bits:.0f}, above the 2^{sys.float_info.max_exp - _OVERFLOW_HEADROOM} "
+            f"that leaves {_OVERFLOW_HEADROOM} bits of double range; rescale the weights"
+        )
+    floor = sys.float_info.min_exp - 1 + _OVERFLOW_HEADROOM
+    if d >= 2 and 4.0 * math.log2(scale) < floor:
+        raise InputError(
+            f"weight scale max|w| = {scale:.3g} at n = {n}, order {d} is too small: the contraction sums would "
+            f"fall to max|w|^4 = 2^{4.0 * math.log2(scale):.0f}, below the 2^{floor} that keeps "
+            f"{_OVERFLOW_HEADROOM} bits above the smallest normal double, 2^{sys.float_info.min_exp - 1}; rescale the weights"
+        )
+    return scale
+
+
 def ustat_variance(w: WeightTensor, g: UKernel) -> float:
-    """binom(n,d)^-2 ||g||_2^2 sum_{sorted tuples} w^2."""
+    """binom(n,d)^-2 ||g||_2^2 sum_{sorted tuples} w^2, which must be positive.
+
+    A weight scale past the double range raises InputError before any sum
+    (_check_scale), as does a variance that underflows to zero while that
+    of w / max|w| does not; a zero variance otherwise raises DegenerateError.
+    """
     _check_pair(w, g)
-    return math.comb(w.n, w.order) ** -2 * g.l2_sq() * w.sorted_sq_sum()
+    scale = _check_scale(w)
+    sigma2 = math.comb(w.n, w.order) ** -2 * g.l2_sq() * w.sorted_sq_sum()
+    if sigma2 <= 0.0:
+        if scale > 0.0 and g.l2_sq() * float(np.sum(np.square(w.table / scale))) > 0.0:
+            raise InputError(
+                f"weight scale max|w| = {scale:.3g} at n = {w.n}, order {w.order} is too small: the variance "
+                f"underflows the double range; rescale the weights"
+            )
+        raise DegenerateError("the weighted statistic has zero variance")
+    return sigma2
 
 
 def ustat_rate(w: WeightTensor, g: UKernel) -> float:
     """Rate for U/sigma: (||g||_L4^2 / ||g||_L2^2) times the weight factor.
 
-    The order-dependent constant in front is deliberately not applied.
+    The order-dependent constant in front is deliberately not applied. The
+    weights' scale is checked first, as in ustat_variance.
     """
     _check_pair(w, g)
+    _check_scale(w)
     if w.order < 2:
         raise DomainError("the rate needs order >= 2; order 1 is a plain weighted sum")
     l2 = g.l2_sq()

@@ -7,8 +7,12 @@ single-order bounds) against exact enumeration on a four-coordinate
 three-point space. Each kernel's multiple sum is computed once and shared by
 every check that reads it; the isometry reads them as one Gram matrix
 (OutcomeSpace.gram), the covariance identity in one batched call over its 36
-triples. Every check reports its worst residual; inequalities report the
-worst violation, so zero means they held with slack.
+triples. The inequalities take their functionals as stacks: one
+fourth_moment_check call on the 15 random functionals, one master_bound and
+one exact_kdist call on the 10 unit ones, one single_order_bounds and one
+exact_kdist call on the pure multiple sums, drawn in the same rng order as
+one at a time. Every check reports its worst residual; inequalities report
+the worst violation, so zero means they held with slack.
 
 The corrupt switch deliberately breaks the first kernel's slotwise centering,
 through ChaosKernel._made, so downstream consumers can test their failure paths.
@@ -105,36 +109,30 @@ def run_suite(seed: int = 0, corrupt: bool = False) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(back.values - X.values))) / tol.scale(X.values))
     results.append(CheckResult("decomposition_roundtrip", worst))
 
-    worst = 0.0
-    for i in range(15):
-        X = space.functional(rng.standard_normal(space.shape)).centered()
-        chk = bounds.fourth_moment_check(X)
-        worst = max(worst, max(0.0, chk.lhs - chk.rhs) / tol.scale(chk.rhs))
+    fourth = [space.functional(rng.standard_normal(space.shape)).centered() for _ in range(15)]
+    worst = max(max(0.0, chk.lhs - chk.rhs) / tol.scale(chk.rhs) for chk in bounds.fourth_moment_check(fourth))
     results.append(CheckResult("fourth_moment_bound", worst))
 
-    worst = 0.0
-    for i in range(10):
-        X = _normalized(space.functional(rng.standard_normal(space.shape)))
-        dk = mc.exact_kdist(X).value
-        worst = max(worst, max(0.0, dk - bounds.master_bound(X).total))
+    unit = [_normalized(space.functional(rng.standard_normal(space.shape))) for _ in range(10)]
+    dks = [report.value for report in mc.exact_kdist(unit)]
+    worst = max(max(0.0, dk - mb.total) for dk, mb in zip(dks, bounds.master_bound(unit)))
     results.append(CheckResult("distance_bound", worst))
 
-    worst = 0.0
+    pure, orders = [], []
     for f, Xd in zip(kernels[:12], integrals):
         v = Xd.variance()
-        if v <= tol.DROP * tol.scale(Xd.values):
-            continue
-        Z = Xd * (1.0 / np.sqrt(v))
-        dk = mc.exact_kdist(Z).value
-        try:
-            first, second = bounds.single_order_bounds(Z, f.order)
-        except DomainError:
-            # The scaled integral of a non-degenerate kernel is uncentered,
-            # which the bounds' hypotheses exclude; count that as a failure.
-            worst = math.inf
-            continue
-        for rhs in (first, second):
-            worst = max(worst, max(0.0, dk - rhs))
+        if v > tol.DROP * tol.scale(Xd.values):
+            pure.append(Xd * (1.0 / np.sqrt(v)))
+            orders.append(f.order)
+    try:
+        caps = bounds.single_order_bounds(pure, orders)
+    except DomainError:
+        # The scaled integral of a non-degenerate kernel is uncentered,
+        # which the bounds' hypotheses exclude; count that as a failure.
+        worst = math.inf
+    else:
+        dks = [report.value for report in mc.exact_kdist(pure)]
+        worst = max((max(0.0, dk - rhs) for dk, pair in zip(dks, caps) for rhs in pair), default=0.0)
     results.append(CheckResult("single_order_bounds", worst))
 
     return results

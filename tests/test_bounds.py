@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hoeffding_terms import grades
 from kolbounds import bounds, chaos, mc
 from kolbounds.dist import Distribution, three_point
-from kolbounds.errors import DomainError
+from kolbounds.errors import DomainError, InputError
 from kolbounds.space import OutcomeSpace, law_expect, law_mean
 
 
@@ -87,12 +89,38 @@ def test_shifted_square_factor_matches_per_component_projection():
     assert bounds.master_bound(X).squared_gradient_term == pytest.approx(want, rel=1e-12)
 
 
+def test_master_bound_terms_match_per_atom_gradients():
+    # variance_term and gradient_fourth_term from gradients built per atom
+    # (np.take) and L^{-1} X built grade by grade, on a mixed space.
+    rng = np.random.default_rng(63)
+    space = OutcomeSpace([three_point(), Distribution.rademacher(), three_point(), Distribution.rademacher()])
+    X = _normalized(space.functional(rng.standard_normal(space.size)))
+    Xm1 = space.functional(sum(g / d for d, g in enumerate(grades(X)) if d > 0))
+
+    def per_atom(Y):
+        for k in range(space.n):
+            takes = [np.take(Y.grid, [t], axis=k) for t in range(space.shape[k])]
+            mean = sum(p * take for p, take in zip(space.probs[k], takes))
+            for t, p in enumerate(space.probs[k]):
+                yield p, space.expand(takes[t] - mean).values
+
+    pair = sum(p * g * h for (p, g), (_, h) in zip(per_atom(X), per_atom(Xm1)))
+    b2 = space.functional(2.0 * sum(p * h * h for p, h in per_atom(Xm1)))
+    q4 = 2.0 * sum(p * space.functional(g**4).expectation() for p, g in per_atom(X))
+    fourth = 1.5 * math.sqrt(q4) * (
+        (X.moment(4) * b2.moment(2)) ** 0.25 + (math.sqrt(math.pi) / 2.0) * math.sqrt((X * Xm1).expectation())
+    )
+    mb = bounds.master_bound(X)
+    assert mb.variance_term == pytest.approx(math.sqrt(space.functional(pair).variance()), rel=1e-12)
+    assert mb.gradient_fourth_term == pytest.approx(fourth, rel=1e-12)
+
+
 def test_master_bound_peak_stays_within_eight_grids():
     # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 16: L^{-1} X,
-    # the two integrals kept as grids (the other three are scalars), one
-    # coordinate's two stacks, a term's output and the shifted-square
-    # energy's spare buffer; 7.34 measured, with the change-of-basis plan
-    # built cold.
+    # the two integrals kept as grids (the other two are scalars), and the
+    # gradient buffer of X and L^{-1} X with its spare, two grids each, which
+    # hold every term's output and the shifted-square energies' split; 7.33
+    # measured, with the change-of-basis plan built cold.
     space = OutcomeSpace.iid(Distribution.rademacher(), 16)
     X = _normalized(space.functional(np.random.default_rng(57).standard_normal(space.size)))
     tracemalloc.start()
@@ -198,3 +226,128 @@ def test_additive_rademacher_sum_bounds_shrink_with_n():
         assert dk <= first <= second + 1e-12
         values.append(first)
     assert values[0] > values[1] > values[2]
+
+
+# ---------------------------------------------------------------- stacks
+
+ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+STACK_SPACES = {
+    "three-point n = 4": [three_point()] * 4,
+    "rademacher n = 6": [Distribution.rademacher()] * 6,
+    "mixed": [three_point(), Distribution.rademacher(), ASYM, Distribution.rademacher()],
+}
+
+
+def _unit_stack(space, count, rng):
+    return [_normalized(space.functional(rng.standard_normal(space.size))) for _ in range(count)]
+
+
+def _assert_close_terms(stacked, alone, rel=1e-15):
+    """Each field of each stacked result within rel (relative) of the one-at-a-time result.
+
+    The second-moment gap |1 - E[X^2]| is a round-off residue at unit
+    variance, so it is held to rel on the scale of E[X^2], 1.
+    """
+    assert len(stacked) == len(alone)
+    for got, want in zip(stacked, alone):
+        got = got if isinstance(got, tuple) else vars(got)
+        want = want if isinstance(want, tuple) else vars(want)
+        names = range(len(want)) if isinstance(want, tuple) else want
+        for name in names:
+            scale = max(abs(want[name]), 1.0) if name == "second_moment_gap" else abs(want[name])
+            assert abs(got[name] - want[name]) <= rel * scale, (name, got, want)
+
+
+@pytest.mark.parametrize("name", list(STACK_SPACES))
+def test_stacked_bounds_equal_the_bounds_one_at_a_time(name):
+    rng = np.random.default_rng(58)
+    space = OutcomeSpace(STACK_SPACES[name])
+    Xs = _unit_stack(space, 6, rng)
+    _assert_close_terms(bounds.master_bound(Xs), [bounds.master_bound(X) for X in Xs])
+    _assert_close_terms(bounds.fourth_moment_check(Xs), [bounds.fourth_moment_check(X) for X in Xs])
+    # Pure multiple sums of orders 1, 2, 3, one order per functional.
+    kernels = [chaos.random_kernel(space, 1 + i % 3, rng) for i in range(6)]
+    Zs = [_normalized(f.integral()) for f in kernels]
+    orders = [f.order for f in kernels]
+    _assert_close_terms(bounds.single_order_bounds(Zs, orders), [bounds.single_order_bounds(Z, d) for Z, d in zip(Zs, orders)])
+    _assert_close_terms(bounds.single_order_bounds(Zs, 2), [bounds.single_order_bounds(Z, 2) for Z in Zs])
+    # One sort per functional and one normal_cdf: the same distances bit for bit.
+    assert [r.value for r in mc.exact_kdist(Xs + Zs)] == [mc.exact_kdist(X).value for X in Xs + Zs]
+    assert bounds.master_bound([]) == [] and mc.exact_kdist([]) == [] and bounds.single_order_bounds([], []) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    atoms=st.lists(st.integers(2, 4), min_size=2, max_size=4),
+    count=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_bounds_equal_the_bounds_one_at_a_time_on_random_laws(atoms, count, seed):
+    # Two coordinates or more: on one, the half-weight integrals are constant
+    # and their variance terms are square roots of round-off (about 1e-8),
+    # as far apart one at a time as stacked.
+    rng = np.random.default_rng(seed)
+    laws = []
+    for m in atoms:
+        values = np.sort(rng.choice(np.arange(-8, 9), size=m, replace=False)) / 4.0
+        probs = rng.integers(1, 10, size=m)
+        laws.append(Distribution.finite(zip(values.tolist(), (probs / probs.sum()).tolist())))
+    space = OutcomeSpace(laws)
+    Xs = _unit_stack(space, count, rng)
+    _assert_close_terms(bounds.master_bound(Xs), [bounds.master_bound(X) for X in Xs])
+    _assert_close_terms(bounds.fourth_moment_check(Xs), [bounds.fourth_moment_check(X) for X in Xs])
+    _assert_close_terms(bounds.single_order_bounds(Xs, 1), [bounds.single_order_bounds(X, 1) for X in Xs])
+
+
+def test_a_stack_is_read_in_chunks_of_stack_cap_entries(monkeypatch):
+    # Chunks of whole functionals, at most STACK_CAP entries each (at least
+    # one functional): one gradient_integrals call per chunk, the same results.
+    rng = np.random.default_rng(59)
+    space = OutcomeSpace.iid(three_point(), 4)
+    Xs = _unit_stack(space, 7, rng)
+    whole = bounds.master_bound(Xs)
+    widths = []
+    integrals = chaos.gradient_integrals
+    monkeypatch.setattr(bounds, "gradient_integrals", lambda space, stacks, *a: widths.append(len(stacks[0])) or integrals(space, stacks, *a))
+    monkeypatch.setattr(bounds, "STACK_CAP", 3 * space.size + 1)
+    _assert_close_terms(bounds.master_bound(Xs), whole)
+    assert widths == [3, 3, 1]
+    alone = [bounds.fourth_moment_check(X) for X in Xs[:2]]
+    monkeypatch.setattr(bounds, "STACK_CAP", 1)
+    widths.clear()
+    _assert_close_terms(bounds.fourth_moment_check(Xs[:2]), alone)
+    assert widths == [1, 1]
+
+
+def test_stack_guards():
+    space = OutcomeSpace.iid(three_point(), 3)
+    Xs = _unit_stack(space, 2, np.random.default_rng(60))
+    other = _unit_stack(OutcomeSpace.iid(three_point(), 2), 1, np.random.default_rng(61))
+    with pytest.raises(DomainError, match="different spaces"):
+        bounds.master_bound(Xs + other)
+    with pytest.raises(InputError, match="3 orders for 2 functionals"):
+        bounds.single_order_bounds(Xs, [1, 2, 3])
+    with pytest.raises(DomainError, match="order must be at least 1"):
+        bounds.single_order_bounds(Xs, [1, 0])
+    # One uncentred functional refuses the whole stack.
+    with pytest.raises(DomainError, match="centered"):
+        bounds.master_bound([Xs[0], Xs[1] + 0.5])
+
+
+def test_master_bound_on_a_stack_peaks_at_eight_grids_per_functional():
+    # The stack's predicted peak (bounds module docstring), in units of one
+    # grid at Rademacher n = 14, for a stack of four (one chunk): X copied
+    # into the stack, L^-1 X, the two integrals kept as grids, the gradient
+    # buffer and its spare, 2 F grids each, plus grade_energy's fixed
+    # np.take index buffers (12 x 8192 bytes); 8 F grids + 91 KiB measured,
+    # with the change-of-basis plan built beforehand.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 14)
+    Xs = _unit_stack(space, 4, np.random.default_rng(62))
+    bounds.master_bound(Xs[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bounds.master_bound(Xs)
+        assert tracemalloc.get_traced_memory()[1] - base <= 8 * len(Xs) * 8 * space.size + 12 * 8192 + 8192
+    finally:
+        tracemalloc.stop()

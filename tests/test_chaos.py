@@ -139,7 +139,8 @@ def _covariance_twin(Xs, triples):
     out = []
     for i, j, alpha in triples:
         A, B = chaos.apply_L_power(Xs[i], alpha - 1.0), chaos.apply_L_power(Xs[j], -alpha)
-        rhs = chaos.gradient_integrals([A, B], [np.multiply])[0].expectation()
+        (pair,) = chaos.gradient_integrals(A.space, [A.values[None], B.values[None]], [lambda G, spare: G[:1] * G[1:]])
+        rhs = A.space.functional(pair[0]).expectation()
         out.append(abs((Xs[i] * Xs[j]).expectation() - rhs))
     return out
 
@@ -194,7 +195,7 @@ def test_gradient_square_integral_counts_orders():
     rng = np.random.default_rng(39)
     space = _space(3)
     X = space.functional(rng.standard_normal(space.size)).centered()
-    got = chaos.gradient_integrals([X], [np.square])[0].expectation()
+    got = space.functional(chaos.gradient_integrals(space, [X.values[None]], [lambda G, spare: G**2])[0][0]).expectation()
     want = sum(bin(m).count("1") * space.expand(t).moment(2) for m, t in terms(X).items())
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -447,14 +448,16 @@ def test_gradient_stacks_match_the_per_atom_definition_on_a_mixed_space():
     with pytest.raises(DomainError):
         chaos.gradient(X, space.n)
     Y = X * X
-    quartic, pair = chaos.gradient_integrals([X, Y], [lambda g, h: g**4, np.multiply])
+    quartic, pair = chaos.gradient_integrals(
+        space, [np.stack([X.grid, Y.grid])], [lambda G, spare: G[:1] ** 4, lambda G, spare: G[:1] * G[1:]]
+    )
     both = [grads, _per_atom_gradients(Y)]
     want = _per_atom_integral(space, both, lambda g, h: g**4)
-    assert np.max(np.abs(quartic.values - want)) < 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(quartic.reshape(-1) - want)) < 1e-12 * np.max(np.abs(want))
     want = _per_atom_integral(space, both, np.multiply)
-    assert np.max(np.abs(pair.values - want)) < 1e-12 * np.max(np.abs(want))
-    with pytest.raises(DomainError):
-        chaos.gradient_integrals([X, _space().functional(np.zeros(81))], [np.multiply])
+    assert np.max(np.abs(pair.reshape(-1) - want)) < 1e-12 * np.max(np.abs(want))
+    with pytest.raises(InputError, match="do not fit"):
+        chaos.gradient_integrals(space, [X.values[None], np.zeros((1, 81))], [lambda G, spare: G])
 
 
 @settings(max_examples=30, deadline=None)
@@ -470,11 +473,12 @@ def test_gradient_integrals_match_the_per_atom_sum_on_random_laws(atoms, count, 
     space = OutcomeSpace([_random_law(m, rng) for m in atoms])
     Xs = [space.functional(rng.standard_normal(space.size)) for _ in range(count)]
     terms = [lambda *g: g[0] ** 2, lambda *g: g[-1] ** 3, lambda *g: g[0] * g[-1]]
-    got = chaos.gradient_integrals(Xs, terms)
+    stacked = [lambda G, spare: G[:1] ** 2, lambda G, spare: G[-1:] ** 3, lambda G, spare: G[:1] * G[-1:]]
+    got = chaos.gradient_integrals(space, [np.stack([X.values for X in Xs])], stacked)
     grads = [_per_atom_gradients(X) for X in Xs]
     for term, integral in zip(terms, got):
         want = _per_atom_integral(space, grads, term)
-        assert np.max(np.abs(integral.values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(integral.reshape(-1) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_inverse_square_root_power_moment_is_the_inverse_pairing_on_a_mixed_space():
@@ -489,18 +493,36 @@ def test_inverse_square_root_power_moment_is_the_inverse_pairing_on_a_mixed_spac
 
 
 def test_gradient_integrals_hold_two_grids_beside_the_stacks():
-    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 18: one
-    # coordinate's stack (one grid), the result, the term and law_mean's slots.
+    # In units of one full grid, 8 |Omega| bytes, at Rademacher n = 18: the
+    # gradient buffer (the stacks) and, beside it, its spare and the result;
+    # the term writes its fourth powers into the spare, and its reduction
+    # over atoms (half a grid) is the one further allocation. A term that
+    # allocates, such as G**4 (two grids), adds its own arrays to this.
     space = OutcomeSpace.iid(Distribution.rademacher(), 18)
     X = space.functional(np.random.default_rng(46).standard_normal(space.size))
     grid_bytes = 8 * space.size
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        chaos.gradient_integrals([X], [lambda g: g**4])
+        chaos.gradient_integrals(space, [X.values[None]], [lambda G, spare: np.square(np.square(G, out=spare), out=spare)])
         assert tracemalloc.get_traced_memory()[1] - base <= 4.1 * grid_bytes
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("laws", [[three_point()] * 4, [Distribution.rademacher()] * 6, MIXED, [three_point()] * 9])
+def test_integral_adds_each_subset_in_place_with_the_old_bits(laws):
+    # The multiple sum adds each subset's table into one full grid in place;
+    # the old loop made a new broadcast sum per subset and expanded it last.
+    space = OutcomeSpace(laws)
+    rng = np.random.default_rng(48)
+    for order in (1, 2, 3):
+        f = chaos.random_kernel(space, order, rng)
+        total = np.zeros((1,) * space.n)
+        for subset, table in f.tables.items():
+            total = total + table.reshape([m if j in subset else 1 for j, m in enumerate(space.shape)])
+        total *= math.factorial(order)
+        assert f.integral().values.tobytes() == space.expand(total).values.tobytes()
 
 
 def test_decompose_kernels_are_canonical_without_admission_on_a_mixed_space():

@@ -1,5 +1,6 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import os
@@ -270,6 +271,33 @@ def test_matrix_scale_past_the_double_range_exits_two(capsys, tmp_path):
             assert "rescale the matrix" in err, err
         else:
             assert json.loads(out)["results"]["analysis"]["sigma2"] > 1e100
+
+
+def test_weight_scale_past_the_double_range_exits_two(capsys, tmp_path):
+    # At 1e160 and 1e308 the contraction sums (up to n^4 max|w|^4 at order 2)
+    # would overflow, and at 1e-200 or 1e-100 their max|w|^4 underflows: the
+    # scale is refused before any sum, with no RuntimeWarning and no NaN or
+    # zero rate in a report. At order 1 only the variance reads the weights,
+    # and at 1e-200 it underflows to zero: the scale is refused, not the
+    # statistic. 1e50 still fits. An all-zero tensor is degenerate (exit 3).
+    cases = [(160, 2, 2, "too large"), (308, 2, 2, "too large"), (-200, 2, 2, "too small"), (-100, 2, 2, "too small")]
+    cases += [(-200, 1, 2, "the variance underflows"), (50, 2, 0, None)]
+    for exponent, order, code, why in cases:
+        path = tmp_path / f"w{exponent}_{order}.json"
+        subsets = itertools.combinations(range(4), order)
+        entries = [{"subset": list(s), "value": float(f"1e{exponent}")} for s in subsets]
+        path.write_text(json.dumps({"n": 4, "order": order, "entries": entries}))
+        got, out, err = _run(["ustat", "--weights", str(path), "--law", "three-point"], capsys)
+        assert got == code, err
+        if code == 2:
+            assert out == "" and f"weight scale max|w| = {float(f'1e{exponent}'):.3g} at n = 4, order {order}" in err, err
+            assert why in err and "rescale the weights" in err, err
+        else:
+            assert json.loads(out)["results"]["rate"] > 0.0
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": 0.0}]}))
+    got, out, err = _run(["ustat", "--weights", str(zero), "--law", "three-point"], capsys)
+    assert got == 3 and out == "" and "the weighted statistic has zero variance" in err, err
 
 
 def test_a_non_finite_result_exits_two_and_leaves_no_file(files, capsys, tmp_path, monkeypatch):

@@ -211,6 +211,35 @@ def _whole_batch_counts(G, n, kept, weights):
     return (tr4 - 2.0 * (s * s).sum(axis=1) + (Y**4).sum(axis=(1, 2))) / 8.0
 
 
+def _unmasked_generic_counts(G, n, kept, weights):
+    """The generic counter as products of the raw weights times a completeness mask, summed over the copies of
+    a (rows, copies) gather."""
+    idx = gw._edge_positions(n, G.copies_in(n).transpose(1, 0, 2))
+    per_copy = weights[:, idx[0]]
+    complete = kept[:, idx[0]]
+    for col in idx[1:]:
+        per_copy *= weights[:, col]
+        complete &= kept[:, col]
+    return (per_copy * complete).sum(axis=1)
+
+
+def test_generic_counter_on_masked_weights_keeps_the_unmasked_bits():
+    # A dropped edge weighs zero, so a copy's product of masked weights is
+    # zero exactly when the completeness mask is; gathered copies-major, the
+    # sums over copies add in the old order, signed zeros included. K4, the
+    # five-cycle and the house, under a law with an atom at zero, an
+    # asymmetric law and a non-integer one, at a dyadic and a general p.
+    laws = [ZERO_ATOM, ASYM, Distribution.finite([(-0.7, 0.3), (0.1, 0.45), (1.3, 0.25)])]
+    for G in (gw.GraphSpec.complete(4), gw.GraphSpec.cycle(5), HOUSE):
+        for law_idx, law in enumerate(laws):
+            for p in (0.5, 0.3):
+                seed = 300 + 10 * law_idx + int(10 * p)
+                got = gw.simulate_weight(G, 8, p, law, mc.stream(seed, 0), size=gw._BLOCK + 7)
+                (draw,) = _oracle_batches(8, p, law, mc.stream(seed, 0), gw._BLOCK + 7, 2_000)
+                want = _unmasked_generic_counts(G, 8, *draw)
+                assert got.tobytes() == want.tobytes(), (G.edges, law_idx, p)
+
+
 def test_blocked_counters_match_whole_batch_evaluation():
     # Sizes and batches off the block: one batch of four blocks (the last
     # holding 5 draws), and batches of _BLOCK + 1 draws with a 2-draw tail.
