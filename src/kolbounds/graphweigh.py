@@ -21,12 +21,25 @@ labelling of the template; copy_count predicts their number before anything is
 allocated, and more than _GENERIC_COPY_CAP copies are refused. Both counters
 draw and evaluate _BLOCK draws at a time into buffers allocated once per
 call, so memory does not grow with the batch: one block of retention flags,
-weights and dense n x n matrices (about 3.5 x 8·_BLOCK·n² bytes at n = 80,
-11 MB). A counter-based jump (mc.jump_ahead) reads each block's weights
-from where a whole-batch draw would, so the draws are the same bit for bit.
-A block of _BLOCK draws holds a multiple of 64 edge values, so dyadic laws
-(p = 1/2, Rademacher or three-point weights), which read several values
-from one generator word, block the same way.
+weights and dense n x n matrices. A counter-based jump (mc.jump_ahead) reads
+each block's weights from where a whole-batch draw would, so the draws are
+the same bit for bit. A block of _BLOCK draws holds a multiple of 64 edge
+values, so dyadic laws (p = 1/2, Rademacher or three-point weights), which
+read several values from one generator word, block the same way.
+
+Exactness rule: when every atom of the weight law is an integer, every
+entry, product and partial sum of a count is an integer too. With V =
+max|atom|, none exceeds n³·V⁴ in the closed forms or copies·V^edges in the
+generic counter, so when that bound, predicted before anything is
+allocated, is below 2^24 the counters run in float32 (sgemm at twice the
+rate of dgemm), where such integers are exact, and only the per-draw counts
+become float64. The counts are then those of float64 bit for bit. Any other
+law, or a bound at or above 2^24, counts in float64. At n = 80 the block
+buffers take about 3.3 x 8·_BLOCK·n² bytes in float64 (11 MB) and about
+2 x in float32 (6.6 MB), whose weight, dense and product buffers take half
+the bytes; the flags and the draw scratch do not shrink. The closed forms
+stay in float32 up to n = 255 for Rademacher or three-point weights and up
+to n = 101 for {-1, 0, 2}.
 """
 
 from __future__ import annotations
@@ -48,6 +61,9 @@ _GENERIC_COPY_CAP = 200_000
 # counter's per-copy values) exist one block at a time, and the blocking never
 # depends on the worker count, so the counts are reproducible.
 _BLOCK = 64
+
+# Integers up to 2^24 are exact in float32 (a 24-bit significand).
+_FLOAT32_EXACT = 2**24
 
 
 @dataclass(frozen=True)
@@ -273,8 +289,28 @@ def _edge_positions(n: int, edges: np.ndarray) -> np.ndarray:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
+def _exact_in_float32(values: np.ndarray, n: int, idx: np.ndarray | None) -> bool:
+    """Whether every atom is an integer and the exactness bound (module docstring) is below 2^24.
+
+    idx is None for the closed forms, whose bound is n³·V⁴ (the four-cycle's
+    row sums of (Y²)∘(Y²)), and the generic counter's copy positions, one
+    row per template edge, otherwise, whose bound is copies·V^edges.
+    """
+    top = float(np.max(np.abs(values)))
+    if not (np.array_equal(values, np.floor(values)) and top < _FLOAT32_EXACT):
+        return False
+    count, power = (n**3, 4) if idx is None else (idx.shape[1], idx.shape[0])
+    return count * int(top) ** power < _FLOAT32_EXACT
+
+
 class _EdgeDraw:
     """Reused one-block buffers that draw and count batches of edge draws.
+
+    The weights, masked, dense, product and generic-gather buffers are
+    float32 when _exact_in_float32 proves every partial sum of a count an
+    exact integer there, and float64 otherwise (module docstring); the weights
+    are drawn straight into that dtype, from the same codes and generator
+    words, and the buffers take half the bytes in float32.
 
     A batch of b draws takes the words of b·m retention flags and then those
     of b·m weights from rng, as one whole-batch draw of each would. The
@@ -301,24 +337,26 @@ class _EdgeDraw:
         self.n, self.kind, self._idx = n, kind, idx
         iu, ju = np.triu_indices(n, k=1)
         m = iu.size
+        values = law.values_array()
+        dtype = np.float32 if _exact_in_float32(values, n, idx) else np.float64
         # u < p is the two-atom law (True, False) with its step at p.
         self._flags = (np.array([p, 1.0]), np.array([True, False]))
-        self._law = (law.cdf_array(), law.values_array())
+        self._law = (law.cdf_array(), values.astype(dtype))
         self.kept = np.empty((rows, m), dtype=bool)
-        self.weights = np.empty((rows, m))
+        self.weights = np.empty((rows, m), dtype)
         self._scratch = draw_scratch(rows * m)
         if kind == "generic":
             # Masked weights edge-major, and the copies' products and gathers.
-            self._edges = np.empty(m * rows)
-            self._products = np.empty(2 * idx.shape[1] * rows)
+            self._edges = np.empty(m * rows, dtype)
+            self._products = np.empty(2 * idx.shape[1] * rows, dtype)
         else:
             # Masked weights, then a zero column that the diagonal cells read.
-            self.padded = np.zeros((rows, m + 1))
+            self.padded = np.zeros((rows, m + 1), dtype)
         if kind not in ("edge", "generic"):
             # Dense matrices, their product or elementwise square, and the
             # flat position each matrix cell reads in padded.
-            self.dense = np.empty((rows, n * n))
-            self.square = np.empty((rows, n, n))
+            self.dense = np.empty((rows, n * n), dtype)
+            self.square = np.empty((rows, n, n), dtype)
             cells = np.full((n, n), m)
             cells[iu, ju] = cells[ju, iu] = np.arange(m)
             self._cells = cells.ravel()
@@ -380,10 +418,19 @@ def _product_counts(draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
         q = np.multiply(Y, Y, out=Y2).sum(axis=2)
         return 0.5 * (r * r - q).sum(axis=1)
     np.matmul(Y, Y, out=Y2)
+    single = Y.dtype == np.float32
     if kind == "triangle":
-        return np.einsum("bij,bji->b", Y2, Y) / 6.0
+        # trace(Y^3); in float32 as the sum of Y∘Y², the same trace, since Y
+        # is symmetric, read in memory order.
+        trace = np.einsum("bij,bij->b", Y2, Y) if single else np.einsum("bij,bji->b", Y2, Y)
+        return trace.astype(float) / 6.0
     if kind == "four_cycle":
-        tr4 = np.einsum("bij,bij->b", Y2, Y2)
+        # Sum of (Y²)∘(Y²); in float32 each row's sum stays below n³·V⁴ and
+        # the n row sums add in float64.
+        if single:
+            tr4 = np.einsum("bij,bij->bi", Y2, Y2).sum(axis=1, dtype=float)
+        else:
+            tr4 = np.einsum("bij,bij->b", Y2, Y2)
         s = np.einsum("bii->bi", Y2)
         # Sum of Y^4 over the n x n matrix, in which every edge appears twice;
         # the weights buffer is free once they are masked into padded.

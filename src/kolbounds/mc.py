@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import bounds
 from .errors import InputError
 from .space import RandomFunctional
 
@@ -255,10 +256,27 @@ def exact_kdist(X: RandomFunctional | Sequence[RandomFunctional]):
     Ties among atom values are merged first; at each atom a the scan takes
     max(|F(a) - Phi(a)|, |Phi(a) - F(a-)|), which realizes the supremum for a
     step CDF against a continuous one. X is one functional (one report) or a
-    sequence of them (a list of reports, in order): one sort per functional
-    and one normal_cdf call over the atoms of all of them.
+    sequence of them (a list of reports, in order). A sequence is read in the
+    bounds' chunks: runs of at most bounds.STACK_CAP outcomes in all, or one
+    functional, with one sort per functional and one normal_cdf call over the
+    atoms of a chunk, whose arrays are dropped before the next chunk.
     """
-    Xs = [X] if isinstance(X, RandomFunctional) else list(X)
+    if isinstance(X, RandomFunctional):
+        return _exact_chunk([X])[0]
+    reports: list[KDistReport] = []
+    chunk: list[RandomFunctional] = []
+    outcomes = 0
+    for Y in X:
+        if chunk and outcomes + Y.space.size > bounds.STACK_CAP:
+            reports += _exact_chunk(chunk)
+            chunk, outcomes = [], 0
+        chunk.append(Y)
+        outcomes += Y.space.size
+    return reports + _exact_chunk(chunk) if chunk else reports
+
+
+def _exact_chunk(Xs: list[RandomFunctional]) -> list[KDistReport]:
+    """The exact distances of a chunk of functionals, with one normal_cdf call."""
     atoms, cdfs = [], []
     for Y in Xs:
         values, inverse = np.unique(Y.values, return_inverse=True)
@@ -266,13 +284,13 @@ def exact_kdist(X: RandomFunctional | Sequence[RandomFunctional]):
         cdf[-1] = 1.0
         atoms.append(values)
         cdfs.append(cdf)
-    phis = np.split(normal_cdf(np.concatenate(atoms)), np.cumsum([len(a) for a in atoms[:-1]])) if Xs else []
+    phis = np.split(normal_cdf(np.concatenate(atoms)), np.cumsum([len(a) for a in atoms[:-1]]))
     reports = []
     for cdf, phi in zip(cdfs, phis):
         left = np.concatenate(([0.0], cdf[:-1]))
         d = float(np.max(np.maximum(np.abs(cdf - phi), np.abs(phi - left))))
         reports.append(KDistReport(value=d, method="exact"))
-    return reports[0] if isinstance(X, RandomFunctional) else reports
+    return reports
 
 
 def empirical_kdist(

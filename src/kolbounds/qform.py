@@ -228,10 +228,12 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     """Exact variance, fourth-moment split, trace and influence functionals; with
     s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i.
 
-    A form with zero variance under the law raises DegenerateError: every
-    rate divides by sigma. A matrix scaled so far past the double range
-    that its moment sums overflow, or its variance underflows to zero,
-    raises InputError instead."""
+    A form with zero variance under the law raises DegenerateError, at any
+    scale: every rate divides by sigma. A matrix scaled so far past the
+    double range that its moment sums overflow, or so far below it that
+    max|a_ij|^4 comes within _OVERFLOW_HEADROOM bits of the smallest normal
+    double (the bound ustat puts on its weights), or whose variance
+    underflows to zero, raises InputError instead, before any moment sum."""
     if not m.centered:
         raise DomainError("quadratic-form analysis needs a centered law")
     if m.mu[2] <= 0.0:
@@ -239,6 +241,17 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     M = symmetrize(A)
     n = M.shape[0]
     scale = float(np.max(np.abs(M))) if n else 0.0
+    zero_variance = f"the quadratic form at n={n} has zero variance under this law"
+    floor = sys.float_info.min_exp - 1 + _OVERFLOW_HEADROOM
+    if scale > 0.0 and 4.0 * math.log2(scale) < floor:
+        # The degeneracy of a form does not depend on its scale.
+        if variance_q(M / scale, m) <= 0.0:
+            raise DegenerateError(zero_variance)
+        raise InputError(
+            f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too small: the fourth-moment sums would fall "
+            f"to max|a_ij|^4 = 2^{4.0 * math.log2(scale):.0f}, below the 2^{floor} that keeps {_OVERFLOW_HEADROOM} "
+            f"bits above the smallest normal double, 2^{sys.float_info.min_exp - 1}; rescale the matrix"
+        )
     bits = 4.0 * (math.log2(n) + math.log2(scale)) + math.log2(max(1.0, m.mu[8])) if scale > 0.0 else 0.0
     if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
         raise InputError(
@@ -259,7 +272,7 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
                 f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too small: the variance underflows "
                 f"the double range; rescale the matrix"
             )
-        raise DegenerateError(f"the quadratic form at n={n} has zero variance under this law")
+        raise DegenerateError(zero_variance)
     S = sub_sums(M)
     s1, s2, s3 = s1_term(S, m), s2_term(S, m), s3_term(S, m)
     eq4 = s1 + 3.0 * s2 + 4.0 * s3

@@ -273,6 +273,32 @@ def test_matrix_scale_past_the_double_range_exits_two(capsys, tmp_path):
             assert json.loads(out)["results"]["analysis"]["sigma2"] > 1e100
 
 
+def test_matrix_scale_below_the_double_range_exits_two_unless_degenerate(capsys, tmp_path):
+    # At 1e-100 the variance divided by sigma2^2 underflowed to a zero
+    # division, and at 1e-80 r2 lost its digits (0.70710284 for 0.70710678):
+    # max|a_ij|^4 within 20 bits of the smallest normal double is refused
+    # before any sum. 1e-75 keeps every digit of the scale-1 rates. A
+    # diagonal-only form under Rademacher signs is degenerate at every scale,
+    # so at 1e-200 it still exits 3.
+    rates = {}
+    for exponent, code in ((0, 0), (-75, 0), (-80, 2), (-100, 2)):
+        path = tmp_path / f"small{exponent}.csv"
+        a = f"1e{exponent}"
+        path.write_text(f"0,{a},{a}\n{a},0,{a}\n{a},{a},0\n")
+        got, out, err = _run(["qform", "--matrix", str(path), "--law", "three-point"], capsys)
+        assert got == code, err
+        if code == 2:
+            assert out == "" and f"matrix scale max|a_ij| = {float(a):.3g} at n = 3 is too small" in err, err
+            assert "rescale the matrix" in err and "Traceback" not in err, err
+        else:
+            rates[exponent] = json.loads(out)["results"]["rates"]
+    assert rates[-75] == pytest.approx(rates[0], rel=1e-13)
+    path = tmp_path / "diag.csv"
+    path.write_text("1e-200,0,0\n0,2e-200,0\n0,0,3e-200\n")
+    got, out, err = _run(["qform", "--matrix", str(path), "--law", "rademacher"], capsys)
+    assert got == 3 and out == "" and "the quadratic form at n=3 has zero variance" in err, err
+
+
 def test_weight_scale_past_the_double_range_exits_two(capsys, tmp_path):
     # At 1e160 and 1e308 the contraction sums (up to n^4 max|w|^4 at order 2)
     # would overflow, and at 1e-200 or 1e-100 their max|w|^4 underflows: the

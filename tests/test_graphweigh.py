@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from draw_oracles import oracle_draw
 from kolbounds import graphweigh as gw
@@ -16,6 +18,16 @@ from kolbounds.errors import DegenerateError, DomainError, InputError
 ZERO_ATOM = Distribution.finite([(-1.0, 0.25), (0.0, 0.5), (1.0, 0.25)])
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
 HOUSE = gw.GraphSpec(5, ((0, 1), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)))
+# V = 3: the first law whose closed forms leave float32 below n = 64.
+WIDE = Distribution.finite([(-2.0, 0.5), (0.0, 0.25), (3.0, 0.25)])
+TEMPLATES = [
+    gw.GraphSpec.edge(),
+    gw.GraphSpec.two_path(),
+    gw.GraphSpec.triangle(),
+    gw.GraphSpec.four_cycle(),
+    gw.GraphSpec.complete(4),
+    gw.GraphSpec.cycle(5),
+]
 
 
 # ------------------------------------------------------------------ templates
@@ -240,6 +252,131 @@ def test_generic_counter_on_masked_weights_keeps_the_unmasked_bits():
                 assert got.tobytes() == want.tobytes(), (G.edges, law_idx, p)
 
 
+def _copy_listing_counts(G, n, kept, weights):
+    """Sum over the copies of the product of their masked edge weights, one (draws, copies) table at a time."""
+    masked = np.where(kept, weights, 0.0)
+    idx = gw._edge_positions(n, G.copies_in(n).transpose(1, 0, 2))
+    per_copy = masked[:, idx[0]]
+    for col in idx[1:]:
+        per_copy *= masked[:, col]
+    return per_copy.sum(axis=1)
+
+
+def _float64_counts(G, n, kept, weights):
+    """The float64 counters' reductions: the closed forms, or the generic counter's copies-major sums."""
+    if G.kind == "generic":
+        return _unmasked_generic_counts(G, n, kept, weights)
+    return _whole_batch_counts(G, n, kept, weights)
+
+
+def _takes_float32(G, n, law):
+    """The exactness rule: integer atoms, and every partial sum of a count below 2^24."""
+    values = law.values_array()
+    if not np.array_equal(values, np.round(values)):
+        return False
+    top = int(np.abs(values).max())
+    if G.kind == "generic":
+        return gw.copy_count(G, n) * top**G.n_edges < 2**24
+    return n**3 * top**4 < 2**24
+
+
+def _counts_and_dtype(monkeypatch, G, n, p, law, seed, size, batch):
+    """simulate_weight's counts and the dtype of the weight buffers its _EdgeDraw chose."""
+    dtypes = []
+
+    class Recorded(gw._EdgeDraw):
+        def __init__(self, *args):
+            super().__init__(*args)
+            dtypes.append(self.weights.dtype)
+
+    monkeypatch.setattr(gw, "_EdgeDraw", Recorded)
+    got = gw.simulate_weight(G, n, p, law, mc.stream(seed, 0), size=size, batch=batch)
+    assert len(set(dtypes)) == 1
+    return got, dtypes[0]
+
+
+def _assert_twins(G, n, law, got, draws):
+    """Integer laws: the float64 reductions bit for bit and the copy listing exactly; others to round-off."""
+    kept, weights = (np.concatenate(parts) for parts in zip(*draws))
+    want = _float64_counts(G, n, kept, weights)
+    listed = _copy_listing_counts(G, n, kept, weights)
+    if np.array_equal(law.values_array(), np.round(law.values_array())):
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, listed)
+    else:
+        tol = 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=tol)
+        np.testing.assert_allclose(got, listed, rtol=1e-12, atol=tol)
+
+
+@pytest.mark.parametrize("G", TEMPLATES, ids=lambda G: f"{G.n_vertices}v{G.n_edges}e")
+def test_counters_match_float64_reductions_and_the_copy_listing(monkeypatch, G):
+    # Three integer laws, which count in float32 here, and two non-integer
+    # ones, which must count in float64; at a dyadic and a general p, in one
+    # batch and in batches of 33 (neither a multiple of 64).
+    laws = [Distribution.rademacher(), three_point(), ASYM]
+    laws += [Distribution.finite([(-0.7, 0.3), (0.1, 0.45), (1.3, 0.25)]), Distribution.finite([(-1.5, 0.5), (1.5, 0.5)])]
+    sizes = (8, 12) if G.kind == "generic" else (8, 20)
+    nonzero = []
+    for law_idx, law in enumerate(laws):
+        integer = law_idx < 3
+        for n in sizes:
+            for p in (0.5, 0.7):
+                for batch in (2_000, 33):
+                    seed = 400 + 10 * law_idx + n
+                    got, dtype = _counts_and_dtype(monkeypatch, G, n, p, law, seed, 70, batch)
+                    assert dtype == (np.float32 if integer else np.float64) and _takes_float32(G, n, law) == integer
+                    _assert_twins(G, n, law, got, list(_oracle_batches(n, p, law, mc.stream(seed, 0), 70, batch)))
+                    nonzero.append(np.count_nonzero(got) > 0)
+    # At n = 8 a K4 copy of the three-point law is nonzero with chance 4^-6.
+    assert sum(nonzero) >= 0.9 * len(nonzero)
+
+
+def test_counters_leave_float32_at_the_first_n_past_the_bound(monkeypatch):
+    # With V = 3, n³·V⁴ < 2^24 up to n = 59 and not at n = 60, and for K4
+    # C(n, 4)·V⁶ < 2^24 up to n = 28 and not at n = 29: the counts are the
+    # float64 ones bit for bit on both sides of each boundary. Weights of 2
+    # and 3 on nearly every edge take the four-cycle's sum of (Y²)∘(Y²) to
+    # about 2^28 at n = 59, so only its float32 row sums keep it exact.
+    cases = [(gw.GraphSpec.triangle(), 59, np.float32), (gw.GraphSpec.triangle(), 60, np.float64)]
+    cases += [(gw.GraphSpec.four_cycle(), 59, np.float32), (gw.GraphSpec.four_cycle(), 60, np.float64)]
+    cases += [(gw.GraphSpec.complete(4), 28, np.float32), (gw.GraphSpec.complete(4), 29, np.float64)]
+    heavy = Distribution.finite([(2.0, 0.5), (3.0, 0.5)])
+    for law, p in ((WIDE, 0.3), (heavy, 0.97)):
+        for G, n, dtype in cases:
+            got, chosen = _counts_and_dtype(monkeypatch, G, n, p, law, 410 + n, 70, 2_000)
+            assert chosen == dtype and _takes_float32(G, n, law) == (dtype == np.float32), (G.kind, n)
+            (draw,) = _oracle_batches(n, p, law, mc.stream(410 + n, 0), 70, 2_000)
+            assert got.tobytes() == _float64_counts(G, n, *draw).tobytes(), (G.kind, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    atoms=st.lists(st.integers(-20, 20), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+    template=st.sampled_from(TEMPLATES),
+    extra=st.integers(0, 4),
+    p=st.sampled_from([0.5, 0.3]),
+    size=st.integers(1, 80),
+    seed=st.integers(0, 999),
+)
+def test_small_integer_laws_count_exactly(atoms, weights, template, extra, p, size, seed):
+    # Any law on a few integers in [-20, 20], on either side of the bound
+    # (n³·V⁴ reaches 2^24 at n = 9 from V = 13, copies·V^edges sooner): the
+    # dtype the rule predicts, and the float64 reductions' counts bit for
+    # bit, which stay exact below 2^53 here.
+    probs = np.array(weights[: len(atoms)], dtype=float)
+    law = Distribution.finite(zip(map(float, atoms), (probs / probs.sum()).tolist()))
+    n = template.n_vertices + extra
+    idx = gw._edge_positions(n, template.copies_in(n).transpose(1, 0, 2)) if template.kind == "generic" else None
+    single = gw._EdgeDraw(n, p, law, template.kind, 1, idx).weights.dtype == np.float32
+    assert single == _takes_float32(template, n, law)
+    got = gw.simulate_weight(template, n, p, law, mc.stream(seed, 0), size=size, batch=33)
+    kept, weights_ = (np.concatenate(parts) for parts in zip(*_oracle_batches(n, p, law, mc.stream(seed, 0), size, 33)))
+    assert got.tobytes() == _float64_counts(template, n, kept, weights_).tobytes()
+    assert np.array_equal(got, _copy_listing_counts(template, n, kept, weights_))
+
+
 def test_blocked_counters_match_whole_batch_evaluation():
     # Sizes and batches off the block: one batch of four blocks (the last
     # holding 5 draws), and batches of _BLOCK + 1 draws with a 2-draw tail.
@@ -335,7 +472,9 @@ def test_simulate_weight_allocates_the_draw_scratch_once(monkeypatch):
 @pytest.mark.parametrize("G", [gw.GraphSpec.triangle(), gw.GraphSpec.four_cycle()], ids=lambda G: G.kind)
 def test_simulate_weight_holds_one_block_of_draws(G):
     # A few one-block buffers of 8·_BLOCK·n² bytes, whatever the size; the
-    # whole-batch draw of 2 000 x 3 160 edges held 57 MB beside them.
+    # whole-batch draw of 2 000 x 3 160 edges held 57 MB beside them. The
+    # three-point law counts in float32 at n = 80, which halves the weight,
+    # dense and product buffers: about 2 of those units, 3.3 in float64.
     n = 80
     peaks = []
     for size in (2_000, 4_000):
@@ -345,7 +484,7 @@ def test_simulate_weight_holds_one_block_of_draws(G):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert max(peaks) <= 5 * 8 * gw._BLOCK * n * n
+    assert max(peaks) <= 2.5 * 8 * gw._BLOCK * n * n
     assert peaks[1] <= 1.1 * peaks[0]
 
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,38 @@ def test_exact_kdist_matches_reference_scan():
             grid = rng.standard_normal(space.shape)
             X = space.functional(grid).centered()
             assert mc.exact_kdist(X).value == pytest.approx(_exact_reference(X), abs=1e-13)
+
+
+def test_exact_kdist_reads_a_stack_in_chunks_of_stack_cap_outcomes(monkeypatch):
+    # At Rademacher n = 18 one functional fills bounds.STACK_CAP, so a stack
+    # of three is three chunks, each dropped before the next: the stack
+    # peaks as one functional does (8 grids of 8 |Omega| bytes measured),
+    # where holding every functional's atoms and cdf to the end peaked at 14.
+    space = OutcomeSpace.iid(Distribution.rademacher(), 18)
+    rng = np.random.default_rng(92)
+    Xs = [space.functional(rng.standard_normal(space.size)) for _ in range(3)]
+    alone = [mc.exact_kdist(X).value for X in Xs]
+    peaks = []
+    for stack in (Xs[:1], Xs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reports = mc.exact_kdist(stack)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert [r.value for r in reports] == alone
+    assert peaks[1] <= 1.05 * peaks[0] <= 9 * 8 * space.size
+    # Chunks of whole functionals, at most STACK_CAP outcomes each, with one
+    # normal_cdf call per chunk.
+    small = OutcomeSpace.iid(three_point(), 3)
+    Ys = [small.functional(rng.standard_normal(small.shape)) for _ in range(7)]
+    calls = []
+    normal_cdf = mc.normal_cdf
+    monkeypatch.setattr(mc, "normal_cdf", lambda x: calls.append(x.size) or normal_cdf(x))
+    monkeypatch.setattr(mc.bounds, "STACK_CAP", 3 * small.size + 1)
+    assert [r.value for r in mc.exact_kdist(Ys)] == [mc.exact_kdist(Y).value for Y in Ys]
+    assert len(calls) == 3 + 7
 
 
 def test_normal_cdf_against_quadrature():
