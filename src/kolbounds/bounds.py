@@ -10,9 +10,9 @@ module docstring) and are not adjustable.
 
 Each bound takes one functional, or a sequence of functionals on one space
 (a stack), and returns one result per functional; one functional is the
-stack of one. A stack is read in chunks of at most max(1, STACK_CAP //
-|Omega|) functionals, each in one chaos.gradient_integrals pass over the
-coordinates that runs each gradient term once over the whole chunk. In
+stack of one. A stack is read in space.stack_chunks, max(1, STACK_CAP //
+|Omega|) functionals at a time, each in one chaos.gradient_integrals pass
+over the coordinates that runs each gradient term once over the chunk. In
 grids of 8 |Omega| bytes, a chunk of F functionals peaks near 8 F in
 master_bound (X copied into the stack, L^-1 X, two integrals kept as grids,
 the gradient buffer and its spare) and 4 F in the others, and one
@@ -31,11 +31,7 @@ import numpy as np
 from . import hoeffding, tol
 from .chaos import apply_L_power, gradient_integrals
 from .errors import DomainError, InputError
-from .space import SIZE_CAP, OutcomeSpace, RandomFunctional, power
-
-# Most grid entries of one chunk's stack (functionals x outcomes): the chunk
-# size that bounds a stack's peak (module docstring).
-STACK_CAP = SIZE_CAP
+from .space import OutcomeSpace, RandomFunctional, power, stack_chunks
 
 
 def _per_functional(X: RandomFunctional | Sequence[RandomFunctional], evaluate: Callable[..., list], *args):
@@ -52,11 +48,7 @@ def _per_functional(X: RandomFunctional | Sequence[RandomFunctional], evaluate: 
     space = Xs[0].space
     if any(Y.space != space for Y in Xs):
         raise DomainError("functionals live on different spaces")
-    step = max(1, STACK_CAP // space.size)
-    results: list = []
-    for lo in range(0, len(Xs), step):
-        results += evaluate(space, np.stack([Y.grid for Y in Xs[lo : lo + step]]), *args)
-    return results
+    return [r for chunk in stack_chunks(Xs) for r in evaluate(space, np.stack([Y.grid for Y in chunk]), *args)]
 
 
 def _moments(space: OutcomeSpace, stack: np.ndarray, *ks: int) -> list[list[float]]:

@@ -101,11 +101,9 @@ class ChaosKernel:
 
     def canonical(self) -> "ChaosKernel":
         """Every slot's mean removed: one center_slots per stack of the subsets whose slots share their laws."""
-        ids: dict = {}
-        law_ids = [ids.setdefault(law, len(ids)) for law in self.space.laws]
         groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
         for subset in self.tables:
-            groups.setdefault(tuple(law_ids[j] for j in subset), []).append(subset)
+            groups.setdefault(tuple(self.space.law_ids[j] for j in subset), []).append(subset)
         centred: dict[tuple[int, ...], np.ndarray] = {}
         for subsets in groups.values():
             stack = np.stack([self.tables[s] for s in subsets])

@@ -49,7 +49,7 @@ from .errors import (
     InputError,
     SpaceTooLargeError,
 )
-from .space import SIZE_CAP
+from .space import SIZE_CAP, check_bytes
 
 MIN_EMPIRICAL_SAMPLES = 100
 
@@ -88,6 +88,16 @@ def _load_law(text: str) -> Distribution:
 def _law_json(law: Distribution) -> dict:
     atoms = [[float(v), float(p)] for v, p in zip(law.values_array(), law.probs_array())]
     return {"atoms": atoms}
+
+
+def _config(args: argparse.Namespace, command: str, law: Distribution | None = None, **fields) -> dict:
+    """The resolved configuration a report hashes: command and seed; with a law also the constant, delta,
+    law and samples (fields may set the last two, as a sweep does); then fields."""
+    config = {"command": command, "seed": args.seed}
+    if law is not None:
+        config.update(constant=args.constant, delta=args.delta, law=_law_json(law), samples=args.samples)
+    config.update(fields)
+    return config
 
 
 def _validate_common(args: argparse.Namespace) -> None:
@@ -264,6 +274,7 @@ def sign_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     if n < 2:
         raise InputError("sign matrices need n >= 2")
+    check_bytes(8 * n * n, f"a {n} x {n} sign matrix")
     A = np.zeros((n, n))
     iu = np.triu_indices(n, 1)
     A[iu] = np.where(rng.random(iu[0].size) < 0.5, -1.0, 1.0)
@@ -326,15 +337,7 @@ def _run_qform(args: argparse.Namespace) -> int:
     if args.matrix is None:
         raise InputError("qform needs --matrix unless --sweep is given")
     A = qform.load_matrix_csv(args.matrix)
-    config = {
-        "command": "qform",
-        "constant": args.constant,
-        "delta": args.delta,
-        "law": _law_json(law),
-        "matrix": A.tolist(),
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    config = _config(args, "qform", law, matrix=A.tolist())
     q = qform.analyze(A, m)
     rates = {
         "r1": qform.bound_r1(q),
@@ -390,17 +393,8 @@ def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
             "more would reuse the matrix streams"
         )
     samples = _sweep_samples(cfg, args)
-    delta = _sweep_delta(cfg, args)
+    config = _config(args, "qform-sweep", law, delta=_sweep_delta(cfg, args), samples=samples, sizes=sizes)
     m = law.moments()
-    config = {
-        "command": "qform-sweep",
-        "constant": args.constant,
-        "delta": delta,
-        "law": _law_json(law),
-        "samples": samples,
-        "seed": args.seed,
-        "sizes": sizes,
-    }
     # Every size is generated and analysed before the first row samples, so a
     # bad or degenerate size refuses the sweep before any row runs.
     rows, draws = [], []
@@ -419,15 +413,7 @@ def _run_ustat(args: argparse.Namespace) -> int:
     w = ustat.WeightTensor.load(args.weights)
     law = _load_law(args.law)
     g = ustat.UKernel.product(law, w.order)
-    config = {
-        "command": "ustat",
-        "constant": args.constant,
-        "delta": args.delta,
-        "law": _law_json(law),
-        "samples": args.samples,
-        "seed": args.seed,
-        "weights": w.to_json(),
-    }
+    config = _config(args, "ustat", law, weights=w.to_json())
     sigma2 = ustat.ustat_variance(w, g)
     results: dict = {"n": w.n, "order": w.order, "sigma2": sigma2}
     if w.order >= 2:
@@ -461,30 +447,18 @@ def _run_graph(args: argparse.Namespace) -> int:
     delta = _sweep_delta(cfg, args)
     samples = _sweep_samples(cfg, args) if grid else 0
     # Every point is checked before the first one samples, so a point out of
-    # the domain or over the copy cap refuses the sweep before any row runs.
+    # the domain or over a counter cap refuses the sweep before any row runs.
     rows, draws = [], []
     for n, p in grid:
         rate = graphweigh.rg_rate(G, n, p, law)
         _, var = graphweigh.exact_weight_moments(G, n, p, law)
         if var <= 0.0:
             raise DegenerateError(f"zero weight variance at n={n}, p={p}")
-        if G.kind == "generic":
-            graphweigh.check_copy_cap(G, n)
+        graphweigh.check_counter(G, n)
         rows.append({"n": n, "p": p, "rg_rate": rate})
         sample = functools.partial(graphweigh.simulate_weight, G, n, p, law)
         draws.append(functools.partial(_scaled_draw, sample, math.sqrt(var)))
-    config = {
-        "combine": combine,
-        "command": "graph",
-        "constant": args.constant,
-        "delta": delta,
-        "graph": G.to_json(),
-        "law": _law_json(law),
-        "n": ns,
-        "p": ps,
-        "samples": samples,
-        "seed": args.seed,
-    }
+    config = _config(args, "graph", law, combine=combine, delta=delta, graph=G.to_json(), n=ns, p=ps, samples=samples)
     return _run_sweep(args, config, _GRAPH_FLAGS, ["n", "p", "rg_rate"], rows, draws)
 
 
@@ -494,12 +468,7 @@ def _run_graph(args: argparse.Namespace) -> int:
 def _run_chaos_verify(args: argparse.Namespace) -> int:
     _validate_common(args)
     checks = verify.run_suite(seed=args.seed, corrupt=args.corrupt)
-    config = {
-        "command": "chaos-verify",
-        "corrupt": bool(args.corrupt),
-        "n_kernels": verify.N_KERNELS,
-        "seed": args.seed,
-    }
+    config = _config(args, "chaos-verify", corrupt=bool(args.corrupt), n_kernels=verify.N_KERNELS)
     results = {"checks": [c.to_json() for c in checks], "corrupt": bool(args.corrupt)}
     _emit(args, config, _VERIFY_FLAGS, results)
     failing = [c.name for c in checks if not c.passed]
@@ -525,6 +494,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=0, help="base seed for every stream (default 0)")
         sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
         if empirical:
+            sp.add_argument("--law", required=True, help="'rademacher', 'three-point', or a law JSON file")
             sp.add_argument(
                 "--samples",
                 type=int,
@@ -541,20 +511,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("qform", help="rates and comparison chain for a symmetric matrix")
     q.add_argument("--matrix", default=None, help="CSV file holding a symmetric square matrix")
-    q.add_argument("--law", required=True, help="'rademacher', 'three-point', or a law JSON file")
     q.add_argument("--sweep", default=None, help="JSON config {sizes, samples, delta} for a size sweep")
     add_common(q)
     q.set_defaults(handler=_run_qform)
 
     u = sub.add_parser("ustat", help="variance and rate for a weighted symmetric statistic")
     u.add_argument("--weights", required=True, help="weight tensor JSON file")
-    u.add_argument("--law", required=True, help="'rademacher', 'three-point', or a law JSON file")
     add_common(u)
     u.set_defaults(handler=_run_ustat)
 
     g = sub.add_parser("graph", help="template-weight rate sweep over an (n, p) grid")
     g.add_argument("--graph", required=True, help="template JSON file with vertices and edges")
-    g.add_argument("--law", required=True, help="'rademacher', 'three-point', or a law JSON file")
     g.add_argument(
         "--sweep",
         required=True,

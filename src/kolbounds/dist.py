@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -285,6 +285,21 @@ def draw_atoms(
         else:
             cb = np.searchsorted(steps, ub, side="right")
         np.take(values, cb, out=block, mode="clip")
+    return out
+
+
+def draw_rows(
+    rng: np.random.Generator, cdf: np.ndarray, values: np.ndarray, n: int, size: int, block: int, evaluate: Callable
+) -> np.ndarray:
+    """evaluate's value for each of size rows of n iid atoms, drawn block rows at a time by draw_atoms,
+    with one set of its scratch buffers, into one reused (block, n) buffer of the dtype of values. With
+    block * n a multiple of 64 the draws are those of one whole draw of size * n values, dyadic laws included."""
+    drawn = np.empty((min(block, size), n), dtype=values.dtype)
+    scratch = draw_scratch(drawn.size)
+    out = np.empty(size)
+    for lo in range(0, size, block):
+        rows = min(block, size - lo)
+        out[lo : lo + rows] = evaluate(draw_atoms(rng, cdf, values, drawn[:rows], scratch))
     return out
 
 

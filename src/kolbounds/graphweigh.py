@@ -18,7 +18,8 @@ edge, two-edge path, triangle, four-cycle) and a generic counter for any other
 template on up to five vertices. The generic counter lists the copies once per
 call, as every k-vertex subset of the n vertices carrying each distinct
 labelling of the template; copy_count predicts their number before anything is
-allocated, and more than _GENERIC_COPY_CAP copies are refused. Both counters
+allocated. check_counter refuses more than _GENERIC_COPY_CAP copies, and block
+buffers past space.BYTE_CAP for any template. Both counters
 draw and evaluate _BLOCK draws at a time into buffers allocated once per
 call, so memory does not grow with the batch: one block of retention flags,
 weights and dense n x n matrices. A counter-based jump (mc.jump_ahead) reads
@@ -33,8 +34,9 @@ max|atom|, none exceeds n³·V⁴ in the closed forms or copies·V^edges in the
 generic counter, so when that bound, predicted before anything is
 allocated, is below 2^24 the counters run in float32 (sgemm at twice the
 rate of dgemm), where such integers are exact, and only the per-draw counts
-become float64. The counts are then those of float64 bit for bit. Any other
-law, or a bound at or above 2^24, counts in float64. At n = 80 the block
+become float64. Any other law, or a bound at or above 2^24, counts in
+float64, through the same reductions: an integer law's partial sums are
+exact in either dtype, so its counts do not depend on it. At n = 80 the block
 buffers take about 3.3 x 8·_BLOCK·n² bytes in float64 (11 MB) and about
 2 x in float32 (6.6 MB), whose weight, dense and product buffers take half
 the bytes; the flags and the draw scratch do not shrink. The closed forms
@@ -54,6 +56,7 @@ import numpy as np
 from . import mc
 from .dist import Distribution, draw_atoms, draw_scratch, draw_words
 from .errors import DegenerateError, DomainError, InputError
+from .space import check_bytes
 
 _GENERIC_COPY_CAP = 200_000
 
@@ -265,6 +268,14 @@ def check_copy_cap(G: GraphSpec, n: int) -> None:
         )
 
 
+def check_counter(G: GraphSpec, n: int) -> None:
+    """Refuse, before anything is allocated, block buffers (at most 8·_BLOCK·n² bytes each) past space.BYTE_CAP
+    and, for the generic counter, more than _GENERIC_COPY_CAP copies."""
+    check_bytes(8 * _BLOCK * n * n, f"a block of {_BLOCK} counter matrices of {n} x {n}")
+    if G.kind == "generic":
+        check_copy_cap(G, n)
+
+
 def exact_weight_moments(G: GraphSpec, n: int, p: float, law: Distribution) -> tuple[float, float]:
     """Exact (mean, variance) of the combined weight.
 
@@ -418,19 +429,14 @@ def _product_counts(draw: _EdgeDraw, flat: np.ndarray) -> np.ndarray:
         q = np.multiply(Y, Y, out=Y2).sum(axis=2)
         return 0.5 * (r * r - q).sum(axis=1)
     np.matmul(Y, Y, out=Y2)
-    single = Y.dtype == np.float32
     if kind == "triangle":
-        # trace(Y^3); in float32 as the sum of Y∘Y², the same trace, since Y
-        # is symmetric, read in memory order.
-        trace = np.einsum("bij,bij->b", Y2, Y) if single else np.einsum("bij,bji->b", Y2, Y)
-        return trace.astype(float) / 6.0
+        # trace(Y^3) as the sum of Y∘Y², the same trace, since Y is
+        # symmetric, read in memory order.
+        return np.einsum("bij,bij->b", Y2, Y).astype(float) / 6.0
     if kind == "four_cycle":
-        # Sum of (Y²)∘(Y²); in float32 each row's sum stays below n³·V⁴ and
+        # Sum of (Y²)∘(Y²): in float32 each row's sum stays below n³·V⁴, and
         # the n row sums add in float64.
-        if single:
-            tr4 = np.einsum("bij,bij->bi", Y2, Y2).sum(axis=1, dtype=float)
-        else:
-            tr4 = np.einsum("bij,bij->b", Y2, Y2)
+        tr4 = np.einsum("bij,bij->bi", Y2, Y2).sum(axis=1, dtype=float)
         s = np.einsum("bii->bi", Y2)
         # Sum of Y^4 over the n x n matrix, in which every edge appears twice;
         # the weights buffer is free once they are masked into padded.
@@ -458,6 +464,7 @@ def simulate_weight(
     not the memory, which _EdgeDraw's one-block buffers bound.
     """
     _check_point(G, n, p)
+    check_counter(G, n)
     total = 1 if size is None else int(size)
     if total < 1:
         raise InputError("size must be positive")

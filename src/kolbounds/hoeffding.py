@@ -115,13 +115,12 @@ class _Basis:
     blocks lists the Kronecker blocks, consecutive coordinates with more than
     one atom; order is the order of every entry of a full split grid, int8
     and read-only. A kron matrix is built once per direction and sequence of
-    laws along the block's kept axes, so iid blocks share theirs; law_ids
-    numbers the distinct laws, so that sequence is keyed by small integers.
+    laws along the block's kept axes, so iid blocks share theirs; the space's
+    law_ids number the distinct laws, so that sequence is keyed by small integers.
     """
 
     def __init__(self, space: OutcomeSpace):
-        ids: dict[Distribution, int] = {}
-        self.law_ids = tuple(ids.setdefault(law, len(ids)) for law in space.laws)
+        self.law_ids = space.law_ids
         self.probs = space.probs
         self.refs = tuple(int(p.argmax()) for p in space.probs)
         self.blocks: list[list[int]] = []

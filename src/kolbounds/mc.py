@@ -26,9 +26,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import bounds
 from .errors import InputError
-from .space import RandomFunctional
+from .space import RandomFunctional, stack_chunks
 
 WORKERS_ENV = "KOLBOUNDS_WORKERS"
 
@@ -257,22 +256,14 @@ def exact_kdist(X: RandomFunctional | Sequence[RandomFunctional]):
     max(|F(a) - Phi(a)|, |Phi(a) - F(a-)|), which realizes the supremum for a
     step CDF against a continuous one. X is one functional (one report) or a
     sequence of them (a list of reports, in order). A sequence is read in the
-    bounds' chunks: runs of at most bounds.STACK_CAP outcomes in all, or one
-    functional, with one sort per functional and one normal_cdf call over the
-    atoms of a chunk, whose arrays are dropped before the next chunk.
+    bounds' chunks, space.stack_chunks: runs of at most space.STACK_CAP
+    outcomes in all, or one functional, with one sort per functional and one
+    normal_cdf call over the atoms of a chunk, whose arrays are dropped
+    before the next chunk.
     """
     if isinstance(X, RandomFunctional):
         return _exact_chunk([X])[0]
-    reports: list[KDistReport] = []
-    chunk: list[RandomFunctional] = []
-    outcomes = 0
-    for Y in X:
-        if chunk and outcomes + Y.space.size > bounds.STACK_CAP:
-            reports += _exact_chunk(chunk)
-            chunk, outcomes = [], 0
-        chunk.append(Y)
-        outcomes += Y.space.size
-    return reports + _exact_chunk(chunk) if chunk else reports
+    return [report for chunk in stack_chunks(X) for report in _exact_chunk(chunk)]
 
 
 def _exact_chunk(Xs: list[RandomFunctional]) -> list[KDistReport]:

@@ -17,31 +17,25 @@ and of both evaluations live in the test suite.
 
 from __future__ import annotations
 
+import functools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tol
-from .dist import Distribution, MomentTable, draw_atoms, draw_scratch
-from .errors import DegenerateError, DomainError, InputError
+from .dist import Distribution, MomentTable, draw_rows
+from .errors import DomainError, InputError
 from .space import OutcomeSpace, RandomFunctional
 
-# Rows per multilinear_form block: _Q_BLOCK for a quadratic form (temporaries
-# _Q_BLOCK * n floats); otherwise at most _Q_BLOCK rows whose largest
+# Rows per multilinear_form block: Q_BLOCK for a quadratic form (temporaries
+# Q_BLOCK * n floats); otherwise at most Q_BLOCK rows whose largest
 # temporary fits _BLOCK_FLOATS (1 MiB, so a block stays in a per-core L2
 # cache). Shapes alone fix them, never the worker count, so the sums are
-# reproducible.
-_Q_BLOCK = 4096
+# reproducible. Q_BLOCK is also the most outcomes per block of the exact
+# grids of Q and of ustat's statistic, and the draws per block of Q.
+Q_BLOCK = 4096
 _BLOCK_FLOATS = 1 << 17
-
-# Every fourth-moment sum is at most (n max|a_ij|)^4 in size, and the rates
-# weigh it by law moments of total degree 8 (each at most mu_8, by Hoelder)
-# and coefficients below 2^16. analyze refuses, before forming any sum, a
-# matrix that leaves fewer than _OVERFLOW_HEADROOM bits of double range for
-# that product.
-_OVERFLOW_HEADROOM = 20
 
 
 # ----------------------------------------------------------------- matrices
@@ -228,12 +222,9 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     """Exact variance, fourth-moment split, trace and influence functionals; with
     s_i = sum_j a_ij^2, row_power is sqrt(sum_i s_i^2) and row_total sum_i s_i.
 
-    A form with zero variance under the law raises DegenerateError, at any
-    scale: every rate divides by sigma. A matrix scaled so far past the
-    double range that its moment sums overflow, or so far below it that
-    max|a_ij|^4 comes within _OVERFLOW_HEADROOM bits of the smallest normal
-    double (the bound ustat puts on its weights), or whose variance
-    underflows to zero, raises InputError instead, before any moment sum."""
+    sigma2 comes from tol.guarded_variance, before any moment sum: every rate
+    divides by sigma, and the fourth-moment sums reach (n max|a_ij|)^4 times
+    law moments of total degree 8, each at most mu_8 by Hoelder."""
     if not m.centered:
         raise DomainError("quadratic-form analysis needs a centered law")
     if m.mu[2] <= 0.0:
@@ -241,38 +232,20 @@ def analyze(A: np.ndarray, m: MomentTable) -> QFormAnalysis:
     M = symmetrize(A)
     n = M.shape[0]
     scale = float(np.max(np.abs(M))) if n else 0.0
-    zero_variance = f"the quadratic form at n={n} has zero variance under this law"
-    floor = sys.float_info.min_exp - 1 + _OVERFLOW_HEADROOM
-    if scale > 0.0 and 4.0 * math.log2(scale) < floor:
-        # The degeneracy of a form does not depend on its scale.
-        if variance_q(M / scale, m) <= 0.0:
-            raise DegenerateError(zero_variance)
-        raise InputError(
-            f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too small: the fourth-moment sums would fall "
-            f"to max|a_ij|^4 = 2^{4.0 * math.log2(scale):.0f}, below the 2^{floor} that keeps {_OVERFLOW_HEADROOM} "
-            f"bits above the smallest normal double, 2^{sys.float_info.min_exp - 1}; rescale the matrix"
-        )
-    bits = 4.0 * (math.log2(n) + math.log2(scale)) + math.log2(max(1.0, m.mu[8])) if scale > 0.0 else 0.0
-    if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
-        raise InputError(
-            f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too large: the fourth-moment sums would "
-            f"reach (n max|a_ij|)^4 mu_8 = 2^{bits:.0f}, above the 2^{sys.float_info.max_exp - _OVERFLOW_HEADROOM} "
-            f"that leaves {_OVERFLOW_HEADROOM} bits of double range; rescale the matrix"
-        )
+    sigma2 = tol.guarded_variance(
+        lambda c: variance_q(M / c, m),
+        scale,
+        4.0 * math.log2(max(n, 1)) + math.log2(max(1.0, m.mu[8])),
+        f"matrix scale max|a_ij| = {scale:.3g} at n = {n}",
+        "matrix",
+        f"the quadratic form at n={n} has zero variance under this law",
+    )
     d = M.diagonal()
     B = M * M
     s = B.sum(axis=1)
     diag2 = float(np.sum(d * d))
     offdiag2 = float(np.sum(B)) - diag2
     total2 = offdiag2 + diag2
-    sigma2 = variance_q(M, m)
-    if sigma2 <= 0.0:
-        if scale > 0.0 and variance_q(M / scale, m) > 0.0:
-            raise InputError(
-                f"matrix scale max|a_ij| = {scale:.3g} at n = {n} is too small: the variance underflows "
-                f"the double range; rescale the matrix"
-            )
-        raise DegenerateError(zero_variance)
     S = sub_sums(M)
     s1, s2, s3 = s1_term(S, m), s2_term(S, m), s3_term(S, m)
     eq4 = s1 + 3.0 * s2 + 4.0 * s3
@@ -393,9 +366,9 @@ def multilinear_form(W: np.ndarray, X: np.ndarray, coef: np.ndarray | None = Non
     X3 = X[:, None, :] if coef is None else X
     p = X3.shape[1]
     if coef is None and d == 2:
-        rows = _Q_BLOCK
+        rows = Q_BLOCK
     else:
-        rows = max(1, min(_Q_BLOCK, _BLOCK_FLOATS // (p * max(n, p) ** (d - 1))))
+        rows = max(1, min(Q_BLOCK, _BLOCK_FLOATS // (p * max(n, p) ** (d - 1))))
     flat = W.reshape(n, -1)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], rows):
@@ -414,7 +387,7 @@ def multilinear_form(W: np.ndarray, X: np.ndarray, coef: np.ndarray | None = Non
 
 
 def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
-    """Q on the n-fold product space, evaluated at most _Q_BLOCK outcomes at a time.
+    """Q on the n-fold product space, evaluated at most Q_BLOCK outcomes at a time.
 
     A must be symmetric, as symmetrize returns it: the matrix is validated
     where it enters (load_matrix_csv, analyze) and passed on as it is.
@@ -424,31 +397,17 @@ def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
         raise DomainError("quadratic forms are defined over a centered law")
     space = OutcomeSpace.iid(law, n)
     v = law.values_array()
-    vals = space.evaluate(lambda codes: multilinear_form(A, v[codes]), _Q_BLOCK)
+    vals = space.evaluate(lambda codes: multilinear_form(A, v[codes]), Q_BLOCK)
     vals -= law.moments().mu[2] * float(np.trace(A))
     return RandomFunctional(space, vals)
 
 
 def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Monte Carlo draws of Q (unnormalized), drawn and evaluated in blocks.
-
-    Each block of _Q_BLOCK draws goes through draw_atoms, with one set of its
-    scratch buffers, into one reused buffer of _Q_BLOCK x n floats
-    (8·_Q_BLOCK·n bytes) and is evaluated by multilinear_form in one BLAS
-    matrix product, so a call holds that buffer and its 8·size-byte output
-    whatever the size. A block holds _Q_BLOCK·n values, a multiple of 64, so
-    the draws are those of one whole law.sample(rng, size * n) bit for bit,
-    dyadic laws included. A must be symmetric, as for q_functional.
-    """
-    n = A.shape[0]
-    mu2 = law.moments().mu[2]
-    shift = mu2 * float(np.trace(A))
-    cdf, values = law.cdf_array(), law.values_array()
-    drawn = np.empty((min(_Q_BLOCK, size), n))
-    scratch = draw_scratch(drawn.size)
-    out = np.empty(size)
-    for lo in range(0, size, _Q_BLOCK):
-        rows = min(_Q_BLOCK, size - lo)
-        out[lo : lo + rows] = multilinear_form(A, draw_atoms(rng, cdf, values, drawn[:rows], scratch))
+    """Monte Carlo draws of Q (unnormalized): dist.draw_rows' blocks of Q_BLOCK draws (8·Q_BLOCK·n bytes,
+    a multiple of 64 values, so one whole law.sample(rng, size * n) bit for bit), each evaluated by
+    multilinear_form in one BLAS matrix product. A must be symmetric, as for q_functional."""
+    shift = law.moments().mu[2] * float(np.trace(A))
+    evaluate = functools.partial(multilinear_form, A)
+    out = draw_rows(rng, law.cdf_array(), law.values_array(), A.shape[0], size, Q_BLOCK, evaluate)
     out -= shift
     return out

@@ -20,14 +20,15 @@ libm pow.
 The enumeration cap is 2**18 outcomes; larger spaces raise SpaceTooLargeError
 at construction so the failure happens early and loudly. hoeffding.project
 holds its table of prod (m_k + 1) entries to the same cap, and
-chaos.multiply its lifted tables of prod (2 m_k + 1) entries.
+chaos.multiply its lifted tables of prod (2 m_k + 1) entries. Stacks of
+functionals are read in stack_chunks; check_bytes holds inputs to BYTE_CAP.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +36,28 @@ from .dist import Distribution
 from .errors import DomainError, InputError, SpaceTooLargeError
 
 SIZE_CAP = 2**18
+STACK_CAP = SIZE_CAP  # most outcomes in one chunk of a stack of functionals (stack_chunks)
+BYTE_CAP = 2**28  # most bytes of the first dense array an input may make a command allocate (256 MiB)
+
+
+def check_bytes(nbytes: int, what: str) -> None:
+    """Refuse, with InputError, what (an array predicted to take nbytes bytes) past BYTE_CAP, before it is made."""
+    if nbytes > BYTE_CAP:
+        raise InputError(f"{what} would take {nbytes} bytes ({nbytes / 2**30:.3g} GiB), past the {BYTE_CAP}-byte cap")
+
+
+def stack_chunks(Xs: Iterable[RandomFunctional]) -> Iterator[list[RandomFunctional]]:
+    """Consecutive runs of whole functionals of Xs, each at most STACK_CAP outcomes in all or one functional."""
+    chunk: list[RandomFunctional] = []
+    outcomes = 0
+    for X in Xs:
+        if chunk and outcomes + X.space.size > STACK_CAP:
+            yield chunk
+            chunk, outcomes = [], 0
+        chunk.append(X)
+        outcomes += X.space.size
+    if chunk:
+        yield chunk
 
 
 def law_mean(T: np.ndarray, axis: int, probs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -110,6 +133,9 @@ class OutcomeSpace:
         self.n: int = len(self.laws)
         self.values: tuple[np.ndarray, ...] = tuple(law.values_array() for law in self.laws)
         self.probs: tuple[np.ndarray, ...] = tuple(law.probs_array() for law in self.laws)
+        # The distinct laws numbered in order of first appearance, one id per coordinate.
+        ids: dict[Distribution, int] = {}
+        self.law_ids: tuple[int, ...] = tuple(ids.setdefault(law, len(ids)) for law in self.laws)
         self._joint: np.ndarray | None = None
 
     @staticmethod

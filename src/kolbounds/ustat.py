@@ -22,16 +22,15 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 
 import numpy as np
 
 from . import tol
 from .chaos import center_slots, slot_mean_max
-from .dist import Distribution, draw_atoms, draw_scratch
+from .dist import Distribution, draw_rows
 from .errors import DegenerateError, DomainError, InputError
-from .qform import _OVERFLOW_HEADROOM, _Q_BLOCK, multilinear_form
-from .space import OutcomeSpace, RandomFunctional, law_expect, power
+from .qform import Q_BLOCK, multilinear_form
+from .space import OutcomeSpace, RandomFunctional, check_bytes, law_expect, power
 
 
 class WeightTensor:
@@ -99,6 +98,7 @@ class WeightTensor:
         keys = np.ravel_multi_index(tuple(srt.T), (n,) * order)
         last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
         srt, vals = srt[last], vals[last]
+        check_bytes(8 * n**order, f"the dense weight tensor of order {order} at n = {n}")
         T = np.zeros((n,) * order)
         for perm in itertools.permutations(range(order)):
             T[tuple(srt[:, perm].T)] = vals
@@ -130,8 +130,10 @@ class WeightTensor:
         """sum of w^2 over all ordered index tuples (d! times the sorted sum)."""
         return float(np.sum(self.table**2))
 
-    def sorted_sq_sum(self) -> float:
-        return self.total_sq_sum() / math.factorial(self.order)
+    def sorted_sq_sum(self, c: float = 1.0) -> float:
+        """sum of (w / c)^2 over sorted index tuples, squared in one temporary."""
+        scaled = self.table / c
+        return float(np.sum(np.square(scaled, out=scaled))) / math.factorial(self.order)
 
     def contraction_sq(self, l: int) -> float:
         """sum_{k, r} (sum_m w(k, m) w(r, m))^2 with |m| = l shared indices.
@@ -235,71 +237,30 @@ def _check_pair(w: WeightTensor, g: UKernel) -> None:
         raise InputError(f"weight order {w.order} != kernel order {g.order}")
 
 
-def _check_scale(w: WeightTensor) -> float:
-    """max|w|, refused with InputError, before any sum, when the weight sums would leave the double range.
-
-    The largest are the contraction sums, at most n^(2d) max|w|^4; a scale
-    that leaves them fewer than qform._OVERFLOW_HEADROOM bits of double
-    range is refused, as qform.analyze refuses a matrix. From order 2 on
-    the rate reads max|w|^4 too, so a scale that puts it within as many bits
-    of the smallest normal double is refused as well: the contraction sums
-    would lose their digits, down to a rate of zero.
-    """
+def ustat_variance(w: WeightTensor, g: UKernel) -> float:
+    """binom(n,d)^-2 ||g||_2^2 sum_{sorted tuples} w^2, through tol.guarded_variance: the largest sums,
+    the contraction sums, are at most n^(2d) max|w|^4, and from order 2 on the rate reads max|w|^4."""
+    _check_pair(w, g)
     n, d = w.n, w.order
     scale = float(np.max(np.abs(w.table)))
-    if scale == 0.0:
-        return scale
-    bits = 4.0 * math.log2(scale) + 2.0 * d * math.log2(n)
-    if bits > sys.float_info.max_exp - _OVERFLOW_HEADROOM:
-        raise InputError(
-            f"weight scale max|w| = {scale:.3g} at n = {n}, order {d} is too large: the contraction sums would "
-            f"reach n^{2 * d} max|w|^4 = 2^{bits:.0f}, above the 2^{sys.float_info.max_exp - _OVERFLOW_HEADROOM} "
-            f"that leaves {_OVERFLOW_HEADROOM} bits of double range; rescale the weights"
-        )
-    floor = sys.float_info.min_exp - 1 + _OVERFLOW_HEADROOM
-    if d >= 2 and 4.0 * math.log2(scale) < floor:
-        raise InputError(
-            f"weight scale max|w| = {scale:.3g} at n = {n}, order {d} is too small: the contraction sums would "
-            f"fall to max|w|^4 = 2^{4.0 * math.log2(scale):.0f}, below the 2^{floor} that keeps "
-            f"{_OVERFLOW_HEADROOM} bits above the smallest normal double, 2^{sys.float_info.min_exp - 1}; rescale the weights"
-        )
-    return scale
-
-
-def ustat_variance(w: WeightTensor, g: UKernel) -> float:
-    """binom(n,d)^-2 ||g||_2^2 sum_{sorted tuples} w^2, which must be positive.
-
-    A weight scale past the double range raises InputError before any sum
-    (_check_scale), as does a variance that underflows to zero while that
-    of w / max|w| does not; a zero variance otherwise raises DegenerateError.
-    """
-    _check_pair(w, g)
-    scale = _check_scale(w)
-    sigma2 = math.comb(w.n, w.order) ** -2 * g.l2_sq() * w.sorted_sq_sum()
-    if sigma2 <= 0.0:
-        if scale > 0.0 and g.l2_sq() * float(np.sum(np.square(w.table / scale))) > 0.0:
-            raise InputError(
-                f"weight scale max|w| = {scale:.3g} at n = {w.n}, order {w.order} is too small: the variance "
-                f"underflows the double range; rescale the weights"
-            )
-        raise DegenerateError("the weighted statistic has zero variance")
-    return sigma2
+    return tol.guarded_variance(
+        lambda c: math.comb(n, d) ** -2 * g.l2_sq() * w.sorted_sq_sum(c),
+        scale,
+        2.0 * d * math.log2(n),
+        f"weight scale max|w| = {scale:.3g} at n = {n}, order {d}",
+        "weights",
+        "the weighted statistic has zero variance",
+        small=d >= 2,
+    )
 
 
 def ustat_rate(w: WeightTensor, g: UKernel) -> float:
-    """Rate for U/sigma: (||g||_L4^2 / ||g||_L2^2) times the weight factor.
-
-    The order-dependent constant in front is deliberately not applied. The
-    weights' scale is checked first, as in ustat_variance.
-    """
-    _check_pair(w, g)
-    _check_scale(w)
+    """Rate for U/sigma: (||g||_L4^2 / ||g||_L2^2) times the weight factor, once ustat_variance accepts
+    the statistic. The order-dependent constant in front is deliberately not applied."""
+    ustat_variance(w, g)
     if w.order < 2:
         raise DomainError("the rate needs order >= 2; order 1 is a plain weighted sum")
-    l2 = g.l2_sq()
-    if l2 <= 0.0:
-        raise DegenerateError("kernel with zero L2 norm")
-    return g.l4_norm_sq() / l2 * w.weight_factor()
+    return g.l4_norm_sq() / g.l2_sq() * w.weight_factor()
 
 
 def _labels(g: UKernel) -> np.ndarray:
@@ -316,11 +277,11 @@ def _subset_sums(w: WeightTensor, g: UKernel, labels: np.ndarray) -> np.ndarray:
 
 
 def ustat_functional(w: WeightTensor, g: UKernel) -> RandomFunctional:
-    """U on the n-fold product space (small n only), at most _Q_BLOCK outcomes at a time."""
+    """U on the n-fold product space (small n only), at most qform.Q_BLOCK outcomes at a time."""
     _check_pair(w, g)
     space = OutcomeSpace.iid(g.law, w.n)
     labels = _labels(g)
-    vals = space.evaluate(lambda codes: _subset_sums(w, g, labels[codes]), _Q_BLOCK)
+    vals = space.evaluate(lambda codes: _subset_sums(w, g, labels[codes]), Q_BLOCK)
     vals /= math.comb(w.n, w.order)
     return space.functional(vals)
 
@@ -332,22 +293,11 @@ def ustat_sample(
     size: int,
     batch: int = 20_480,
 ) -> np.ndarray:
-    """Monte Carlo draws of U (unnormalized), batched over samples.
-
-    Each batch draws its b x n atom labels, through one set of draw_atoms'
-    scratch buffers, into one reused 8·b·n-byte buffer (a general kernel's
-    one-hot rows take m times that again). The default batch is a multiple
-    of 64, so the labels are those of one whole law.sample(rng, size * n)
-    bit for bit, dyadic laws included.
-    """
+    """Monte Carlo draws of U (unnormalized): dist.draw_rows' batches of b x n atom labels (8·b·n bytes; a
+    general kernel's one-hot rows take m times that again). The default batch is a multiple of 64, so the
+    labels are those of one whole law.sample(rng, size * n) bit for bit, dyadic laws included."""
     _check_pair(w, g)
-    cdf = g.law.cdf_array()
     labels = _labels(g)
-    drawn = np.empty((min(batch, size), w.n), dtype=labels.dtype)
-    scratch = draw_scratch(drawn.size)
-    out = np.empty(size)
-    for lo in range(0, size, batch):
-        b = min(batch, size - lo)
-        out[lo : lo + b] = _subset_sums(w, g, draw_atoms(rng, cdf, labels, drawn[:b], scratch))
+    out = draw_rows(rng, g.law.cdf_array(), labels, w.n, size, batch, lambda X: _subset_sums(w, g, X))
     out *= 1.0 / math.comb(w.n, w.order)
     return out

@@ -309,11 +309,16 @@ def test_a_stack_is_read_in_chunks_of_stack_cap_entries(monkeypatch):
     widths = []
     integrals = chaos.gradient_integrals
     monkeypatch.setattr(bounds, "gradient_integrals", lambda space, stacks, *a: widths.append(len(stacks[0])) or integrals(space, stacks, *a))
-    monkeypatch.setattr(bounds, "STACK_CAP", 3 * space.size + 1)
+    monkeypatch.setattr("kolbounds.space.STACK_CAP", 3 * space.size + 1)
     _assert_close_terms(bounds.master_bound(Xs), whole)
     assert widths == [3, 3, 1]
+    # One outcome short of three functionals: max(1, STACK_CAP // |Omega|) = 2.
+    monkeypatch.setattr("kolbounds.space.STACK_CAP", 3 * space.size - 1)
+    widths.clear()
+    _assert_close_terms(bounds.master_bound(Xs), whole)
+    assert widths == [2, 2, 2, 1]
     alone = [bounds.fourth_moment_check(X) for X in Xs[:2]]
-    monkeypatch.setattr(bounds, "STACK_CAP", 1)
+    monkeypatch.setattr("kolbounds.space.STACK_CAP", 1)
     widths.clear()
     _assert_close_terms(bounds.fourth_moment_check(Xs[:2]), alone)
     assert widths == [1, 1]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolbounds import cli, graphweigh, mc, qform
+from kolbounds import cli, graphweigh, mc, qform, verify
 
 
 @pytest.fixture()
@@ -279,7 +279,7 @@ def test_matrix_scale_below_the_double_range_exits_two_unless_degenerate(capsys,
     # max|a_ij|^4 within 20 bits of the smallest normal double is refused
     # before any sum. 1e-75 keeps every digit of the scale-1 rates. A
     # diagonal-only form under Rademacher signs is degenerate at every scale,
-    # so at 1e-200 it still exits 3.
+    # so at 1e-200 and at 1e200 it still exits 3.
     rates = {}
     for exponent, code in ((0, 0), (-75, 0), (-80, 2), (-100, 2)):
         path = tmp_path / f"small{exponent}.csv"
@@ -293,10 +293,11 @@ def test_matrix_scale_below_the_double_range_exits_two_unless_degenerate(capsys,
         else:
             rates[exponent] = json.loads(out)["results"]["rates"]
     assert rates[-75] == pytest.approx(rates[0], rel=1e-13)
-    path = tmp_path / "diag.csv"
-    path.write_text("1e-200,0,0\n0,2e-200,0\n0,0,3e-200\n")
-    got, out, err = _run(["qform", "--matrix", str(path), "--law", "rademacher"], capsys)
-    assert got == 3 and out == "" and "the quadratic form at n=3 has zero variance" in err, err
+    for a in ("1e-200", "1e200"):
+        path = tmp_path / f"diag{a}.csv"
+        path.write_text(f"{a},0,0\n0,{a},0\n0,0,{a}\n")
+        got, out, err = _run(["qform", "--matrix", str(path), "--law", "rademacher"], capsys)
+        assert got == 3 and out == "" and "the quadratic form at n=3 has zero variance" in err, err
 
 
 def test_weight_scale_past_the_double_range_exits_two(capsys, tmp_path):
@@ -324,6 +325,47 @@ def test_weight_scale_past_the_double_range_exits_two(capsys, tmp_path):
     zero.write_text(json.dumps({"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": 0.0}]}))
     got, out, err = _run(["ustat", "--weights", str(zero), "--law", "three-point"], capsys)
     assert got == 3 and out == "" and "the weighted statistic has zero variance" in err, err
+    # Under the one-point law {0: 1} the statistic is zero whatever the
+    # weights: degenerate (exit 3) at every weight scale, the ones the
+    # scale guard refuses included.
+    point = tmp_path / "point.json"
+    point.write_text(json.dumps({"type": "finite", "atoms": [[0.0, 1.0]]}))
+    for exponent in (0, -100, 200):
+        path = tmp_path / f"w{exponent}_2.json"
+        entries = [{"subset": list(s), "value": float(f"1e{exponent}")} for s in itertools.combinations(range(4), 2)]
+        path.write_text(json.dumps({"n": 4, "order": 2, "entries": entries}))
+        got, out, err = _run(["ustat", "--weights", str(path), "--law", str(point)], capsys)
+        assert got == 3 and out == "" and "the weighted statistic has zero variance" in err, (exponent, err)
+
+
+def test_oversized_inputs_exit_two_before_allocating(tmp_path):
+    # Each input's first dense array is predicted from n (and the order) and
+    # refused past space.BYTE_CAP: a 931 GiB weight tensor, a 74.5 GiB sign
+    # matrix and 5 TB of graph counter blocks. The commands run in a child
+    # process under a 2 GiB address-space limit, so an allocation that slips
+    # past the check fails fast there (MemoryError, exit 1) instead of taking
+    # the machine's memory.
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"n": 5000, "order": 3, "entries": [{"subset": [0, 1, 2], "value": 1.0}]}))
+    (tmp_path / "sizes.json").write_text('{"sizes": [100000], "samples": 1000}')
+    (tmp_path / "grid.json").write_text('{"n": [100000], "p": [0.5], "samples": 1000}')
+    (tmp_path / "tri.json").write_text('{"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]}')
+    out = str(tmp_path / "r.json")
+    cases = [
+        (["ustat", "--weights", str(weights), "--law", "three-point"], "dense weight tensor of order 3 at n = 5000"),
+        (["qform", "--sweep", str(tmp_path / "sizes.json"), "--law", "rademacher", "--out", out], "100000 x 100000"),
+        (["graph", "--graph", str(tmp_path / "tri.json"), "--law", "rademacher", "--sweep", str(tmp_path / "grid.json"),
+          "--out", out], "counter matrices of 100000 x 100000"),
+    ]
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    code = limit + "import sys; from kolbounds.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), OPENBLAS_NUM_THREADS="1")
+    for argv, what in cases:
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 2, (argv[0], done.stderr)
+        assert what in done.stderr and "bytes" in done.stderr and "Traceback" not in done.stderr, done.stderr
+    assert not Path(out).exists()
 
 
 def test_a_non_finite_result_exits_two_and_leaves_no_file(files, capsys, tmp_path, monkeypatch):
@@ -726,6 +768,31 @@ def test_chaos_verify_clean_and_corrupt(files, capsys, tmp_path):
     # single_order_bounds fails on its centring guard: the corrupt kernel's
     # scaled multiple sum is uncentered.
     assert failed == ["multiplication", "covariance_identity", "single_order_bounds"]
+
+
+def test_each_report_config_holds_the_resolved_inputs_of_its_command(files, capsys, tmp_path):
+    # One builder writes every config: command and seed; with a law also the
+    # constant, delta, law and samples (a sweep's own delta and samples
+    # where its file sets them); then the command's own inputs.
+    law_keys = ["command", "constant", "delta", "law", "samples", "seed"]
+    out = str(tmp_path / "r.json")
+    cases = [
+        ("qform", ["qform", "--matrix", files["A.csv"], "--samples", "200"], ["matrix"], (0.01, 200)),
+        ("qform-sweep", ["qform", "--sweep", files["sweep_q.json"]], ["sizes"], (0.05, 1000)),
+        ("ustat", ["ustat", "--weights", files["w.json"], "--delta", "0.2"], ["weights"], (0.2, 0)),
+        ("graph", ["graph", "--graph", files["tri.json"], "--sweep", files["sweep_g.json"]], ["combine", "graph", "n", "p"],
+         (0.01, 1000)),
+    ]
+    for command, argv, own, (delta, samples) in cases:
+        assert cli.main(argv + ["--law", "three-point", "--seed", "5", "--out", out]) == 0, argv
+        config = json.loads(Path(out).read_text())["config"]
+        assert sorted(config) == sorted(law_keys + own) and config["command"] == command, argv
+        assert (config["seed"], config["constant"], config["delta"], config["samples"]) == (5, None, delta, samples)
+        assert config["law"] == cli._law_json(cli.three_point())
+    assert cli.main(["chaos-verify", "--seed", "5", "--out", out]) == 0
+    config = json.loads(Path(out).read_text())["config"]
+    assert config == {"command": "chaos-verify", "corrupt": False, "n_kernels": verify.N_KERNELS, "seed": 5}
+    capsys.readouterr()
 
 
 def test_config_hash_tracks_content_not_path(files, capsys, tmp_path):

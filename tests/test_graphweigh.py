@@ -263,7 +263,9 @@ def _copy_listing_counts(G, n, kept, weights):
 
 
 def _float64_counts(G, n, kept, weights):
-    """The float64 counters' reductions: the closed forms, or the generic counter's copies-major sums."""
+    """Float64 twins of the counters: the closed forms summed in their own order (the counters' one reduction
+    per template must equal them bit for bit on integer laws, in either dtype), or the generic counter's
+    copies-major sums."""
     if G.kind == "generic":
         return _unmasked_generic_counts(G, n, kept, weights)
     return _whole_batch_counts(G, n, kept, weights)

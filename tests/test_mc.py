@@ -58,7 +58,7 @@ def test_exact_kdist_matches_reference_scan():
 
 
 def test_exact_kdist_reads_a_stack_in_chunks_of_stack_cap_outcomes(monkeypatch):
-    # At Rademacher n = 18 one functional fills bounds.STACK_CAP, so a stack
+    # At Rademacher n = 18 one functional fills space.STACK_CAP, so a stack
     # of three is three chunks, each dropped before the next: the stack
     # peaks as one functional does (8 grids of 8 |Omega| bytes measured),
     # where holding every functional's atoms and cdf to the end peaked at 14.
@@ -84,7 +84,7 @@ def test_exact_kdist_reads_a_stack_in_chunks_of_stack_cap_outcomes(monkeypatch):
     calls = []
     normal_cdf = mc.normal_cdf
     monkeypatch.setattr(mc, "normal_cdf", lambda x: calls.append(x.size) or normal_cdf(x))
-    monkeypatch.setattr(mc.bounds, "STACK_CAP", 3 * small.size + 1)
+    monkeypatch.setattr("kolbounds.space.STACK_CAP", 3 * small.size + 1)
     assert [r.value for r in mc.exact_kdist(Ys)] == [mc.exact_kdist(Y).value for Y in Ys]
     assert len(calls) == 3 + 7
 

@@ -235,10 +235,10 @@ def test_alpha_beta_react_to_the_diagonal():
 def test_degenerate_analysis_raises():
     # Zero variance is refused once, by analyze, with the size in the message;
     # a diagonal-only form under Rademacher signs is constant, hence zero variance too,
-    # also at a scale whose squares underflow.
+    # also at a scale whose squares underflow or whose fourth-moment sums would overflow.
     with pytest.raises(DegenerateError, match=r"n=3 has zero variance"):
         qform.analyze(np.zeros((3, 3)), three_point().moments())
-    for scale in (1.0, 1e-200):
+    for scale in (1.0, 1e-200, 1e200):
         with pytest.raises(DegenerateError, match=r"n=2 has zero variance"):
             qform.analyze(np.diag([scale, 2.0 * scale]), Distribution.rademacher().moments())
 
@@ -375,7 +375,7 @@ def test_q_samples_match_the_einsum_expression():
     # drawn in batches on and off the block; both sides read the same stream,
     # so only the summation order differs. The law is dyadic, so a batch of
     # the reference must hold a multiple of 64 values to read the same words.
-    block = qform._Q_BLOCK
+    block = qform.Q_BLOCK
     law = three_point()
     for n, size, batch in [(1, 2 * block + 17, 3_008), (7, 3 * block + 5, block + 64), (33, block + 999, 50_048)]:
         A = _random_sym(np.random.default_rng(n), n)
@@ -393,8 +393,8 @@ def _row_blocked_q_samples(A, law, rng, size):
     shift = law.moments().mu[2] * float(np.trace(M))
     out = np.empty(size)
     X = law.sample(rng, size * n).reshape(size, n)
-    for lo in range(0, size, qform._Q_BLOCK):
-        Xb = X[lo : lo + qform._Q_BLOCK]
+    for lo in range(0, size, qform.Q_BLOCK):
+        Xb = X[lo : lo + qform.Q_BLOCK]
         Y = Xb @ M
         Y *= Xb
         out[lo : lo + Xb.shape[0]] = Y.sum(axis=1) - shift
@@ -404,7 +404,7 @@ def _row_blocked_q_samples(A, law, rng, size):
 def test_q_samples_are_bit_identical_to_the_row_blocked_loop():
     # Blocked draws equal one whole law.sample, for dyadic laws (packed) and
     # for a non-dyadic one (a uniform per value).
-    block = qform._Q_BLOCK
+    block = qform.Q_BLOCK
     non_dyadic = Distribution.finite([(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]).centered()
     for law in (three_point(), ASYM.centered(), non_dyadic):
         for n, size in [(1, block + 3), (5, 2 * block + 17), (40, block + 999)]:
@@ -416,7 +416,7 @@ def test_q_samples_are_bit_identical_to_the_row_blocked_loop():
 
 
 def test_q_samples_hold_one_block_of_draws():
-    # One reused _Q_BLOCK x n buffer plus the output, whatever the size; a
+    # One reused Q_BLOCK x n buffer plus the output, whatever the size; a
     # whole-batch draw of the 50 000 x 128 law values held 51 MB.
     n, size = 128, 50_000
     A = _random_sym(np.random.default_rng(71), n)
@@ -426,7 +426,7 @@ def test_q_samples_hold_one_block_of_draws():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * qform._Q_BLOCK * n + 8 * size
+    assert peak <= 2.5 * 8 * qform.Q_BLOCK * n + 8 * size
 
 
 def _meshgrid_q_functional(A, law):
@@ -454,7 +454,7 @@ def test_q_functional_matches_the_meshgrid_twin(law):
 
 def test_q_functional_holds_the_grid_plus_one_block():
     # Rademacher n = 16: the values take 8·|Omega| bytes; a |Omega| x n array
-    # would take n times that. One block holds a few _Q_BLOCK x n arrays.
+    # would take n times that. One block holds a few Q_BLOCK x n arrays.
     n = 16
     A = _random_sym(np.random.default_rng(72), n)
     law = Distribution.rademacher()
@@ -465,7 +465,7 @@ def test_q_functional_holds_the_grid_plus_one_block():
     finally:
         tracemalloc.stop()
     assert X.values.size == 2**n
-    assert peak <= 8 * 2**n + 6 * 8 * qform._Q_BLOCK * n
+    assert peak <= 8 * 2**n + 6 * 8 * qform.Q_BLOCK * n
     assert peak < 8 * 2**n * n
 
 

@@ -130,6 +130,16 @@ def test_gradient_component_and_conditional_copy_at_most_once():
         tracemalloc.stop()
 
 
+def test_law_ids_number_equal_laws_alike_in_order_of_first_appearance():
+    # Equal laws, however built, share an id; ids count up from 0 as new laws appear.
+    rademacher = Distribution.rademacher()
+    same = Distribution.finite([(1.0, 0.5), (-1.0, 0.5)])
+    asym = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+    space = OutcomeSpace([three_point(), rademacher, three_point(), same, asym, rademacher])
+    assert space.law_ids == (0, 1, 0, 1, 2, 1)
+    assert OutcomeSpace.iid(asym, 3).law_ids == (0, 0, 0)
+
+
 def test_space_size_cap():
     with pytest.raises(SpaceTooLargeError):
         OutcomeSpace.iid(three_point(), 12)  # 3^12 exceeds the cap

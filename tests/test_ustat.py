@@ -420,14 +420,15 @@ def test_sample_codes_match_the_whole_array_draw(monkeypatch):
     law = ASYM
     w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(76), 5))
     size, batch = 9_001, 4_000
+    draw_atoms = dist.draw_atoms
     for g in (ustat.UKernel.product(law, 2), _kernels(law, 2, np.random.default_rng(76))["canonical"]):
         drawn = []
 
         def recording_draw(*args):
-            drawn.append(dist.draw_atoms(*args).copy())
+            drawn.append(draw_atoms(*args).copy())
             return drawn[-1]
 
-        monkeypatch.setattr(ustat, "draw_atoms", recording_draw)
+        monkeypatch.setattr(dist, "draw_atoms", recording_draw)
         rng = mc.stream(76, 0)
         got = ustat.ustat_sample(w, g, rng, size, batch=batch)
         ref = mc.stream(76, 0)
@@ -449,15 +450,16 @@ def test_default_batches_draw_the_labels_of_one_whole_sample(monkeypatch, n):
     non_dyadic = Distribution.finite([(-1.0, 0.3), (0.0, 0.5), (1.5, 0.2)]).centered()
     w = ustat.WeightTensor(_zero_diag_sym(np.random.default_rng(83), n))
     size = 2 * 20_480 + 7
+    draw_atoms = dist.draw_atoms
     for law in (three_point(), non_dyadic):
         g = ustat.UKernel.product(law, 2)
         drawn = []
 
         def recording_draw(*args):
-            drawn.append(dist.draw_atoms(*args).copy())
+            drawn.append(draw_atoms(*args).copy())
             return drawn[-1]
 
-        monkeypatch.setattr(ustat, "draw_atoms", recording_draw)
+        monkeypatch.setattr(dist, "draw_atoms", recording_draw)
         rng, ref = mc.stream(83, n), mc.stream(83, n)
         ustat.ustat_sample(w, g, rng, size)
         assert [a.shape[0] for a in drawn] == [20_480, 20_480, 7]
@@ -497,7 +499,7 @@ def test_functional_holds_the_grid_plus_one_block(kind):
     finally:
         tracemalloc.stop()
     assert U.values.size == 2**n
-    assert peak <= 8 * 2**n + 8 * 8 * qform._Q_BLOCK * n
+    assert peak <= 8 * 2**n + 8 * 8 * qform.Q_BLOCK * n
     assert peak < 8 * 2**n * n
 
 
