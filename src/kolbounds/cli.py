@@ -106,6 +106,7 @@ def _validate_common(args: argparse.Namespace) -> None:
     samples = getattr(args, "samples", 0)
     if samples != 0 and samples < MIN_EMPIRICAL_SAMPLES:
         raise InputError(f"--samples must be 0 or at least {MIN_EMPIRICAL_SAMPLES}")
+    check_bytes(8 * samples, f"a row of {samples} draws")
     delta = getattr(args, "delta", 0.01)
     if not 0.0 < delta < 1.0:
         raise InputError("--delta must lie strictly between 0 and 1")
@@ -257,6 +258,7 @@ def _sweep_samples(cfg: dict, args: argparse.Namespace) -> int:
             f"sweeps take at most {_MAX_SWEEP_SAMPLES} samples per point "
             f"({_SWEEP_STREAM_STRIDE} streams of {mc.DRAW_CHUNK} draws)"
         )
+    check_bytes(8 * samples, f"a row of {samples} draws")
     return samples
 
 

@@ -10,6 +10,8 @@ whose cdf steps are all multiples of 2^-b, b in (1, 2, 4, 8), is dyadic: its
 values read b-bit fields of raw Philox words, 64 / b values per word, in the
 spirit of Knuth & Yao (1976). Every other law is inverse-CDF on one uniform
 per value, and is bit-identical to one searchsorted over all N uniforms.
+draw_below draws flags u < p in that lazy spirit too: one byte per flag, and
+a second word only for the one flag in 256 that the byte leaves tied.
 """
 
 from __future__ import annotations
@@ -285,6 +287,30 @@ def draw_atoms(
         else:
             cb = np.searchsorted(steps, ub, side="right")
         np.take(values, cb, out=block, mode="clip")
+    return out
+
+
+def draw_below(rng: np.random.Generator, ties: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill the bool array out with flags K < T, T = ceil(p * 2^53), one uniform 53-bit integer K each, and return it.
+
+    That is the law of u < p for the 53-bit uniform u of rng.random, read
+    lazily (Knuth & Yao, 1976). Flag i, in C order of out, takes byte i of
+    ceil(out.size / 8) rng.bit_generator.random_raw words, as little-endian
+    bytes, for the top 8 bits of K. Against h = T >> 45, a byte below h
+    keeps the flag, a byte above drops it, and a byte equal to h is a tie:
+    the next word w of ties then gives the low 45 bits of K, and the flag is
+    kept iff (w >> 19) < T mod 2^45. The ties take their words in flag order,
+    so calls over successive parts of a draw, each but the last a multiple
+    of 8 flags, draw what one call over the whole draw would.
+    """
+    cut = math.ceil(p * 2.0**53)
+    high, low = cut >> 45, cut & ((1 << 45) - 1)
+    flat = out.reshape(-1)
+    words = rng.bit_generator.random_raw(-(-flat.size // 8))
+    octets = words.astype("<u8", copy=False).view(np.uint8)[: flat.size]
+    np.less(octets, high, out=flat)
+    tied = np.flatnonzero(octets == high)
+    flat[tied] = (ties.bit_generator.random_raw(tied.size) >> 19) < low
     return out
 
 

@@ -22,11 +22,13 @@ allocated. check_counter refuses more than _GENERIC_COPY_CAP copies, and block
 buffers past space.BYTE_CAP for any template. Both counters
 draw and evaluate _BLOCK draws at a time into buffers allocated once per
 call, so memory does not grow with the batch: one block of retention flags,
-weights and dense n x n matrices. A counter-based jump (mc.jump_ahead) reads
-each block's weights from where a whole-batch draw would, so the draws are
-the same bit for bit. A block of _BLOCK draws holds a multiple of 64 edge
-values, so dyadic laws (p = 1/2, Rademacher or three-point weights), which
-read several values from one generator word, block the same way.
+weights and dense n x n matrices. Counter-based jumps (mc.jump_ahead) read
+each block's weights, and the tie words of its retention flags, from where a
+whole-batch draw would, so the draws are the same bit for bit. A retention
+flag costs one byte of a generator word at any p, or fewer bits at a dyadic
+p such as 1/2 (_EdgeDraw). A block of _BLOCK draws holds a multiple of 64
+edge values, so flags and dyadic weight laws (Rademacher or three-point),
+which read several values from one generator word, block the same way.
 
 Exactness rule: when every atom of the weight law is an integer, every
 entry, product and partial sum of a count is an integer too. With V =
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mc
-from .dist import Distribution, draw_atoms, draw_scratch, draw_words
+from .dist import Distribution, draw_atoms, draw_below, draw_scratch, draw_words
 from .errors import DegenerateError, DomainError, InputError
 from .space import check_bytes
 
@@ -323,18 +325,24 @@ class _EdgeDraw:
     are drawn straight into that dtype, from the same codes and generator
     words, and the buffers take half the bytes in float32.
 
-    A batch of b draws takes the words of b·m retention flags and then those
-    of b·m weights from rng, as one whole-batch draw of each would. The
-    flags of each _BLOCK of draws come from rng and their weights from a twin
-    that mc.jump_ahead puts the flags' words ahead (dist.draw_words: b·m
-    words, or fewer at a dyadic p such as 1/2), and rng ends where the twin
-    does, so the draws are those of the whole-batch layout bit for bit. Both
-    go through draw_atoms, with one set of its scratch buffers, into the
-    buffers allocated here, the masked weights are gathered into the dense
-    matrices by np.take(..., out=), and their products reuse one more buffer,
-    so the closed-form counters allocate no block-sized temporary of their
-    own and nothing holds a batch or its uniforms. Edges are the
-    upper-triangle pairs in row-major order. Every counter reads the masked
+    A batch of b draws takes from rng the F words of its b·m retention flags,
+    then the W = dist.draw_words words of its b·m weights, then one word per
+    tied flag, as one whole-batch draw of each would. At a dyadic p (a
+    multiple of 1/256, such as 1/2) the flags are packed bit fields of
+    draw_atoms, F = draw_words(flags, b·m), and none ties. At any other p
+    each flag reads one byte (dist.draw_below), F = ceil(b·m / 8), and about
+    one flag in 256 ties and reads one more word. The flags of each _BLOCK of
+    draws come from rng, their weights from a twin that mc.jump_ahead puts F
+    words ahead, and their tie words from a twin F + W words ahead. rng ends
+    where the tie twin does, so the draws are those of the whole-batch layout
+    bit for bit; a block of _BLOCK draws takes whole words of flags at any p.
+    The weights go through draw_atoms, with one set of its scratch buffers,
+    into the buffers allocated here, the masked weights are gathered into
+    the dense matrices by np.take(..., out=), and their products reuse one
+    more buffer, so the closed-form counters allocate no block-sized
+    temporary of their own and nothing holds a batch or its uniforms. Byte
+    flags hold one block of their words and tie marks beside them. Edges are
+    the upper-triangle pairs in row-major order. Every counter reads the masked
     weights (a dropped edge weighs zero): with the product convention a
     kept weight-zero edge already zeroes its copies, so a separate retention
     mask would change nothing. The generic counter takes idx, the flat edge
@@ -350,8 +358,10 @@ class _EdgeDraw:
         m = iu.size
         values = law.values_array()
         dtype = np.float32 if _exact_in_float32(values, n, idx) else np.float64
-        # u < p is the two-atom law (True, False) with its step at p.
-        self._flags = (np.array([p, 1.0]), np.array([True, False]))
+        # u < p is the two-atom law (True, False) with its step at p; a
+        # dyadic law takes fewer than 64 words for 64 values.
+        self._p, self._flags = p, (np.array([p, 1.0]), np.array([True, False]))
+        self._packed = draw_words(*self._flags, 64) < 64
         self._law = (law.cdf_array(), values.astype(dtype))
         self.kept = np.empty((rows, m), dtype=bool)
         self.weights = np.empty((rows, m), dtype)
@@ -389,10 +399,16 @@ class _EdgeDraw:
         2 x _BLOCK x n_copies values rather than the full gather.
         """
         m = self.weights.shape[1]
-        ahead = mc.jump_ahead(rng, draw_words(*self._flags, out.size * m))
+        size = out.size * m
+        flag_words = draw_words(*self._flags, size) if self._packed else -(-size // 8)
+        ahead = mc.jump_ahead(rng, flag_words)
+        ties = mc.jump_ahead(rng, flag_words + draw_words(*self._law, size))
         for lo in range(0, out.size, _BLOCK):
             rows = min(_BLOCK, out.size - lo)
-            kept = draw_atoms(rng, *self._flags, self.kept[:rows], self._scratch)
+            if self._packed:
+                kept = draw_atoms(rng, *self._flags, self.kept[:rows], self._scratch)
+            else:
+                kept = draw_below(rng, ties, self._p, self.kept[:rows])
             weights = draw_atoms(ahead, *self._law, self.weights[:rows], self._scratch)
             if self.kind == "generic":
                 out[lo : lo + rows] = self._generic_counts(kept, weights)
@@ -402,7 +418,7 @@ class _EdgeDraw:
                 # every counter ends in a sum, which starts from +0.0.
                 flat = np.multiply(weights, kept, out=self.padded[:rows, :m])
                 out[lo : lo + rows] = _product_counts(self, flat)
-        rng.bit_generator.state = ahead.bit_generator.state
+        rng.bit_generator.state = ties.bit_generator.state
 
 
     def _generic_counts(self, kept: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -459,9 +475,10 @@ def simulate_weight(
     """Draw realizations of the combined template weight.
 
     With size None a single float comes back. Each batch of draws takes its
-    retention indicators and then its weights from rng, so the draws depend
-    on batch but not on the counter blocking; batch fixes that stream layout,
-    not the memory, which _EdgeDraw's one-block buffers bound.
+    retention indicators, then its weights, then the tie words of its
+    indicators from rng (_EdgeDraw), so the draws depend on batch but not on
+    the counter blocking; batch fixes that stream layout, not the memory,
+    which _EdgeDraw's one-block buffers bound.
     """
     _check_point(G, n, p)
     check_counter(G, n)

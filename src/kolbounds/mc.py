@@ -34,8 +34,10 @@ WORKERS_ENV = "KOLBOUNDS_WORKERS"
 DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
 
 # Version of the draw layout. Scheme 1 spent one uniform on every value;
-# scheme 2 reads dyadic laws from b-bit fields of raw words (dist.draw_atoms).
-STREAM_SCHEME = 2
+# scheme 2 reads dyadic laws from b-bit fields of raw words (dist.draw_atoms);
+# scheme 3 reads graph retention flags at a non-dyadic p from one byte each,
+# with a tie word for one flag in 256 (dist.draw_below).
+STREAM_SCHEME = 3
 
 # Cody's rational approximations P/Q (highest power first, Q monic) to erf(x)/x
 # in x^2 for |x| <= 0.46875, to erfc(x) exp(x^2) in x up to 4 and to the

@@ -81,7 +81,7 @@ def test_qform_report_oracles(files, capsys):
     emp = rep["results"]["empirical"]
     assert emp["n"] == 2000
     assert abs(emp["value"] - exact) <= emp["dkw"] + 0.01
-    assert rep["results"]["stream_scheme"] == mc.STREAM_SCHEME == 2
+    assert rep["results"]["stream_scheme"] == mc.STREAM_SCHEME == 3
     assert rep["constant_free"]["r1"] is False
     assert rep["constant_free"]["exact"] is True
 
@@ -341,7 +341,9 @@ def test_weight_scale_past_the_double_range_exits_two(capsys, tmp_path):
 def test_oversized_inputs_exit_two_before_allocating(tmp_path):
     # Each input's first dense array is predicted from n (and the order) and
     # refused past space.BYTE_CAP: a 931 GiB weight tensor, a 74.5 GiB sign
-    # matrix and 5 TB of graph counter blocks. The commands run in a child
+    # matrix and 5 TB of graph counter blocks; so are a row's 8-byte results,
+    # 3.2 GB at 400 000 000 draws (2^25 draws is the most a row takes), from
+    # --samples or a sweep's samples. The commands run in a child
     # process under a 2 GiB address-space limit, so an allocation that slips
     # past the check fails fast there (MemoryError, exit 1) instead of taking
     # the machine's memory.
@@ -350,12 +352,18 @@ def test_oversized_inputs_exit_two_before_allocating(tmp_path):
     (tmp_path / "sizes.json").write_text('{"sizes": [100000], "samples": 1000}')
     (tmp_path / "grid.json").write_text('{"n": [100000], "p": [0.5], "samples": 1000}')
     (tmp_path / "tri.json").write_text('{"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]}')
+    (tmp_path / "A.csv").write_text("0,1\n1,0\n")
+    (tmp_path / "long.json").write_text('{"n": [8], "p": [0.3], "samples": 400000000}')
     out = str(tmp_path / "r.json")
     cases = [
         (["ustat", "--weights", str(weights), "--law", "three-point"], "dense weight tensor of order 3 at n = 5000"),
         (["qform", "--sweep", str(tmp_path / "sizes.json"), "--law", "rademacher", "--out", out], "100000 x 100000"),
         (["graph", "--graph", str(tmp_path / "tri.json"), "--law", "rademacher", "--sweep", str(tmp_path / "grid.json"),
           "--out", out], "counter matrices of 100000 x 100000"),
+        (["qform", "--matrix", str(tmp_path / "A.csv"), "--law", "rademacher", "--samples", "400000000", "--out", out],
+         "a row of 400000000 draws"),
+        (["graph", "--graph", str(tmp_path / "tri.json"), "--law", "rademacher", "--sweep", str(tmp_path / "long.json"),
+          "--out", out], "a row of 400000000 draws"),
     ]
     limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
     code = limit + "import sys; from kolbounds.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -677,6 +685,17 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
             row_draws = (lambda rng, b: graphweigh.simulate_weight(G, n, p, law, rng, b) / sig, 1000, first)
             (draws,) = mc.pooled_draws([row_draws], seed)
             assert row["dk_emp"] == mc.empirical_kdist(draws).value
+
+
+def test_graph_sweeps_with_byte_flags_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
+    # At p = 0.3 each retention flag reads one byte and a tied one a word
+    # after the weights; 60 000 draws are two chunks, so two and three
+    # workers interleave them.
+    (tmp_path / "grid.json").write_text(json.dumps({"n": [8, 12], "p": [0.3], "samples": 60_000}))
+    argv = ["graph", "--graph", files["tri.json"], "--law", "three-point", "--sweep", str(tmp_path / "grid.json")]
+    results = _sweep_outputs(argv + ["--seed", "6"], str(tmp_path / "g.json"), monkeypatch, capsys)["results"]
+    assert results["stream_scheme"] == mc.STREAM_SCHEME == 3
+    assert [(row["n"], row["p"]) for row in results["rows"]] == [(8, 0.3), (12, 0.3)]
 
 
 def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):

@@ -1,7 +1,9 @@
 """Laws and their exact moment tables."""
 
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,8 +334,8 @@ def test_draws_through_one_reused_scratch_match_fresh_buffers(law):
 
 
 def test_draw_atoms_writes_any_dtype_in_place():
-    # Retention flags are u < p, drawn as the two atoms (True, False); at
-    # p = 1/2 they are packed, one bit per flag.
+    # Flags u < p are the two atoms (True, False); at p = 1/2 they are
+    # packed, one bit per flag.
     out = np.empty((4, 9), dtype=bool)
     flags = dist.draw_atoms(mc.stream(33, 0), np.array([0.3, 1.0]), np.array([True, False]), out)
     assert flags is out
@@ -375,3 +377,66 @@ def test_sample_memory_is_the_output_plus_one_block():
         finally:
             tracemalloc.stop()
         assert peak <= 8 * size + 19 * dist._DRAW_BLOCK
+
+
+class _Words:
+    """A stand-in generator whose random_raw hands out the given 64-bit words in order."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, list(words)
+
+    def random_raw(self, size):
+        taken, self.words = self.words[:size], self.words[size:]
+        assert len(taken) == size
+        return np.array(taken, dtype=np.uint64)
+
+
+# p = 1 - 2^-53 puts the cut at 2^53 - 1, so its high byte is 255.
+_BELOW_PS = [0.3, 0.45, 1 / 3, 0.7, 1e-3, 1 - 2.0**-53]
+
+
+@pytest.mark.parametrize("p", _BELOW_PS)
+def test_draw_below_keeps_exactly_the_integers_below_the_cut(p):
+    # Flag i reads the top 8 bits of a 53-bit K from byte i, and a tied
+    # flag its low 45 bits from bits 19..63 of the next tie word, so it
+    # keeps K < T, the flag u < p of rng.random, at every K around T and
+    # around the high byte's edge h·2^45. Bits 0..18 of a tie word are
+    # never read.
+    cut = math.ceil(Fraction(p) * 2**53)
+    high = cut >> 45
+    assert (high == 255) == (p == _BELOW_PS[-1])
+    ks = [k for k in (cut - 1, cut, cut + 1, (high << 45) - 1, high << 45, (high << 45) + 1) if 0 <= k < 2**53]
+    ks += [0, 2**53 - 1]
+    octets = bytes(k >> 45 for k in ks).ljust(-(-len(ks) // 8) * 8, b"\xa5")
+    rng = _Words(np.frombuffer(octets, dtype="<u8").tolist())
+    ties = _Words([((k & (2**45 - 1)) << 19) | 0x5A5A5 for k in ks if k >> 45 == high])
+    out = np.empty(len(ks), dtype=bool)
+    assert dist.draw_below(rng, ties, p, out) is out
+    assert out.tolist() == [k < cut for k in ks] == [k * 2.0**-53 < p for k in ks]
+    assert rng.words == ties.words == []
+
+
+@pytest.mark.parametrize("p", _BELOW_PS)
+def test_draw_below_keeps_flags_with_chance_p(p):
+    # 2^21 flags of a Philox stream: the byte decides every untied flag,
+    # the ties keep with chance (T mod 2^45) / 2^45, and the kept share lies
+    # within five standard errors of p. Drawn in two C-order halves, the
+    # flags and both generators are those of one draw.
+    size, cut = 1 << 21, math.ceil(Fraction(p) * 2**53)
+    high, low = cut >> 45, cut % 2**45
+    rng, ties = mc.stream(41, 0), mc.stream(41, 1)
+    out = np.empty((2, size // 2), dtype=bool)
+    for half in out:
+        dist.draw_below(rng, ties, p, half)
+    whole_rng, whole_ties = mc.stream(41, 0), mc.stream(41, 1)
+    assert np.array_equal(dist.draw_below(whole_rng, whole_ties, p, np.empty(size, dtype=bool)), out.ravel())
+    assert same_state(rng, whole_rng) and same_state(ties, whole_ties)
+    octets = mc.stream(41, 0).bit_generator.random_raw(size // 8).view(np.uint8)
+    flags, tied = out.ravel(), octets == high
+    assert flags[octets < high].all() and not flags[octets > high].any()
+    n_tied = int(tied.sum())
+    assert abs(n_tied - size / 256) <= 5 * np.sqrt(size / 256)
+    assert abs(flags[tied].mean() - low / 2**45) <= 5 * np.sqrt(0.25 / n_tied)
+    assert abs(flags.mean() - p) <= 5 * np.sqrt(p * (1 - p) / size) + 1e-12
+    jumped = mc.jump_ahead(mc.stream(41, 1), n_tied)
+    assert np.array_equal(ties.bit_generator.random_raw(4), jumped.bit_generator.random_raw(4))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from draw_oracles import oracle_draw
+from draw_oracles import dyadic_width, oracle_draw
 from kolbounds import graphweigh as gw
 from kolbounds import mc
 from kolbounds.dist import Distribution, three_point
@@ -148,12 +148,27 @@ def test_json_roundtrip(tmp_path):
 
 
 def _whole_batch_draw(n, p, law, rng, b):
-    """Oracle: the (b, m) retention flags and then the (b, m) weights, each one
-    whole-array draw from rng (draw_oracles.oracle_draw: u < p keeps an edge
-    and weights go by searchsorted, or a dyadic law reads bit fields)."""
+    """Oracle: the (b, m) retention flags and the (b, m) weights of one batch from rng.
+
+    The weights are one whole-array draw (draw_oracles.oracle_draw: by
+    searchsorted, or a dyadic law reads bit fields). At a dyadic p the flags
+    are such a draw of u < p before them. At any other p, with T =
+    ceil(p·2^53) and h = T >> 45, flag i reads byte i of ceil(b·m / 8) words
+    before the weights, low byte first: below h keeps the edge, above h drops
+    it, and the j-th flag whose byte is h reads word j after the weights and
+    keeps the edge iff (word >> 19) < T mod 2^45.
+    """
     m = n * (n - 1) // 2
-    kept = oracle_draw([p, 1.0], np.array([True, False]), rng, (b, m))
-    return kept, oracle_draw(law.cdf_array(), law.values_array(), rng, (b, m))
+    if dyadic_width([p]) is not None:
+        kept = oracle_draw([p, 1.0], np.array([True, False]), rng, (b, m))
+        return kept, oracle_draw(law.cdf_array(), law.values_array(), rng, (b, m))
+    cut = math.ceil(p * 2**53)
+    words = rng.bit_generator.random_raw(-(-b * m // 8)).tolist()
+    octets = [(words[i // 8] >> (8 * (i % 8))) & 0xFF for i in range(b * m)]
+    weights = oracle_draw(law.cdf_array(), law.values_array(), rng, (b, m))
+    tie_words = iter(rng.bit_generator.random_raw(octets.count(cut >> 45)).tolist())
+    kept = [next(tie_words) >> 19 < cut % 2**45 if octet == cut >> 45 else octet < cut >> 45 for octet in octets]
+    return np.array(kept).reshape(b, m), weights
 
 
 def _oracle_batches(n, p, law, rng, size, batch):
@@ -423,19 +438,22 @@ def test_dropped_negative_weights_leave_the_counts_bit_identical():
 
 
 def test_edge_draw_matches_the_whole_batch_draw(monkeypatch):
-    # The blocks' flags and weights, recorded as draw_atoms fills them, equal
-    # one whole-array draw of each per batch, in that order, and the generator
-    # ends where those draws leave it, with packed flags (p = 1/2) or not.
+    # The blocks' flags and weights, recorded as draw_atoms and draw_below
+    # fill them, equal the whole-batch draw of each batch, and the generator
+    # ends where that draw leaves it, with packed flags (p = 1/2) or byte ones.
     n, size = 12, 700  # 46 200 edge draws: more than one sampling block
     blocks = []
-    draw_atoms = gw.draw_atoms
 
-    def recorded(*args):
-        out = draw_atoms(*args)
-        blocks.append(out.copy())
-        return out
+    def recorder(draw):
+        def recorded(*args):
+            out = draw(*args)
+            blocks.append(out.copy())
+            return out
 
-    monkeypatch.setattr(gw, "draw_atoms", recorded)
+        return recorded
+
+    monkeypatch.setattr(gw, "draw_atoms", recorder(gw.draw_atoms))
+    monkeypatch.setattr(gw, "draw_below", recorder(gw.draw_below))
     for law_idx, (law, p) in enumerate(((ZERO_ATOM, 0.5), (ASYM, 0.3), (Distribution.rademacher(), 0.5))):
         for batch in (size, 300, gw._BLOCK + 1):
             blocks.clear()
