@@ -55,11 +55,11 @@ MIN_EMPIRICAL_SAMPLES = 100
 
 # Stream-id layout: generated sweep matrices draw from one block, sample
 # chunks for sweep row i start at i * stride. A row may use at most stride
-# chunks and a qform sweep at most base / stride rows; sweeps beyond either
-# limit are refused, because their stream ids would collide.
+# chunks, and the row-bytes cap keeps it there: space.BYTE_CAP // 8 draws
+# (2^25) take 672 chunks. A qform sweep takes at most base / stride rows;
+# longer sweeps are refused, because their stream ids would collide.
 _MATRIX_STREAM_BASE = 500_000
 _SWEEP_STREAM_STRIDE = 10_000
-_MAX_SWEEP_SAMPLES = _SWEEP_STREAM_STRIDE * mc.DRAW_CHUNK
 _MAX_QFORM_SWEEP_SIZES = _MATRIX_STREAM_BASE // _SWEEP_STREAM_STRIDE
 
 _QFORM_FLAGS = {"chain": True, "exact": True, "r1": False, "r2": False, "spectral": False}
@@ -253,11 +253,6 @@ def _sweep_samples(cfg: dict, args: argparse.Namespace) -> int:
         raise InputError("sweep field 'samples' must be an integer")
     if samples < MIN_EMPIRICAL_SAMPLES:
         raise InputError(f"sweeps need at least {MIN_EMPIRICAL_SAMPLES} samples per point")
-    if samples > _MAX_SWEEP_SAMPLES:
-        raise InputError(
-            f"sweeps take at most {_MAX_SWEEP_SAMPLES} samples per point "
-            f"({_SWEEP_STREAM_STRIDE} streams of {mc.DRAW_CHUNK} draws)"
-        )
     check_bytes(8 * samples, f"a row of {samples} draws")
     return samples
 
@@ -269,18 +264,18 @@ def _sweep_delta(cfg: dict, args: argparse.Namespace) -> float:
     return float(delta)
 
 
-def sign_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix with zero diagonal and entries +-1/sqrt(n).
+def sign_pattern(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Symmetric matrix S with zero diagonal and entries +-1; a qform sweep reads A = S / sqrt(n).
 
-    A + A.T is exactly symmetric, so the sweep passes it on unvalidated.
+    S + S.T is exactly symmetric, so the sweep passes it on unvalidated.
     """
     if n < 2:
         raise InputError("sign matrices need n >= 2")
     check_bytes(8 * n * n, f"a {n} x {n} sign matrix")
-    A = np.zeros((n, n))
+    S = np.zeros((n, n))
     iu = np.triu_indices(n, 1)
-    A[iu] = np.where(rng.random(iu[0].size) < 0.5, -1.0, 1.0)
-    return (A + A.T) / math.sqrt(n)
+    S[iu] = np.where(rng.random(iu[0].size) < 0.5, -1.0, 1.0)
+    return S + S.T
 
 
 def _scaled_draw(sample, scale: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -373,17 +368,26 @@ def _run_qform(args: argparse.Namespace) -> int:
     return _emit_distances(args, config, _QFORM_FLAGS, results, law.n_atoms**q.n, exact, sample, math.sqrt(q.sigma2))
 
 
-def _sweep_matrix(seed: int, idx: int, n: int) -> np.ndarray:
-    return sign_matrix(n, mc.stream(seed, _MATRIX_STREAM_BASE + idx))
+def _sweep_pattern(seed: int, idx: int, n: int) -> np.ndarray:
+    return sign_pattern(n, mc.stream(seed, _MATRIX_STREAM_BASE + idx))
 
 
 def _sweep_q_draw(
     seed: int, idx: int, n: int, law: Distribution, scale: float, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    # Each chunk regenerates its row's matrix from the row's stream, so the
-    # queued rows hold no n x n matrices; that costs O(n^2) per chunk of
-    # O(chunk * n^2) work.
-    return qform.q_samples(_sweep_matrix(seed, idx, n), law, rng, size) / scale
+    """Draws of Q / scale for A = S / sqrt(n): c Q_S / scale, with Q_S the form of the sign pattern S.
+
+    c = fl(1/sqrt(n)). Q_S of an integer law is exact (q_samples runs it in
+    float32), and at every power-of-4 n c is a power of two, so c Q_S is
+    then the float64 form of A bit for bit, under any law. Each chunk
+    regenerates its row's pattern from the row's stream, so the queued rows
+    hold no n x n matrices; that costs O(n^2) per chunk of O(chunk * n^2)
+    work.
+    """
+    draws = qform.q_samples(_sweep_pattern(seed, idx, n), law, rng, size)
+    draws *= 1.0 / math.sqrt(n)
+    draws /= scale
+    return draws
 
 
 def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
@@ -401,7 +405,7 @@ def _run_qform_sweep(args: argparse.Namespace, law: Distribution) -> int:
     # bad or degenerate size refuses the sweep before any row runs.
     rows, draws = [], []
     for idx, n in enumerate(sizes):
-        q = qform.analyze(_sweep_matrix(args.seed, idx, n), m)
+        q = qform.analyze(_sweep_pattern(args.seed, idx, n) / math.sqrt(n), m)
         rows.append({"n": n, "rate_r1": qform.bound_r1(q), "rate_r2": qform.bound_r2(q)})
         draws.append(functools.partial(_sweep_q_draw, args.seed, idx, n, law, math.sqrt(q.sigma2)))
     return _run_sweep(args, config, _QFORM_FLAGS, ["n", "rate_r1", "rate_r2"], rows, draws)

@@ -190,15 +190,21 @@ class Distribution:
         return out if size is not None else float(out[0])
 
 
-def draw_scratch(size: int) -> tuple[np.ndarray, ...]:
-    """The uniform, comparison, code and index buffers of draw_atoms for draws of at most size values.
+def draw_scratch(cdf: np.ndarray, values: np.ndarray, size: int) -> tuple[np.ndarray, ...]:
+    """The buffers draw_atoms reads for draws of at most size values of the law (cdf, values).
 
+    The last is always the intp index that np.take reads without a copy of
+    its own, and a dyadic law gets it alone: its bytes go straight into it.
+    Any other law gets the uniform, comparison and code buffers before it.
     The comparison passes count codes in uint8, which is three times faster
     than counting them in intp at 40 atoms and more; the codes then go once
-    into the intp index that np.take reads without a copy of its own.
+    into the index.
     """
     rows = min(_DRAW_BLOCK, size)
-    return np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint8), np.empty(rows, dtype=np.intp)
+    index = np.empty(rows, dtype=np.intp)
+    if _packing(cdf, np.asarray(values))[1] is not None:
+        return (index,)
+    return np.empty(rows), np.empty(rows, dtype=bool), np.empty(rows, dtype=np.uint8), index
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,18 +269,20 @@ def draw_atoms(
       step; above it, by a searchsorted on the block.
     The atoms go through np.take straight into out, so nothing of size out
     is allocated. out must be C-contiguous with the dtype of values. A
-    caller that draws repeatedly passes scratch, draw_scratch(k) for some
-    k >= out.size, and reuses it; without it the buffers are allocated here.
+    caller that draws repeatedly passes scratch, draw_scratch(cdf, values, k)
+    for some k >= out.size, and reuses it; without it the buffers are
+    allocated here. A dyadic law reads only the index, scratch[-1].
     """
     values = np.asarray(values)
     steps, packed = _packing(cdf, values)
     flat = out.reshape(-1)
-    u, at_or_above, codes, index = draw_scratch(flat.size) if scratch is None else scratch
+    scratch = draw_scratch(cdf, values, flat.size) if scratch is None else scratch
     for lo in range(0, flat.size, _DRAW_BLOCK):
         block = flat[lo : lo + _DRAW_BLOCK]
         if packed is not None:
-            _packed_block(rng, *packed, block, index)
+            _packed_block(rng, *packed, block, scratch[-1])
             continue
+        u, at_or_above, codes, index = scratch
         ub = rng.random(out=u[: block.size])
         if len(values) <= _COMPARE_MAX_ATOMS:
             counted = codes[: ub.size]
@@ -318,10 +326,11 @@ def draw_rows(
     rng: np.random.Generator, cdf: np.ndarray, values: np.ndarray, n: int, size: int, block: int, evaluate: Callable
 ) -> np.ndarray:
     """evaluate's value for each of size rows of n iid atoms, drawn block rows at a time by draw_atoms,
-    with one set of its scratch buffers, into one reused (block, n) buffer of the dtype of values. With
-    block * n a multiple of 64 the draws are those of one whole draw of size * n values, dyadic laws included."""
+    with one set of its scratch buffers (draw_scratch: the index alone for a dyadic law), into one reused
+    (block, n) buffer of the dtype of values. With block * n a multiple of 64 the draws are those of one
+    whole draw of size * n values, dyadic laws included."""
     drawn = np.empty((min(block, size), n), dtype=values.dtype)
-    scratch = draw_scratch(drawn.size)
+    scratch = draw_scratch(cdf, values, drawn.size)
     out = np.empty(size)
     for lo in range(0, size, block):
         rows = min(block, size - lo)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mc
+from . import mc, tol
 from .dist import Distribution, draw_atoms, draw_below, draw_scratch, draw_words
 from .errors import DegenerateError, DomainError, InputError
 from .space import check_bytes
@@ -66,10 +66,6 @@ _GENERIC_COPY_CAP = 200_000
 # counter's per-copy values) exist one block at a time, and the blocking never
 # depends on the worker count, so the counts are reproducible.
 _BLOCK = 64
-
-# Integers up to 2^24 are exact in float32 (a 24-bit significand).
-_FLOAT32_EXACT = 2**24
-
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -302,28 +298,16 @@ def _edge_positions(n: int, edges: np.ndarray) -> np.ndarray:
     return u * (2 * n - u - 1) // 2 + (v - u - 1)
 
 
-def _exact_in_float32(values: np.ndarray, n: int, idx: np.ndarray | None) -> bool:
-    """Whether every atom is an integer and the exactness bound (module docstring) is below 2^24.
-
-    idx is None for the closed forms, whose bound is n³·V⁴ (the four-cycle's
-    row sums of (Y²)∘(Y²)), and the generic counter's copy positions, one
-    row per template edge, otherwise, whose bound is copies·V^edges.
-    """
-    top = float(np.max(np.abs(values)))
-    if not (np.array_equal(values, np.floor(values)) and top < _FLOAT32_EXACT):
-        return False
-    count, power = (n**3, 4) if idx is None else (idx.shape[1], idx.shape[0])
-    return count * int(top) ** power < _FLOAT32_EXACT
-
-
 class _EdgeDraw:
     """Reused one-block buffers that draw and count batches of edge draws.
 
     The weights, masked, dense, product and generic-gather buffers are
-    float32 when _exact_in_float32 proves every partial sum of a count an
-    exact integer there, and float64 otherwise (module docstring); the weights
-    are drawn straight into that dtype, from the same codes and generator
-    words, and the buffers take half the bytes in float32.
+    float32 when tol.exact_in_float32 proves every partial sum of a count an
+    exact integer there, and float64 otherwise (module docstring): the
+    closed forms' bound is n³·V⁴ (the four-cycle's row sums of (Y²)∘(Y²)),
+    the generic counter's copies·V^edges. The weights are drawn straight
+    into that dtype, from the same codes and generator words, and the
+    buffers take half the bytes in float32.
 
     A batch of b draws takes from rng the F words of its b·m retention flags,
     then the W = dist.draw_words words of its b·m weights, then one word per
@@ -336,9 +320,11 @@ class _EdgeDraw:
     words ahead, and their tie words from a twin F + W words ahead. rng ends
     where the tie twin does, so the draws are those of the whole-batch layout
     bit for bit; a block of _BLOCK draws takes whole words of flags at any p.
-    The weights go through draw_atoms, with one set of its scratch buffers,
-    into the buffers allocated here, the masked weights are gathered into
-    the dense matrices by np.take(..., out=), and their products reuse one
+    The weights go through draw_atoms, with one set of its scratch buffers
+    (dist.draw_scratch: the intp index alone for a dyadic law, and packed
+    flags read only that index), into the buffers allocated here, the
+    masked weights are gathered into the dense matrices by
+    np.take(..., out=), and their products reuse one
     more buffer, so the closed-form counters allocate no block-sized
     temporary of their own and nothing holds a batch or its uniforms. Byte
     flags hold one block of their words and tie marks beside them. Edges are
@@ -357,7 +343,8 @@ class _EdgeDraw:
         iu, ju = np.triu_indices(n, k=1)
         m = iu.size
         values = law.values_array()
-        dtype = np.float32 if _exact_in_float32(values, n, idx) else np.float64
+        count, power = (n**3, 4) if idx is None else (idx.shape[1], idx.shape[0])
+        dtype = np.float32 if tol.exact_in_float32(count, (values, power)) else np.float64
         # u < p is the two-atom law (True, False) with its step at p; a
         # dyadic law takes fewer than 64 words for 64 values.
         self._p, self._flags = p, (np.array([p, 1.0]), np.array([True, False]))
@@ -365,7 +352,7 @@ class _EdgeDraw:
         self._law = (law.cdf_array(), values.astype(dtype))
         self.kept = np.empty((rows, m), dtype=bool)
         self.weights = np.empty((rows, m), dtype)
-        self._scratch = draw_scratch(rows * m)
+        self._scratch = draw_scratch(*self._law, rows * m)
         if kind == "generic":
             # Masked weights edge-major, and the copies' products and gathers.
             self._edges = np.empty(m * rows, dtype)

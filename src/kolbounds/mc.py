@@ -36,7 +36,9 @@ DRAW_CHUNK = 50_000  # draws per stream in chunked_draws
 # Version of the draw layout. Scheme 1 spent one uniform on every value;
 # scheme 2 reads dyadic laws from b-bit fields of raw words (dist.draw_atoms);
 # scheme 3 reads graph retention flags at a non-dyadic p from one byte each,
-# with a tie word for one flag in 256 (dist.draw_below).
+# with a tie word for one flag in 256 (dist.draw_below). A qform sweep that
+# evaluates Q exactly on the integer sign pattern reads the same words in
+# the same layout, so it is still scheme 3; only the rounding of Q changed.
 STREAM_SCHEME = 3
 
 # Cody's rational approximations P/Q (highest power first, Q monic) to erf(x)/x
@@ -292,17 +294,30 @@ def empirical_kdist(
     seed: tuple[int, int] | None = None,
 ) -> KDistReport:
     """One-sample Kolmogorov statistic against the standard normal, plus the
-    two-sided DKW radius sqrt(log(2/delta) / (2 N)) at confidence 1 - delta."""
+    two-sided DKW radius sqrt(log(2/delta) / (2 N)) at confidence 1 - delta.
+
+    On the sorted draws x_0 <= ... <= x_(N-1) the statistic is the largest
+    (i + 1) / N - Phi(x_i) or Phi(x_i) - i / N. Within a run of equal draws
+    Phi is one value, and a rounded difference is monotone in each operand,
+    so the run's largest terms are the first at its last index and the
+    second at its first. normal_cdf is therefore read once per distinct
+    draw, and the value is the per-draw scan's bit for bit.
+    """
     x = np.sort(np.asarray(samples, dtype=float).reshape(-1))
     n = x.size
     if n == 0:
         raise InputError("empirical distance needs at least one sample")
     if not 0.0 < delta < 1.0:
         raise InputError("delta must lie in (0, 1)")
-    phi = normal_cdf(x)
-    hi = np.arange(1, n + 1) / n - phi
-    lo = phi - np.arange(0, n) / n
-    d = float(np.max(np.maximum(hi, lo)))
+    starts = np.empty(n, dtype=bool)
+    starts[0] = True
+    np.not_equal(x[1:], x[:-1], out=starts[1:])
+    first = np.flatnonzero(starts)
+    phi = normal_cdf(x[first])
+    ends = np.append(first[1:], n)
+    hi = ends / n - phi
+    lo = phi - first / n
+    d = float(np.maximum(hi.max(), lo.max()))
     radius = math.sqrt(math.log(2.0 / delta) / (2.0 * n))
     return KDistReport(
         value=d, method="empirical", n_samples=n, dkw_radius=radius, delta=delta, seed=seed

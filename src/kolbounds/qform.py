@@ -11,8 +11,12 @@ matrix products, so the whole analysis costs O(n^3). The spectral radius |lambda
 (numpy.linalg.eigvalsh). Monte Carlo draws of Q and the exact outcome grid
 both go through multilinear_form, the blocked evaluator of W[x, ..., x]
 that weighted U-statistics share; the grid is walked a block of outcomes at
-a time, never as one |Omega| x n array. Brute-force twins of each sub-sum
-and of both evaluations live in the test suite.
+a time, never as one |Omega| x n array. Draws of an integer matrix under a
+law of integer atoms run in float32 (sgemm) whenever every partial sum is an
+integer below 2^24, which float32 holds exactly, so they equal the float64
+draws bit for bit; the CLI's sign-matrix sweeps draw from the integer +-1
+pattern that way and scale each draw afterwards. Brute-force twins of each
+sub-sum and of both evaluations live in the test suite.
 """
 
 from __future__ import annotations
@@ -359,6 +363,9 @@ def multilinear_form(W: np.ndarray, X: np.ndarray, coef: np.ndarray | None = Non
     Y *= X; Y.sum(axis=1), the whole evaluation when d = 2. With X of shape
     (rows, p, n) and coef of shape (p,) * d, each row holds p vectors and the
     result is sum_a coef[a] W[x_a1, ..., x_ad], every slot a batched product.
+    The blocks run in the dtype of W and X, so float32 inputs run sgemm (as
+    q_samples gives it when its sums are exact integers there); the result
+    is float64 in every case.
     """
     n, d = X.shape[-1], W.ndim
     if coef is None and d == 1:
@@ -403,11 +410,20 @@ def q_functional(A: np.ndarray, law: Distribution) -> RandomFunctional:
 
 
 def q_samples(A: np.ndarray, law: Distribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Monte Carlo draws of Q (unnormalized): dist.draw_rows' blocks of Q_BLOCK draws (8·Q_BLOCK·n bytes,
-    a multiple of 64 values, so one whole law.sample(rng, size * n) bit for bit), each evaluated by
-    multilinear_form in one BLAS matrix product. A must be symmetric, as for q_functional."""
+    """Monte Carlo draws of Q (unnormalized), in dist.draw_rows' blocks of Q_BLOCK draws, each evaluated by
+    multilinear_form in one BLAS matrix product. A block holds a multiple of 64 values, so the draws are
+    those of one whole law.sample(rng, size * n) bit for bit. A must be symmetric, as for q_functional.
+
+    When every entry of A and every atom is an integer and n^2 max|a_ij| V^2 < 2^24 (V = max|atom|;
+    tol.exact_in_float32), the atoms are drawn into a float32 block (4·Q_BLOCK·n bytes) and Q runs in
+    sgemm: every partial sum is then an exact integer, so the draws equal the float64 path's (8·Q_BLOCK·n
+    bytes) bit for bit, whatever the BLAS summation order. Any other input runs in float64."""
+    n = A.shape[0]
     shift = law.moments().mu[2] * float(np.trace(A))
+    values = law.values_array()
+    if tol.exact_in_float32(n * n, (A, 1), (values, 2)):
+        A, values = A.astype(np.float32), values.astype(np.float32)
     evaluate = functools.partial(multilinear_form, A)
-    out = draw_rows(rng, law.cdf_array(), law.values_array(), A.shape[0], size, Q_BLOCK, evaluate)
+    out = draw_rows(rng, law.cdf_array(), values, n, size, Q_BLOCK, evaluate)
     out -= shift
     return out

@@ -24,10 +24,34 @@ SLACK = 1e-10  # how far an inequality may miss before it counts as violated
 # the largest sums by law moments and coefficients below 2^16.
 HEADROOM = 20
 
+# Integers below 2^24 are exact in float32 (a 24-bit significand).
+_FLOAT32_EXACT = 2**24
+
 
 def scale(a) -> float:
     """max(1, max |a|); 1 for an empty array."""
     return max(1.0, float(np.abs(np.asarray(a, dtype=float)).max(initial=0.0)))
+
+
+def exact_in_float32(count: int, *factors: tuple[np.ndarray, int]) -> bool:
+    """Whether sums of at most count terms, each a product of entries of the arrays, are exact in float32.
+
+    Each (array, power) pair says that a term takes at most power entries of
+    that array. The answer is True when every entry of every array is an
+    integer and count * prod(max|entry| ** power) is below 2^24. Every
+    product and partial sum is then an integer of at most that size, which
+    float32 holds exactly in any summation order, so a float32 evaluation
+    (sgemm included) gives the float64 one's values bit for bit. It reads
+    only the arrays, so callers ask before they allocate; NaN or infinite
+    entries give False.
+    """
+    bound = count
+    for x, power in factors:
+        top = float(np.max(np.abs(x), initial=0.0))
+        if not (top < _FLOAT32_EXACT and np.array_equal(x, np.floor(x))):
+            return False
+        bound *= int(top) ** power
+    return bound < _FLOAT32_EXACT
 
 
 def check_centred(mean: float, values, message: str) -> None:

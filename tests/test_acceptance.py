@@ -218,7 +218,7 @@ def test_criterion_07_convergence_scaling():
     sizes = (16, 32, 64, 128)
     dks, dkws, ratios = [], [], []
     for idx, n in enumerate(sizes):
-        A = cli.sign_matrix(n, mc.stream(2026, 500_000 + idx))
+        A = cli.sign_pattern(n, mc.stream(2026, 500_000 + idx)) / math.sqrt(n)
         q = qform.analyze(A, m)
         sig = math.sqrt(q.sigma2)
         (draws,) = mc.pooled_draws(

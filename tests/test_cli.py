@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kolbounds import cli, graphweigh, mc, qform, verify
+from kolbounds import cli, graphweigh, mc, qform, space, verify
 
 
 @pytest.fixture()
@@ -652,7 +652,8 @@ def _sweep_outputs(argv, out, monkeypatch, capsys):
 
 
 def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
-    # Each row must also equal a lone pooled row over that row's streams.
+    # Each row must also equal a lone pooled row over that row's streams: the
+    # sign pattern S's draws times c = fl(1/sqrt(n)), over sigma of S / sqrt(n).
     out = str(tmp_path / "s.json")
     seed = 4
     (tmp_path / "q.json").write_text(json.dumps({"sizes": [6, 12, 9], "samples": 60_000}))
@@ -662,10 +663,12 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
     rows = results["rows"]
     law = cli.three_point()
     for idx, row in enumerate(rows):
-        A = cli.sign_matrix(row["n"], mc.stream(seed, cli._MATRIX_STREAM_BASE + idx))
-        sig = qform.analyze(A, law.moments()).sigma2 ** 0.5
+        n = row["n"]
+        S = cli.sign_pattern(n, mc.stream(seed, cli._MATRIX_STREAM_BASE + idx))
+        sig = qform.analyze(S / math.sqrt(n), law.moments()).sigma2 ** 0.5
         first = cli._SWEEP_STREAM_STRIDE * idx
-        (draws,) = mc.pooled_draws([(lambda rng, b: qform.q_samples(A, law, rng, b) / sig, 60_000, first)], seed)
+        row_draws = (lambda rng, b: qform.q_samples(S, law, rng, b) * (1.0 / math.sqrt(n)) / sig, 60_000, first)
+        (draws,) = mc.pooled_draws([row_draws], seed)
         assert row["dk_emp"] == mc.empirical_kdist(draws).value
 
     k4 = {"vertices": 4, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
@@ -687,6 +690,35 @@ def test_pooled_sweeps_do_not_depend_on_workers(files, capsys, tmp_path, monkeyp
             assert row["dk_emp"] == mc.empirical_kdist(draws).value
 
 
+def test_sign_sweep_rows_at_powers_of_four_are_the_scaled_matrix_draws(capsys, tmp_path):
+    # At n = 16 and 64, c = fl(1/sqrt(n)) is a power of two, so a row's draws
+    # from the sign pattern (float32 for these integer laws) are
+    # q_samples(A) / sigma of A = S / sqrt(n) bit for bit; at n = 32 they
+    # agree to round-off. A Rademacher sweep's n = 16 row reads them.
+    (tmp_path / "q.json").write_text(json.dumps({"sizes": [16], "samples": 3_000}))
+    out = str(tmp_path / "q.out.json")
+    code, _, _ = _run(["qform", "--sweep", str(tmp_path / "q.json"), "--law", "rademacher", "--out", out], capsys)
+    assert code == 0
+    (row,) = json.loads(Path(out).read_text())["results"]["rows"]
+    law = cli.Distribution.rademacher()
+    A = cli.sign_pattern(16, mc.stream(0, cli._MATRIX_STREAM_BASE)) / 4.0
+    sig = qform.analyze(A, law.moments()).sigma2 ** 0.5
+    (draws,) = mc.pooled_draws([(lambda rng, b: qform.q_samples(A, law, rng, b) / sig, 3_000, 0)], 0)
+    assert row["dk_emp"] == mc.empirical_kdist(draws).value
+    for law in (cli.Distribution.rademacher(), cli.three_point()):
+        for idx, n in enumerate((16, 64, 32)):
+            S = cli.sign_pattern(n, mc.stream(5, cli._MATRIX_STREAM_BASE + idx))
+            A = S / math.sqrt(n)
+            sig = qform.analyze(A, law.moments()).sigma2 ** 0.5
+            got = cli._sweep_q_draw(5, idx, n, law, sig, mc.stream(5, idx), 5_000)
+            assert np.array_equal(got, qform.q_samples(S, law, mc.stream(5, idx), 5_000) * (1.0 / math.sqrt(n)) / sig)
+            want = qform.q_samples(A, law, mc.stream(5, idx), 5_000) / sig
+            if n == 32:
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            else:
+                assert np.array_equal(got, want), (law.values, n)
+
+
 def test_graph_sweeps_with_byte_flags_do_not_depend_on_workers(files, capsys, tmp_path, monkeypatch):
     # At p = 0.3 each retention flag reads one byte and a tied one a word
     # after the weights; 60 000 draws are two chunks, so two and three
@@ -701,8 +733,11 @@ def test_graph_sweeps_with_byte_flags_do_not_depend_on_workers(files, capsys, tm
 def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):
     # Row 50 of a qform sweep would start at the matrix stream block, and a
     # point drawing from more than the stride's streams would run into the
-    # next row; both are refused before any row runs.
-    too_many = cli._MAX_SWEEP_SAMPLES + 1
+    # next row; both are refused before any row runs. The row-bytes cap
+    # refuses every row long enough to reach the next row's streams, so a
+    # larger cap needs a new stream layout first.
+    assert space.BYTE_CAP // 8 <= cli._SWEEP_STREAM_STRIDE * mc.DRAW_CHUNK
+    too_many = cli._SWEEP_STREAM_STRIDE * mc.DRAW_CHUNK + 1
     configs = {
         "q51.json": {"sizes": [3] * 51, "samples": 100},
         "q_big.json": {"sizes": [3], "samples": too_many},
@@ -713,10 +748,10 @@ def test_sweeps_that_would_reuse_streams_exit_two(files, capsys, tmp_path):
     out = str(tmp_path / "x.json")
     cases = [
         (["qform", "--sweep", str(tmp_path / "q51.json")], "at most 50 sizes"),
-        (["qform", "--sweep", str(tmp_path / "q_big.json")], "at most 500000000 samples"),
+        (["qform", "--sweep", str(tmp_path / "q_big.json")], f"a row of {too_many} draws would take"),
         (
             ["graph", "--graph", files["tri.json"], "--sweep", str(tmp_path / "g_big.json")],
-            "at most 500000000 samples",
+            f"a row of {too_many} draws would take",
         ),
     ]
     for argv, message in cases:

@@ -321,11 +321,12 @@ def test_draws_through_one_reused_scratch_match_fresh_buffers(law):
     # One draw_scratch set serves draws of every size up to its own, block
     # tails included, on the float and the packed path: the values and the
     # generator's end state are those of law.sample, which allocates its
-    # buffers per call.
+    # buffers per call. A dyadic law's set is its intp index alone.
     block = dist._DRAW_BLOCK
-    scratch = dist.draw_scratch(3 * block)
-    assert scratch[0].size == block
-    assert scratch[3].dtype == np.intp  # np.take reads it without an index copy
+    scratch = dist.draw_scratch(law.cdf_array(), law.values_array(), 3 * block)
+    packed = dist.draw_words(law.cdf_array(), law.values_array(), 64) < 64
+    assert [x.size for x in scratch] == [block] * (1 if packed else 4)
+    assert scratch[-1].dtype == np.intp  # np.take reads it without an index copy
     ours, ref = mc.stream(36, law.n_atoms), mc.stream(36, law.n_atoms)
     for size in (1, 7, block + 1, 2 * block + 17, 5):
         got = dist.draw_atoms(ours, law.cdf_array(), law.values_array(), np.empty(size), scratch)

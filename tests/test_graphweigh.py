@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from draw_oracles import dyadic_width, oracle_draw
 from kolbounds import graphweigh as gw
-from kolbounds import mc
+from kolbounds import dist, mc
 from kolbounds.dist import Distribution, three_point
 from kolbounds.errors import DegenerateError, DomainError, InputError
 
@@ -471,8 +471,8 @@ def test_simulate_weight_allocates_the_draw_scratch_once(monkeypatch):
     made, seen = [], []
     draw_atoms, draw_scratch = gw.draw_atoms, gw.draw_scratch
 
-    def scratch(size):
-        made.append(draw_scratch(size))
+    def scratch(*args):
+        made.append(draw_scratch(*args))
         return made[-1]
 
     def recorded(*args):
@@ -487,6 +487,26 @@ def test_simulate_weight_allocates_the_draw_scratch_once(monkeypatch):
         gw.simulate_weight(G, 9, 0.4, ASYM, mc.stream(95, 0), size=3 * gw._BLOCK + 5, batch=gw._BLOCK + 1)
         assert len(made) == 1 and len(seen) > 4
         assert all(s is made[0] for s in seen)
+
+
+def test_edge_draw_makes_only_the_index_for_a_dyadic_law():
+    # A dyadic weight law reads only draw_atoms' intp index, so the uniform,
+    # comparison and code buffers (10 bytes per value of a 32 768-value
+    # block, about 330 KB at n = 80) are never made. The law of thirds takes
+    # the same float32 buffers but one uniform per weight.
+    thirds = Distribution((-1.0, 0.0, 1.0), (1 / 3, 1 / 3, 1 / 3))
+    peaks = {}
+    for name, law in (("dyadic", three_point()), ("thirds", thirds)):
+        tracemalloc.start()
+        try:
+            draw = gw._EdgeDraw(80, 0.5, law, "triangle", gw._BLOCK)
+            _, peaks[name] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert draw.weights.dtype == np.float32
+        assert len(draw._scratch) == (1 if name == "dyadic" else 4)
+        del draw
+    assert peaks["thirds"] - peaks["dyadic"] >= 10 * dist._DRAW_BLOCK - 4096
 
 
 @pytest.mark.parametrize("G", [gw.GraphSpec.triangle(), gw.GraphSpec.four_cycle()], ids=lambda G: G.kind)

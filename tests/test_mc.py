@@ -174,6 +174,28 @@ def test_empirical_kdist_matches_scipy_kstest(law):
         assert mc.empirical_kdist(x).value == pytest.approx(kstest(x, "norm").statistic, abs=1e-12)
 
 
+def _per_sample_kdist(samples):
+    # The per-draw scan empirical_kdist ran before it read Phi once per
+    # distinct value: both one-sided gaps at every sorted draw.
+    x = np.sort(np.asarray(samples, dtype=float))
+    n = x.size
+    phi = mc.normal_cdf(x)
+    return float(np.max(np.maximum(np.arange(1, n + 1) / n - phi, phi - np.arange(0, n) / n)))
+
+
+def test_empirical_kdist_matches_the_per_sample_scan():
+    # No ties, heavy ties (a lattice and Rademacher sums), all draws equal,
+    # and one draw: the statistic is the per-draw scan's bit for bit.
+    rng = np.random.default_rng(96)
+    cases = [rng.standard_normal(5_001), np.round(rng.standard_normal(20_000) * 4.0) / 4.0]
+    cases += [rng.choice([-1.0, 1.0], size=(30_000, 9)).sum(axis=1) / 3.0, np.full(777, 0.3), np.array([-0.2])]
+    cases += [np.concatenate([np.full(50, x) for x in (-1.0, 0.0, 2.5)]), rng.integers(-3, 4, 101) / 7.0]
+    for x in cases:
+        assert mc.empirical_kdist(x).value == _per_sample_kdist(x)
+        assert mc.empirical_kdist(x[::-1]).value == _per_sample_kdist(x)
+    assert mc.empirical_kdist(np.array([0.0])).value == 0.5
+
+
 def test_empirical_kdist_known_small_sample():
     # Two points at 0: F_n jumps to 1 there while Phi(0) = 1/2.
     rep = mc.empirical_kdist(np.array([0.0, 0.0]), delta=0.5)

@@ -1,18 +1,22 @@
 """Quadratic forms: sub-sum twins, the moment identity, rates, eigenvalues."""
 
+import functools
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kolbounds import cli, mc, qform
-from kolbounds.dist import Distribution, three_point
+from kolbounds.dist import Distribution, draw_rows, three_point
 from kolbounds.errors import DegenerateError, InputError
 from kolbounds.space import OutcomeSpace
 
 ASYM = Distribution.finite([(-1.0, 0.5), (0.0, 0.25), (2.0, 0.25)])
+_MULTILINEAR_FORM = qform.multilinear_form
 
 
 def _random_sym(rng, n, zero_diag=False):
@@ -427,6 +431,111 @@ def test_q_samples_hold_one_block_of_draws():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * 8 * qform.Q_BLOCK * n + 8 * size
+
+
+def _float64_q_samples(A, law, rng, size):
+    # q_samples' float64 path, whatever the inputs: the same draws and blocks,
+    # through the evaluator as imported, which _q_samples_dtypes leaves alone.
+    shift = law.moments().mu[2] * float(np.trace(A))
+    evaluate = functools.partial(_MULTILINEAR_FORM, A)
+    out = draw_rows(rng, law.cdf_array(), law.values_array(), A.shape[0], size, qform.Q_BLOCK, evaluate)
+    out -= shift
+    return out
+
+
+def _q_samples_dtypes(monkeypatch):
+    # The dtypes q_samples hands multilinear_form, one entry per block.
+    seen = []
+    evaluate = qform.multilinear_form
+
+    def recorded(W, X, coef=None):
+        seen.append((W.dtype, X.dtype))
+        return evaluate(W, X, coef)
+
+    monkeypatch.setattr(qform, "multilinear_form", recorded)
+    return seen
+
+
+def _integer_sym(rng, n, top):
+    A = rng.integers(-top, top + 1, size=(n, n)).astype(float)
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def test_q_samples_in_float32_equal_the_float64_twin(monkeypatch):
+    # Integer matrices, diagonals included, under three integer laws: the
+    # blocks run in float32 and every draw is the float64 path's bit for bit,
+    # generator end state included.
+    seen = _q_samples_dtypes(monkeypatch)
+    block = qform.Q_BLOCK
+    for law in (Distribution.rademacher(), three_point(), ASYM.centered()):
+        for n, size, top in [(1, block + 3, 7), (7, 2 * block + 17, 5), (40, block + 999, 3), (128, 300, 1)]:
+            A = _integer_sym(np.random.default_rng(n), n, top)
+            rng, ref = mc.stream(73, n), mc.stream(73, n)
+            seen.clear()
+            got = qform.q_samples(A, law, rng, size)
+            assert seen and all(dtypes == (np.float32, np.float32) for dtypes in seen)
+            assert np.array_equal(got, _float64_q_samples(A, law, ref, size)), (law.values, n)
+            assert np.array_equal(rng.random(4), ref.random(4))
+
+
+def test_q_samples_leave_float32_at_the_exactness_bound(monkeypatch):
+    # n^2 max|a_ij| V^2 < 2^24 at n = 8 under Rademacher: 64 (2^18 - 1) is
+    # below it and 64 * 2^18 = 2^24 is not; under {-1, 0, 2} the cut is
+    # max|a_ij| < 2^16. A non-integer matrix or law runs in float64 whatever
+    # its size.
+    seen = _q_samples_dtypes(monkeypatch)
+    n = 8
+    pattern = _integer_sym(np.random.default_rng(74), n, 1)
+    pattern[0, 0] = 1.0
+    half_law = Distribution.finite([(-0.5, 0.5), (0.5, 0.5)])
+    cases = [
+        (pattern * (2**18 - 1), Distribution.rademacher(), np.float32),
+        (pattern * 2**18, Distribution.rademacher(), np.float64),
+        (pattern * 0.5, Distribution.rademacher(), np.float64),
+        (pattern, half_law, np.float64),
+        (pattern * (2**16 - 1), ASYM.centered(), np.float32),  # V = 2: 64 (2^16 - 1) 4 < 2^24
+        (pattern * 2**16, ASYM.centered(), np.float64),
+    ]
+    for A, law, dtype in cases:
+        rng, ref = mc.stream(74, 0), mc.stream(74, 0)
+        seen.clear()
+        got = qform.q_samples(A, law, rng, 5_000)
+        assert {d for pair in seen for d in pair} == {np.dtype(dtype)}, (float(np.max(A)), law.values)
+        assert np.array_equal(got, _float64_q_samples(A, law, ref, 5_000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    top=st.integers(0, 4),
+    atoms=st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+    weights=st.lists(st.integers(1, 7), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q_samples_of_integer_inputs_match_the_float64_path(n, top, atoms, weights, seed):
+    # Any small integer matrix under any integer law, dyadic or not, centred
+    # or not: float32 blocks and the float64 path give the same draws.
+    A = _integer_sym(np.random.default_rng(seed), n, top)
+    total = sum(weights[: len(atoms)])
+    law = Distribution.finite([(a, w / total) for a, w in zip(atoms, weights)])
+    size = 2 * qform.Q_BLOCK + 5
+    got = qform.q_samples(A, law, mc.stream(seed, 1), size)
+    assert np.array_equal(got, _float64_q_samples(A, law, mc.stream(seed, 1), size))
+
+
+def test_q_samples_of_integer_inputs_hold_one_float32_block():
+    # A float32 block of draws and its product (4·Q_BLOCK·n bytes each) and
+    # a dyadic law's intp index, beside the output: about half the float64
+    # path's bound in test_q_samples_hold_one_block_of_draws.
+    n, size = 128, 50_000
+    A = _integer_sym(np.random.default_rng(75), n, 1)
+    tracemalloc.start()
+    try:
+        qform.q_samples(A, three_point(), mc.stream(75, 0), size)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 4 * qform.Q_BLOCK * n + 8 * size
 
 
 def _meshgrid_q_functional(A, law):
