@@ -21,8 +21,12 @@ A report that draws records the layout of its draws as stream_scheme.
 The report text is byte for byte json.dumps(report, sort_keys=True,
 indent=2, allow_nan=False) + "\n", and config_sha256 hashes the UTF-8 of
 json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False).
-_json_texts writes both texts in one walk of config, with one repr per
-float; a non-finite value exits 2 and writes no --out file.
+_json_texts writes both texts in one walk of config. A list whose items
+share one shape (a matrix's rows, weight entries, sweep rows) is written a
+slice at a time by filling a template built once per shape, and each leaf
+column formats one repr per distinct value, so an echoed symmetric matrix
+formats each off-diagonal entry once. A non-finite value exits 2 and writes
+no --out file.
 
 Exit codes: 0 success, 2 bad input, 3 degenerate variance, 4 an identity
 check failed.
@@ -115,73 +119,186 @@ def _validate_common(args: argparse.Namespace) -> None:
         raise InputError("--constant must be positive when given")
 
 
-# JSON text of each Python type json.dumps accepts: scalars through one C
-# function per value (the string one is json's own), containers by column.
+# JSON text of each Python type json.dumps accepts, through one C function
+# per value (the string one is json's own).
 _quote = json.encoder.encode_basestring_ascii
 _LITERAL = {None: "null", False: "false", True: "true"}.__getitem__
 _REPR = {bool: _LITERAL, type(None): _LITERAL, str: _quote, int: int.__repr__, float: float.__repr__}
 _KINDS = frozenset(_REPR) | {list, tuple, dict}
-# Items per column slice: a long list is written a slice at a time, so the
-# texts of its items' columns (small strings, held until the items are
-# joined) never all live at once. With whole columns the desk-reports ustat
-# n = 40, d = 3 report raised the process high-water mark by about 1 MiB.
+# Items per slice: a long list is written a slice at a time, so the texts of
+# its leaves (small strings, held until the slice is filled) never all live
+# at once. With whole lists the desk-reports ustat n = 40, d = 3 report
+# raised the process high-water mark by about 1 MiB.
 _SLICE = 1024
+# Leaf columns at least this long format one repr per distinct value;
+# shorter ones format each value, which costs less than sorting them.
+_DISTINCT = 32
 
 
-def _json_texts(objs: list, pad: str) -> tuple[list[str], list[str]]:
-    """The (indented, compact) JSON text of every item of objs.
+def _kind(t: type) -> type | None:
+    """The type json.dumps writes a value of type t as (a subclass as its base), or None."""
+    return t if t in _KINDS else next((k for k in t.__mro__ if k in _KINDS), None)
 
-    Texts match json.dumps(item, sort_keys=True, allow_nan=False) with
-    indent=2 for an item whose line is indented by pad, and with
-    separators=(",", ":"). Items are written a column at a time: every
-    item of one type goes through one map over its C formatter, so one repr
-    per value feeds both texts; a list of lists formats its flattened items
-    once, and a list of dicts with one key set formats one column per key.
-    Each item is joined into its two strings once its columns are done, and
-    a long list is written _SLICE items at a time.
+
+def _check_finite(column: list) -> None:
+    if not all(map(math.isfinite, column)):
+        bad = next(x for x in column if not math.isfinite(x))
+        raise ValueError(f"Out of range float values are not JSON compliant: {float.__repr__(bad)}")
+
+
+def _json_texts(obj, pad: str) -> tuple[str, str]:
+    """The (indented, compact) JSON texts of obj, whose line is indented by pad.
+
+    Texts match json.dumps(obj, sort_keys=True, allow_nan=False) with
+    indent=2 and with separators=(",", ":"). A list whose items share one
+    shape (container types, list lengths, sorted key sets and leaf types
+    alike at every position: a matrix's rows, weight entries, sweep rows) is
+    written _SLICE items at a time. Each slice fills one indented and one
+    compact template, the literal pieces between an item's leaves, built
+    once per shape and joined with the slice's leaf texts in one call. Each
+    leaf column formats one repr per distinct value, keyed by the int64 bit
+    pattern (so -0.0 and 0.0 stay apart): a symmetric matrix formats each
+    off-diagonal entry once. Any other value (a dict, a list of mixed items,
+    a leaf) takes the general path, one value at a time.
     Non-finite floats raise ValueError and other types TypeError, as json
     does; dict keys must be strings.
     """
-    if len(objs) > _SLICE:
-        return _by_slices(objs, pad, _SLICE)
-    kinds = set(map(type, objs))
-    if len(kinds) > 1:
-        return _by_slices(objs, pad, 1)
-    kind = next((k for k in kinds.pop().__mro__ if k in _KINDS), None)
+    kind = _kind(type(obj))
     if kind in _REPR:
-        if kind is float and not all(map(math.isfinite, objs)):
-            bad = next(x for x in objs if not math.isfinite(x))
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        texts = list(map(_REPR[kind], objs))
-        return texts, texts
+        if kind is float:
+            _check_finite([obj])
+        text = _REPR[kind](obj)
+        return text, text
     inner = pad + "  "
     if kind is dict:
-        keys = objs[0].keys()
-        if any(d.keys() != keys for d in objs):
-            return _by_slices(objs, pad, 1)
-        if not keys:
-            return ["{}"] * len(objs), ["{}"] * len(objs)
+        keys = sorted(obj)
+        return _dict_texts(keys, [_json_texts(obj[k], inner) for k in keys], pad)
+    if kind not in (list, tuple):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]", "[]"
+    indented, compact, templates = [], [], {}
+    for start in range(0, len(obj), _SLICE):
+        items = obj[start : start + _SLICE]
+        shaped = _shape(items)
+        if shaped is None:
+            parts = [_json_texts(x, inner) for x in items]
+            indented += [i for i, _ in parts]
+            compact += [c for _, c in parts]
+            continue
+        shape, texts = shaped
+        if shape not in templates:
+            templates[shape] = [
+                (pieces[0], np.array([sep + pieces[0]] + pieces[1:], dtype=object))
+                for sep, pieces in zip((",\n" + inner, ","), (t.split("\0") for t in _template(shape, inner)))
+            ]
+        # Row i reads: piece 0 (after a separator), leaf 0, piece 1, ..., leaf K-1, piece K.
+        filled = np.empty((len(items), 2 * texts.shape[1] + 1), dtype=object)
+        filled[:, 1::2] = texts
+        for out, (first, pieces) in zip((indented, compact), templates[shape]):
+            filled[:, ::2] = pieces
+            filled[0, 0] = first
+            out.append("".join(filled.ravel().tolist()))
+    return _container("[]", indented, compact, pad)
+
+
+def _container(brackets: str, indented, compact, pad: str) -> tuple[str, str]:
+    """The (indented, compact) texts of a non-empty container from its items' texts, each iterated once."""
+    inner = pad + "  "
+    return (
+        brackets[0] + "\n" + inner + (",\n" + inner).join(indented) + "\n" + pad + brackets[1],
+        brackets[0] + ",".join(compact) + brackets[1],
+    )
+
+
+def _dict_texts(keys, parts: list, pad: str) -> tuple[str, str]:
+    """The (indented, compact) texts of a dict from its sorted keys and their values' texts."""
+    if not keys:
+        return "{}", "{}"
+    names = list(map(_quote, keys))
+    indented = (f"{k}: {i}" for k, (i, _) in zip(names, parts))
+    return _container("{}", indented, (f"{k}:{c}" for k, (_, c) in zip(names, parts)), pad)
+
+
+def _shape(column: list):
+    """(shape, texts) when the values of column share one shape, else None.
+
+    shape is hashable: a leaf's type, ("list", length, element shape) or
+    ("dict", sorted keys, value shapes). texts is an object array with one
+    row per value, holding its leaf texts in document order.
+    """
+    kinds = set(map(type, column))
+    kind = _kind(kinds.pop()) if len(kinds) == 1 else None
+    if kind in _REPR:
+        return kind, _leaf_texts(kind, column)[:, None]
+    if kind is dict:
+        # Equal sizes and a value for each of the first item's keys mean equal
+        # key sets; a dict subclass could answer a key it lacks (__missing__).
+        keys = column[0].keys()
+        if type(column[0]) is not dict or not all(isinstance(k, str) for k in keys):
+            return None
+        if set(map(len, column)) != {len(keys)}:
+            return None
         keys = sorted(keys)
-        columns = [_json_texts(list(map(operator.itemgetter(k), objs)), inner) for k in keys]
-        names = [_quote(k).replace("{", "{{").replace("}", "}}") for k in keys]
-        indented = "{{\n" + inner + (",\n" + inner).join(f"{k}: {{}}" for k in names) + "\n" + pad + "}}"
-        compact = "{{" + ",".join(f"{k}:{{}}" for k in names) + "}}"
-        return list(map(indented.format, *(i for i, _ in columns))), list(map(compact.format, *(c for _, c in columns)))
+        try:
+            values = [list(map(operator.itemgetter(k), column)) for k in keys]
+        except KeyError:
+            return None
+        parts = list(map(_shape, values))
+        if None in parts:
+            return None
+        texts = np.hstack([t for _, t in parts]) if parts else np.empty((len(column), 0), dtype=object)
+        return ("dict", tuple(keys), tuple(s for s, _ in parts)), texts
     if kind in (list, tuple):
-        ends = list(itertools.accumulate(map(len, objs)))
-        indented, compact = _json_texts(list(itertools.chain.from_iterable(objs)), inner) if ends[-1] else ([], [])
-        spans = list(zip([0] + ends[:-1], ends))
-        opening, sep, closing = "[\n" + inner, ",\n" + inner, "\n" + pad + "]"
-        return (
-            [opening + sep.join(indented[a:b]) + closing if a < b else "[]" for a, b in spans],
-            ["[" + ",".join(compact[a:b]) + "]" if a < b else "[]" for a, b in spans],
-        )
-    raise TypeError(f"Object of type {type(objs[0]).__name__} is not JSON serializable")
+        lengths = set(map(len, column))
+        if len(lengths) != 1:
+            return None
+        length = lengths.pop()
+        if not length:
+            return ("list", 0, None), np.empty((len(column), 0), dtype=object)
+        items = _shape(list(itertools.chain.from_iterable(column)))
+        if items is None:
+            return None
+        return ("list", length, items[0]), items[1].reshape(len(column), length * items[1].shape[1])
+    return None
 
 
-def _by_slices(objs: list, pad: str, size: int) -> tuple[list[str], list[str]]:
-    parts = [_json_texts(objs[i : i + size], pad) for i in range(0, len(objs), size)]
-    return list(itertools.chain.from_iterable(i for i, _ in parts)), list(itertools.chain.from_iterable(c for _, c in parts))
+def _template(shape, pad: str) -> tuple[str, str]:
+    """The (indented, compact) texts of one value of shape, whose line is indented by pad, with NUL
+    for each leaf: JSON text holds no raw NUL, so splitting at it gives the pieces between the leaves."""
+    if not isinstance(shape, tuple):
+        return "\0", "\0"
+    tag, size, sub = shape
+    inner = pad + "  "
+    if tag == "dict":
+        return _dict_texts(size, [_template(s, inner) for s in sub], pad)
+    if not size:
+        return "[]", "[]"
+    indented, compact = _template(sub, inner)
+    return _container("[]", [indented] * size, [compact] * size, pad)
+
+
+def _leaf_texts(kind: type, column: list) -> np.ndarray:
+    """The texts of column's values, all of kind, as an object array.
+
+    A long int or float column formats one repr per distinct int64 bit
+    pattern (ints beyond int64 format each value).
+    """
+    values = None
+    if kind in (int, float) and len(column) >= _DISTINCT:
+        try:
+            values = np.array(column, dtype=np.int64 if kind is int else np.float64)
+        except OverflowError:
+            pass
+    if values is None:
+        if kind is float:
+            _check_finite(column)
+        return np.array(list(map(_REPR[kind], column)), dtype=object)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = distinct.view(values.dtype)
+    if kind is float and not np.isfinite(distinct).all():
+        _check_finite(column)
+    return np.array(list(map(_REPR[kind], distinct.tolist())), dtype=object)[inverse]
 
 
 def _emit(args: argparse.Namespace, config: dict, flags: dict, results: dict) -> int:
@@ -191,7 +308,7 @@ def _emit(args: argparse.Namespace, config: dict, flags: dict, results: dict) ->
     config_sha256 hashes. The whole report is built before --out is opened,
     so a value JSON refuses leaves no file.
     """
-    (config_text,), (config_compact,) = _json_texts([config], "  ")
+    config_text, config_compact = _json_texts(config, "  ")
     fields = {
         "command": config["command"],
         "config_sha256": hashlib.sha256(config_compact.encode("utf-8")).hexdigest(),
@@ -201,7 +318,7 @@ def _emit(args: argparse.Namespace, config: dict, flags: dict, results: dict) ->
         "seed": args.seed,
         "version": __version__,
     }
-    texts = {k: _json_texts([v], "  ")[0][0] for k, v in fields.items()}
+    texts = {k: _json_texts(v, "  ")[0] for k, v in fields.items()}
     texts["config"] = config_text
     text = "{\n" + ",\n".join(f"  {_quote(k)}: {texts[k]}" for k in sorted(texts)) + "\n}\n"
     if args.out:

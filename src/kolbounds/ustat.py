@@ -30,7 +30,7 @@ from .chaos import center_slots, slot_mean_max
 from .dist import Distribution, draw_rows
 from .errors import DegenerateError, DomainError, InputError
 from .qform import Q_BLOCK, multilinear_form
-from .space import OutcomeSpace, RandomFunctional, check_bytes, law_expect, power
+from .space import BYTE_CAP, OutcomeSpace, RandomFunctional, check_bytes, law_expect, power
 
 
 class WeightTensor:
@@ -59,7 +59,14 @@ class WeightTensor:
 
     @staticmethod
     def from_json(obj: object) -> "WeightTensor":
-        """Each entry sets every ordering of its subset; a later entry for the same set wins."""
+        """Each entry sets every ordering of its subset; a later entry for the same set wins.
+
+        The dense tensor's 8 n^d bytes are checked against space.BYTE_CAP as
+        soon as n and order are read. The entries are then checked as arrays:
+        one list per field, one type scan per list, and one flattened index
+        array for the lengths, ranges and repeats. The first bad entry names
+        the rejection.
+        """
         if not isinstance(obj, dict):
             raise InputError("weight JSON must be an object")
         # JSON gives exact types, so type() tells integers from bools, floats
@@ -69,36 +76,44 @@ class WeightTensor:
             raise InputError("weight JSON needs integer n, order and an entries list")
         if order < 1 or n < order:
             raise InputError(f"need 1 <= order <= n, got order={order}, n={n}")
-        if not all(isinstance(ent, dict) and "subset" in ent and "value" in ent for ent in entries):
-            raise InputError("each weight entry needs a subset and a value")
-        subs = [ent["subset"] for ent in entries]
-        values = [ent["value"] for ent in entries]
-        # A string value goes through float(), so "nan" meets the finiteness check.
-        if not all(type(sub) is list for sub in subs) or set(map(type, itertools.chain.from_iterable(subs))) - {int}:
+        what = f"the dense weight tensor of order {order} at n = {n}"
+        # n^order is formed only below 2^1000: an absurd order would make the
+        # power slow and the byte count too long to print.
+        if order * (n.bit_length() - 1) > 1000:
+            raise InputError(f"{what} would take more than 2^1000 bytes, past the {BYTE_CAP}-byte cap")
+        check_bytes(8 * n**order, what)
+        try:
+            subs = list(map(dict.__getitem__, entries, itertools.repeat("subset")))
+            values = list(map(dict.__getitem__, entries, itertools.repeat("value")))
+        except (KeyError, TypeError):
+            raise InputError("each weight entry needs a subset and a value") from None
+        flat = list(itertools.chain.from_iterable(subs)) if set(map(type, subs)) <= {list} else None
+        if flat is None or set(map(type, flat)) - {int}:
             raise InputError("weight subsets must be lists of integer indices")
+        # A string value goes through float(), so "nan" meets the finiteness check.
         if set(map(type, values)) - {int, float, str}:
             raise InputError("weight values must be numbers")
-        subs = list(map(tuple, subs))
         vals = np.fromiter(map(float, values), float, len(values))
-        short = next((sub for sub in subs if len(sub) != order), None)
-        if short is not None:
-            raise InputError(f"weight subset {list(short)} must hold {order} distinct indices")
-        # Indices beyond int64 make an object array; the checks still apply.
-        idx = np.array(subs).reshape(-1, order)
+        short = np.flatnonzero(np.fromiter(map(len, subs), np.intp, len(subs)) != order)
+        if short.size:
+            raise InputError(f"weight subset {subs[short[0]]} must hold {order} distinct indices")
+        try:
+            idx = np.array(flat, dtype=np.int64).reshape(-1, order)
+        except OverflowError:  # an index beyond int64, which the range check refuses
+            idx = np.array(flat, dtype=object).reshape(-1, order)
         srt = np.sort(idx, axis=1)
         repeats = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
         bad = repeats | (srt[:, 0] < 0) | (srt[:, -1] >= n)
         if bad.any():
             i = int(np.argmax(bad))
             why = f"must hold {order} distinct indices" if repeats[i] else f"out of range for n={n}"
-            raise InputError(f"weight subset {idx[i].tolist()} {why}")
+            raise InputError(f"weight subset {subs[i]} {why}")
         # One write per axis permutation; each sorted subset keeps its last
         # entry, since numpy leaves open which of repeated writes wins.
         srt = srt.astype(np.intp, copy=False)
         keys = np.ravel_multi_index(tuple(srt.T), (n,) * order)
         last = len(keys) - 1 - np.unique(keys[::-1], return_index=True)[1]
         srt, vals = srt[last], vals[last]
-        check_bytes(8 * n**order, f"the dense weight tensor of order {order} at n = {n}")
         T = np.zeros((n,) * order)
         for perm in itertools.permutations(range(order)):
             T[tuple(srt[:, perm].T)] = vals

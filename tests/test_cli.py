@@ -1,11 +1,13 @@
 """End-to-end command line checks: reports, exit codes, determinism."""
 
+import collections
 import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +351,19 @@ def test_oversized_inputs_exit_two_before_allocating(tmp_path):
     # the machine's memory.
     weights = tmp_path / "w.json"
     weights.write_text(json.dumps({"n": 5000, "order": 3, "entries": [{"subset": [0, 1, 2], "value": 1.0}]}))
+    # Tensors whose n^d passes int64 are refused by the same check, before
+    # any entry is converted.
+    beyond = {
+        "w7.json": {"n": 10_000_000, "order": 3, "entries": [{"subset": [0, 1, 2], "value": 1.0}]},
+        "w7empty.json": {"n": 10_000_000, "order": 3, "entries": []},
+        "w2.json": {"n": 3_037_000_500, "order": 2, "entries": [{"subset": [0, 1], "value": 1.0}]},
+        "w30.json": {"n": 10**10, "order": 30, "entries": []},
+        # Past 2^1000 bytes the power is not formed, so an absurd order costs nothing.
+        "w40.json": {"n": 10**10, "order": 40, "entries": []},
+        "wbig.json": {"n": 10**7, "order": 10**7, "entries": []},
+    }
+    for name, obj in beyond.items():
+        (tmp_path / name).write_text(json.dumps(obj))
     (tmp_path / "sizes.json").write_text('{"sizes": [100000], "samples": 1000}')
     (tmp_path / "grid.json").write_text('{"n": [100000], "p": [0.5], "samples": 1000}')
     (tmp_path / "tri.json").write_text('{"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]]}')
@@ -357,6 +372,18 @@ def test_oversized_inputs_exit_two_before_allocating(tmp_path):
     out = str(tmp_path / "r.json")
     cases = [
         (["ustat", "--weights", str(weights), "--law", "three-point"], "dense weight tensor of order 3 at n = 5000"),
+        (["ustat", "--weights", str(tmp_path / "w7.json"), "--law", "three-point"],
+         "dense weight tensor of order 3 at n = 10000000 would take 8000000000000000000000 bytes"),
+        (["ustat", "--weights", str(tmp_path / "w7empty.json"), "--law", "three-point"],
+         "dense weight tensor of order 3 at n = 10000000 would take 8000000000000000000000 bytes"),
+        (["ustat", "--weights", str(tmp_path / "w2.json"), "--law", "three-point"],
+         "dense weight tensor of order 2 at n = 3037000500 would take 73786976296002000000 bytes"),
+        (["ustat", "--weights", str(tmp_path / "w30.json"), "--law", "three-point"],
+         f"dense weight tensor of order 30 at n = {10**10} would take {8 * 10**300} bytes"),
+        (["ustat", "--weights", str(tmp_path / "w40.json"), "--law", "three-point"],
+         f"dense weight tensor of order 40 at n = {10**10} would take more than 2^1000 bytes"),
+        (["ustat", "--weights", str(tmp_path / "wbig.json"), "--law", "three-point"],
+         "dense weight tensor of order 10000000 at n = 10000000 would take more than 2^1000 bytes"),
         (["qform", "--sweep", str(tmp_path / "sizes.json"), "--law", "rademacher", "--out", out], "100000 x 100000"),
         (["graph", "--graph", str(tmp_path / "tri.json"), "--law", "rademacher", "--sweep", str(tmp_path / "grid.json"),
           "--out", out], "counter matrices of 100000 x 100000"),
@@ -415,7 +442,7 @@ def test_one_process_reuses_its_parser(files, capsys, tmp_path):
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
-_KEYS = st.one_of(st.text(max_size=6), st.text(alphabet="{}\"\\\x00\u00e9", max_size=3))
+_KEYS = st.one_of(st.text(max_size=6), st.text(alphabet="{}%\"\\\x00\u00e9", max_size=3))
 _LEAVES = st.one_of(
     st.none(),
     st.booleans(),
@@ -463,11 +490,11 @@ def _with_a_non_finite(tree):
 @settings(max_examples=300, deadline=None)
 @given(_TREES)
 def test_report_writer_matches_json_dumps(tree):
-    (indented,), (compact,) = cli._json_texts([tree], "")
+    indented, compact = cli._json_texts(tree, "")
     assert indented == json.dumps(tree, sort_keys=True, indent=2, allow_nan=False)
     assert compact == json.dumps(tree, sort_keys=True, separators=(",", ":"), allow_nan=False)
     # Below an indented line the same tree sits as json.dumps puts it in a dict.
-    (nested,), _ = cli._json_texts([tree], "  ")
+    nested, _ = cli._json_texts(tree, "  ")
     assert "{\n  \"k\": " + nested + "\n}" == json.dumps({"k": tree}, sort_keys=True, indent=2, allow_nan=False)
 
 
@@ -477,17 +504,162 @@ def test_report_writer_refuses_non_finite_floats_at_any_depth(tree):
     with pytest.raises(ValueError, match="not JSON compliant"):
         json.dumps(tree, sort_keys=True, allow_nan=False)
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._json_texts([tree], "")
+        cli._json_texts(tree, "")
 
 
 def test_report_writer_refuses_what_json_refuses():
     for obj in ([object()], {"a": np.int64(1)}, {1: "non-string key"}):
         with pytest.raises(TypeError):
-            cli._json_texts([obj], "")
+            cli._json_texts(obj, "")
     # Subclasses format as their base types, as in json.
     obj = {"a": [np.float64(0.1), np.float64(-2.5)], "b": (1, 2)}
-    (indented,), _ = cli._json_texts([obj], "")
+    indented, _ = cli._json_texts(obj, "")
     assert indented == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _assert_dumps_texts(obj):
+    # Both texts equal json.dumps', at the top level and one level down;
+    # json.dumps runs first, so a writer that changed obj would show.
+    expected = [
+        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False),
+        json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False),
+        json.dumps({"k": obj}, sort_keys=True, indent=2, allow_nan=False),
+    ]
+    indented, compact = cli._json_texts(obj, "")
+    nested, nested_compact = cli._json_texts(obj, "  ")
+    assert [indented, compact, "{\n  \"k\": " + nested + "\n}"] == expected
+    assert nested_compact == compact
+
+
+def _counting(monkeypatch, kind):
+    # Counts the values the writer formats as kind.
+    calls = []
+    fmt = cli._REPR[kind]
+    monkeypatch.setitem(cli._REPR, kind, lambda v: calls.append(v) or fmt(v))
+    return calls
+
+
+def test_report_writer_matches_json_dumps_at_slice_sizes(monkeypatch):
+    # Lists longer than one _SLICE, many records of one template, and lists
+    # whose shape breaks partway, each against json.dumps byte for byte.
+    assert cli._SLICE == 1024
+    rng = np.random.default_rng(30)
+    n = 129
+    A = np.triu(np.round(rng.standard_normal((n, n)), 1), 1) + np.diag(rng.standard_normal(n))
+    A[0, 1], A[0, 2], A[1, 2], A[3, 4], A[5, 6], A[7, 8] = -0.0, 0.0, 5e-324, 1e16, 1e-5, -5e-324
+    matrix = np.where(np.tri(n, k=-1, dtype=bool), A.T, A).tolist()
+    assert math.copysign(1.0, matrix[1][0]) == -1.0 and matrix[2][0] == 0.0
+    floats = _counting(monkeypatch, float)
+    _assert_dumps_texts(matrix)
+    # One repr per distinct bit pattern (-0.0 and 0.0 apart) in each of the two
+    # calls, for both texts: the rounded entries repeat, and no mirrored entry
+    # is formatted again.
+    distinct = len(set(np.asarray(matrix).view(np.int64).ravel().tolist()))
+    assert distinct < n * (n + 1) // 2 and len(floats) == 2 * distinct
+    monkeypatch.undo()
+
+    entries = [{"subset": [i % 30, 30 + i % 7, 40 + i // 100], "value": float(rng.standard_normal())} for i in range(3000)]
+    ints = _counting(monkeypatch, int)
+    _assert_dumps_texts({"n": 70, "order": 3, "entries": entries})
+    # Per call, three slices of at most 30 + 7 + 11 distinct indices, and the two scalars.
+    assert len(ints) <= 2 * (3 * (30 + 7 + 11) + 2)
+    monkeypatch.undo()
+    odd_keys = [{"%s": i, "{}": [float(i), -0.0], "50%{": {"}%": None, "a": True}} for i in range(2100)]
+    _assert_dumps_texts(odd_keys)
+    extra_key = [dict(e) for e in entries]
+    extra_key[1500]["zz"] = 1
+    _assert_dumps_texts(extra_key)
+    int_value = [dict(e) for e in entries]
+    int_value[1500]["value"] = 2
+    _assert_dumps_texts(int_value)
+    renamed = [dict(e) for e in entries]
+    renamed[1500] = {"subset": [1, 2, 3], "zz": 1.0}
+    _assert_dumps_texts(renamed)
+    _assert_dumps_texts([{"a": None}] * 1500 + [{"b": None}] + [{"a": None}] * 100)
+    # A dict subclass may make up values for keys it lacks; json.dumps reads only its own.
+    _assert_dumps_texts([collections.defaultdict(float, a=1.5), collections.defaultdict(float, b=2.5)] * 600)
+    # Each slice uniform, in a different shape from the one before.
+    _assert_dumps_texts([{"a": 0.5}] * 1024 + [{"b": [1, 2]}] * 1024 + [[0.5, -0.0]] * 1100)
+    rows = [[float(i), 1.0] for i in range(2000)]
+    rows[1500] = [1.0, 2.0, 3.0]
+    _assert_dumps_texts(rows)
+    wide = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, -(10**30), 0, -1]
+    _assert_dumps_texts(wide * 300)
+    _assert_dumps_texts([{"i": v, "s": [v, v]} for v in wide * 200])
+    _assert_dumps_texts([[], {}, [[]], [{}]] * 600 + [[1, "a", None, True, 2.5]] * 600)
+
+    for bad in (math.nan, math.inf, -math.inf):
+        column = [float(i) for i in range(3000)]
+        column[1500] = bad
+        records = [{"value": float(i), "subset": [i]} for i in range(3000)]
+        records[2100]["value"] = bad
+        for obj in (column, records, {"entries": records}):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                json.dumps(obj, sort_keys=True, allow_nan=False)
+            with pytest.raises(ValueError, match=f"not JSON compliant: {bad!r}"):
+                cli._json_texts(obj, "")
+
+
+def _weights_file(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_weight_file_rejections_keep_their_messages(tmp_path, capsys):
+    # The array checks in WeightTensor.from_json give the messages and exit
+    # codes of the per-entry checks they replaced.
+    good = [{"subset": list(s), "value": 1.0} for s in itertools.islice(itertools.combinations(range(20), 3), 1000)]
+    cases = [
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": 1.0}, {"subset": [0, 2**70], "value": 1.0}]},
+         f"weight subset [0, {2**70}] out of range for n=4"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [2**64, -(2**70)], "value": 1.0}]},
+         f"weight subset [{2**64}, {-(2**70)}] out of range for n=4"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, True], "value": 1.0}]}, "weight subsets must be lists of integer indices"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, [1]], "value": 1.0}]}, "weight subsets must be lists of integer indices"),
+        ({"n": 4, "order": 2, "entries": [{"subset": "01", "value": 1.0}]}, "weight subsets must be lists of integer indices"),
+        ({"n": 20, "order": 3, "entries": good + [{"subset": [0, 1], "value": 1.0}]}, "weight subset [0, 1] must hold 3 distinct indices"),
+        ({"n": 20, "order": 3, "entries": good + [{"subset": [5, 5, 1], "value": 1.0}]},
+         "weight subset [5, 5, 1] must hold 3 distinct indices"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": "nan"}]}, "weights must be finite numbers, got nan"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0], "value": 1.0}, {"subset": [0, 1], "value": "abc"}]},
+         "could not convert string to float: 'abc'"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": None}]}, "weight values must be numbers"),
+        ({"n": 4, "order": 2, "entries": [{"subset": [0, 1]}]}, "each weight entry needs a subset and a value"),
+        ({"n": 4, "order": 2, "entries": [[0, 1]]}, "each weight entry needs a subset and a value"),
+    ]
+    for i, (obj, message) in enumerate(cases):
+        code, out, err = _run(["ustat", "--weights", _weights_file(tmp_path, f"w{i}.json", obj), "--law", "three-point"], capsys)
+        assert (code, out, err) == (2, "", f"kolbounds: {message}\n"), (i, err)
+    # A repeated subset is no error: its last entry wins, in any order of indices.
+    obj = {"n": 4, "order": 2, "entries": [{"subset": [0, 1], "value": 1.0}, {"subset": [2, 3], "value": 2.0},
+                                           {"subset": [1, 0], "value": 3.0}]}
+    code, out, err = _run(["ustat", "--weights", _weights_file(tmp_path, "repeat.json", obj), "--law", "three-point"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["config"]["weights"]["entries"] == [{"subset": [0, 1], "value": 3.0}, {"subset": [2, 3], "value": 2.0}]
+
+
+def test_the_largest_desk_report_writes_within_the_column_writer_memory(tmp_path, monkeypatch):
+    # The ustat n = 40, d = 3 report (9 880 weight entries) sets the memory
+    # high-water mark of perfbench's desk-reports. The per-column writer this
+    # one replaced peaked at 5 755 493 traced bytes in _emit here.
+    rng = np.random.default_rng(0)
+    entries = [{"subset": list(s), "value": float(rng.standard_normal())} for s in itertools.combinations(range(40), 3)]
+    calls = []
+    monkeypatch.setattr(cli, "_emit", lambda *a: calls.append(a) or 0)
+    argv = ["ustat", "--weights", _weights_file(tmp_path, "w.json", {"n": 40, "order": 3, "entries": entries}),
+            "--law", "three-point", "--out", str(tmp_path / "u.json")]
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli._emit(*calls[0]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_755_493, peak
+    assert len(json.loads((tmp_path / "u.json").read_text())["config"]["weights"]["entries"]) == 9880
 
 
 def test_degenerate_matrix_exits_three(files, capsys):
